@@ -7,13 +7,13 @@ matrices with their row averages.
 
 Usage:
     python scripts/reproduce_tables.py [--format {markdown,csv}] [--out PATH]
-                                       [--grid N] [--rule RULE]
+                                       [--grid N]
 """
 
 import argparse
 
 from cbf.experiments import MEASURES, Scenario, render_tables, run_tables
-from cbf.quadrature import RULES, QuadratureConfig
+from cbf.quadrature import QuadratureConfig
 
 REFERENCE_DISTRIBUTIONS = (
     "normal:0,1",
@@ -27,14 +27,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     parser.add_argument("--out", default=None, help="write the tables to this file")
-    parser.add_argument("--grid", type=int, default=512, help="quadrature points per axis")
-    parser.add_argument("--rule", choices=RULES, default="gauss_legendre")
+    parser.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis,
+                        help="Gauss-Legendre nodes per panel (default %(default)s)")
     args = parser.parse_args()
 
     scenario = Scenario(
         distributions=REFERENCE_DISTRIBUTIONS,
         measures=MEASURES,
-        quadrature=QuadratureConfig(points_per_axis=args.grid, rule=args.rule),
+        quadrature=QuadratureConfig(points_per_axis=args.grid),
         output_format=args.format,
         output_path=args.out,
     )

@@ -32,7 +32,8 @@ def main() -> int:
     parser.add_argument("--out-dir", default="sweeps", help="directory for the CSV files")
     parser.add_argument("--full", action="store_true",
                         help="use the fine grid (mu2 step 0.1, sigma2 step 0.05)")
-    parser.add_argument("--grid", type=int, default=512, help="quadrature points per axis")
+    parser.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis,
+                        help="Gauss-Legendre nodes per panel (default %(default)s)")
     args = parser.parse_args()
 
     if args.full:

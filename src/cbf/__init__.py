@@ -53,7 +53,7 @@ from .measures import (
     inc_strict,
     scalar_product,
 )
-from .quadrature import QuadratureConfig, integrate2d, integrate4d, mc_estimate
+from .quadrature import QuadratureConfig, mc_estimate
 
 __version__ = "0.1.0"
 
@@ -83,8 +83,6 @@ __all__ = [
     "inc_partial",
     "inc_partial_reversed",
     "inc_strict",
-    "integrate2d",
-    "integrate4d",
     "jaccard_delta",
     "jousselme_distance",
     "length",

@@ -30,7 +30,7 @@ from .experiments import (
     run_tables,
     sweep_csv,
 )
-from .quadrature import RULES, QuadratureConfig
+from .quadrature import QuadratureConfig
 
 __all__ = ["main"]
 
@@ -52,22 +52,17 @@ def _parse_measures(text: str) -> tuple[str, ...]:
 
 def _add_quadrature_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("quadrature")
-    group.add_argument("--grid", type=int, default=512, metavar="N",
-                       help="points per axis (default 512)")
-    group.add_argument("--rule", choices=RULES, default="gauss_legendre",
-                       help="quadrature rule (default gauss_legendre)")
-    group.add_argument("--trunc-k", type=float, default=8.0, metavar="K",
-                       help="domain truncation in scale units (default 8)")
-    group.add_argument("--tol", type=float, default=1e-4, metavar="T",
-                       help="relative refinement tolerance (default 1e-4)")
-    group.add_argument("--seed", type=int, default=0,
-                       help="seed for Monte Carlo cross-checks (unused by grid paths)")
+    group.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis, metavar="N",
+                       help="Gauss-Legendre nodes per panel (default %(default)s)")
+    group.add_argument("--trunc-k", type=float, default=QuadratureConfig.truncation_k, metavar="K",
+                       help="domain truncation in scale units (default %(default)s)")
+    group.add_argument("--tol", type=float, default=QuadratureConfig.target_rel_tol, metavar="T",
+                       help="relative refinement tolerance (default %(default)s)")
 
 
 def _config_from_args(args) -> QuadratureConfig:
     return QuadratureConfig(
         points_per_axis=args.grid,
-        rule=args.rule,
         truncation_k=args.trunc_k,
         target_rel_tol=args.tol,
     )

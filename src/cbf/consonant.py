@@ -219,7 +219,7 @@ def to_generic(c: ConsonantBBD) -> GenericBBD:
     return GenericBBD(density2d=None, truncation_box=box, curve=curve, label=c.label)
 
 
-def pignistic_density(c: ConsonantBBD, x, points: int = 512, rule: str = "gauss_legendre"):
+def pignistic_density(c: ConsonantBBD, x, points: int = 512):
     """Pignistic transform of ``c`` evaluated at x.
 
     betf(x) = integral over z of density(z) / length(focal(z)) for all z
@@ -233,7 +233,7 @@ def pignistic_density(c: ConsonantBBD, x, points: int = 512, rule: str = "gauss_
         z_min = np.where(x < 0.0, np.inf, x)
     width = np.maximum(c.support_bound - z_min, 0.0)
     z_min_safe = np.where(np.isfinite(z_min), z_min, 0.0)
-    t, wt = nodes_and_weights(points, 0.0, 1.0, rule)
+    t, wt = nodes_and_weights(points, 0.0, 1.0)
     z = z_min_safe[..., None] + width[..., None] * t
     vals = width * np.sum(wt * c.pignistic_integrand(z), axis=-1)
     if vals.ndim == 0:

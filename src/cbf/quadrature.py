@@ -1,14 +1,15 @@
-"""Deterministic tensor-grid quadrature and a Monte Carlo cross-check.
+"""Gauss-Legendre nodes, the refinement loop and a Monte Carlo cross-check.
 
-All integrals in this package run over truncated rectangular domains with a
-fixed number of nodes per axis, so results are reproducible bit for bit for
-a given configuration.  ``integrate2d`` and ``integrate4d`` refine by
-doubling the per-axis resolution until successive estimates agree to a
-relative tolerance or the doubling budget is spent.
+Every integral in this package is a fixed Gauss-Legendre rule on panels of
+a truncated domain, so results are reproducible bit for bit for a given
+configuration.  ``cbf.measures`` places the panel breaks at the kinks of
+the interval degrees; ``_refine`` doubles the nodes per panel until two
+successive estimates agree to a relative tolerance or the doubling budget
+is spent, and reports the last change as the error estimate.
 
 ``mc_estimate`` provides a seeded Monte Carlo estimate of E[ratio] under a
-product sampler.  It is the slow second opinion used to validate the grid
-path, not a replacement for it.
+product sampler.  It is the slow second opinion used to validate the
+quadrature, not a replacement for it.
 """
 
 from __future__ import annotations
@@ -18,40 +19,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import roots_legendre
 
 __all__ = [
-    "RULES",
     "QuadratureConfig",
     "nodes_and_weights",
-    "integrate2d",
-    "integrate4d",
     "mc_estimate",
     "inverse_cdf_table",
 ]
 
-RULES = ("midpoint", "trapezoid", "gauss_legendre")
-
-# Keep chunked 4D evaluation below ~32M double intermediates per slab.
-_MAX_BLOCK = 1 << 22
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid resolution and truncation policy shared by all integrators.
+    """Resolution and truncation policy shared by all integrators.
 
-    points_per_axis     nodes per axis for 1D/2D integrals (>= 16)
-    points_per_axis_4d  nodes per axis for 4D integrals (>= 16)
-    rule                one of ``RULES``
+    points_per_axis     Gauss-Legendre nodes per panel of the consonant
+                        rules (>= 16)
+    points_per_axis_4d  nodes per axis of a generic density2d grid (>= 16)
     truncation_k        half-width of integration domains in scale units
     target_rel_tol      stop refining once successive estimates agree to this
     refine_max_doublings  doubling budget for refinement (0 disables it)
     """
 
-    points_per_axis: int = 512
+    points_per_axis: int = 16
     points_per_axis_4d: int = 64
-    rule: str = "gauss_legendre"
     truncation_k: float = 8.0
     target_rel_tol: float = 1e-4
     refine_max_doublings: int = 4
@@ -63,8 +54,6 @@ class QuadratureConfig:
             raise ValueError(
                 f"points_per_axis_4d must be >= 16, got {self.points_per_axis_4d}"
             )
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}, expected one of {RULES}")
         if not self.truncation_k > 0:
             raise ValueError(f"truncation_k must be positive, got {self.truncation_k}")
         if not self.target_rel_tol > 0:
@@ -76,37 +65,25 @@ class QuadratureConfig:
 
 
 @lru_cache(maxsize=64)
-def _unit_nodes(n: int, rule: str):
-    """Nodes and weights on [0, 1]; cached read-only arrays."""
-    if rule == "gauss_legendre":
-        x, w = roots_legendre(n)
-        x = 0.5 * (x + 1.0)
-        w = 0.5 * w
-    elif rule == "midpoint":
-        x = (np.arange(n) + 0.5) / n
-        w = np.full(n, 1.0 / n)
-    elif rule == "trapezoid":
-        if n < 2:
-            raise ValueError("trapezoid rule needs at least 2 nodes")
-        x = np.linspace(0.0, 1.0, n)
-        w = np.full(n, 1.0 / (n - 1))
-        w[0] = w[-1] = 0.5 / (n - 1)
-    else:
-        raise ValueError(f"unknown rule {rule!r}, expected one of {RULES}")
+def _unit_nodes(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1]; cached read-only arrays."""
+    x, w = roots_legendre(n)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def nodes_and_weights(n: int, lo: float, hi: float, rule: str = "gauss_legendre"):
-    """Quadrature nodes and weights for [lo, hi] with n points."""
+def nodes_and_weights(n: int, lo: float, hi: float):
+    """Gauss-Legendre nodes and weights for [lo, hi] with n points."""
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got ({lo}, {hi})")
     if hi < lo:
         raise ValueError(f"integration bounds out of order: ({lo}, {hi})")
-    x, w = _unit_nodes(n, rule)
+    x, w = _unit_nodes(n)
     width = hi - lo
     return lo + width * x, width * w
 
@@ -119,10 +96,10 @@ def _check_finite(vals, where: str):
 
 
 def _refine(estimate, n0: int, cfg: QuadratureConfig):
-    """Double the per-axis resolution until the estimate settles.
+    """Double the nodes per panel until the estimate settles.
 
-    Returns (value, points_per_axis, est_error) where est_error is the
-    absolute change over the last doubling (nan if no doubling happened).
+    Returns (value, points, est_error) where est_error is the absolute
+    change over the last doubling (nan if no doubling happened).
     """
     n = n0
     value = estimate(n)
@@ -135,55 +112,6 @@ def _refine(estimate, n0: int, cfg: QuadratureConfig):
         if err <= cfg.target_rel_tol * max(abs(new), 1e-12):
             break
     return value, n, err
-
-
-def integrate2d(f, domain, cfg: QuadratureConfig | None = None) -> float:
-    """Integrate f(x, y) over [xlo, xhi] x [ylo, yhi].
-
-    ``f`` must accept broadcastable arrays of shape (n, 1) and (1, n).
-    """
-    cfg = cfg or QuadratureConfig()
-    (xlo, xhi), (ylo, yhi) = domain
-
-    def estimate(n):
-        x, wx = nodes_and_weights(n, xlo, xhi, cfg.rule)
-        y, wy = nodes_and_weights(n, ylo, yhi, cfg.rule)
-        vals = np.asarray(f(x[:, None], y[None, :]), dtype=float)
-        _check_finite(vals, f"2d domain {domain}")
-        return float(wx @ vals @ wy)
-
-    value, _, _ = _refine(estimate, cfg.points_per_axis, cfg)
-    return value
-
-
-def integrate4d(f, box, cfg: QuadratureConfig | None = None) -> float:
-    """Integrate f(x1, y1, x2, y2) over a 4D box of (lo, hi) pairs.
-
-    Evaluation is chunked along the first axis so the largest intermediate
-    stays at n^3 doubles per slab.
-    """
-    cfg = cfg or QuadratureConfig()
-    if len(box) != 4:
-        raise ValueError(f"expected 4 (lo, hi) pairs, got {len(box)}")
-
-    def estimate(n):
-        axes = [nodes_and_weights(n, lo, hi, cfg.rule) for lo, hi in box]
-        x0, w0 = axes[0]
-        x1 = axes[1][0][:, None, None]
-        x2 = axes[2][0][None, :, None]
-        x3 = axes[3][0][None, None, :]
-        total = 0.0
-        for i in range(n):
-            vals = np.asarray(f(x0[i], x1, x2, x3), dtype=float)
-            _check_finite(vals, f"4d slab x1={x0[i]:.6g}")
-            total += w0[i] * np.einsum(
-                "i,j,k,ijk->", axes[1][1], axes[2][1], axes[3][1],
-                np.broadcast_to(vals, (n, n, n)),
-            )
-        return float(total)
-
-    value, _, _ = _refine(estimate, cfg.points_per_axis_4d, cfg)
-    return value
 
 
 def mc_estimate(sampler, integrand_ratio, n: int, seed: int = 0):
@@ -219,7 +147,7 @@ def inverse_cdf_table(density, upper: float, n_grid: int = 8193):
     _check_finite(pdf, "inverse cdf table")
     if np.any(pdf < 0):
         raise ValueError("density must be non-negative")
-    cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (pdf[1:] + pdf[:-1]) / 2.0)))
     total = cdf[-1]
     if not total > 0:
         raise ValueError("density integrates to zero on the requested range")

@@ -15,7 +15,7 @@ from cbf.consonant import (
     pignistic_density,
     to_generic,
 )
-from cbf.quadrature import QuadratureConfig, integrate2d, nodes_and_weights
+from cbf.quadrature import nodes_and_weights
 
 sigmas = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
 mus = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)

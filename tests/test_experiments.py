@@ -17,7 +17,7 @@ from cbf.experiments import (
 )
 from cbf.quadrature import QuadratureConfig
 
-LIGHT = QuadratureConfig(points_per_axis=128, refine_max_doublings=1)
+LIGHT = QuadratureConfig(points_per_axis=16, refine_max_doublings=0)
 TABLE_DISTS = ("normal:0,1", "normal:0,0.5", "normal:4,1", "normal:4,0.5")
 
 

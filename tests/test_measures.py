@@ -30,7 +30,7 @@ from cbf.measures import (
 from cbf.quadrature import QuadratureConfig, mc_estimate
 
 CFG = QuadratureConfig()
-LIGHT = QuadratureConfig(points_per_axis=128, refine_max_doublings=1)
+LIGHT = QuadratureConfig(points_per_axis=16, refine_max_doublings=0)
 
 F1 = consonant_from_normal(0.0, 1.0)
 F2 = consonant_from_normal(0.0, 0.5)
@@ -136,7 +136,6 @@ class TestStrictInclusion:
         assert isinstance(r, InclusionResult)
         assert r.kind == "strict"
         assert r.direction == ("normal:0,0.5", "normal:0,1")
-        assert r.quadrature_meta.rule == "gauss_legendre"
         assert r.quadrature_meta.points_per_axis >= CFG.points_per_axis
 
 
