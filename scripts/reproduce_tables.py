@@ -11,6 +11,7 @@ Usage:
 """
 
 import argparse
+import pathlib
 
 from cbf.experiments import MEASURES, Scenario, render_tables, run_tables
 from cbf.quadrature import QuadratureConfig
@@ -35,13 +36,12 @@ def main() -> int:
         distributions=REFERENCE_DISTRIBUTIONS,
         measures=MEASURES,
         quadrature=QuadratureConfig(points_per_axis=args.grid),
-        output_format=args.format,
-        output_path=args.out,
     )
-    tables = run_tables(scenario)
+    text = render_tables(run_tables(scenario), args.format)
     if args.out is None:
-        print(render_tables(tables, args.format))
+        print(text)
     else:
+        pathlib.Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -50,7 +50,7 @@ def main() -> int:
     for filename, measure, direction in SWEEPS:
         spec = SweepSpec(fixed="normal:0,1", mu2=mu2, sigma2=sigma2,
                          measure=measure, direction=direction)
-        scenario = Scenario(sweep=spec, quadrature=cfg, output_format="csv")
+        scenario = Scenario(sweep=spec, quadrature=cfg)
         rows = run_sweep(scenario)
         path = out_dir / filename
         path.write_text(sweep_csv(rows), newline="\n")

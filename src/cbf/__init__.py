@@ -16,7 +16,6 @@ the ``cbf`` console script exposes them from the shell.
 from .consonant import (
     ConsonantBBD,
     GenericBBD,
-    IntervalCurve,
     consonant_from_exponential,
     consonant_from_normal,
     parse_distribution,
@@ -34,14 +33,10 @@ from .discrete import (
 )
 from .experiments import Scenario, SweepSpec, TableSet, run_sweep, run_tables
 from .intervals import (
-    EMPTY,
-    Interval,
-    bracket,
     delta_inc_partial,
     delta_inc_partial_rev,
     delta_inc_strict,
     jaccard_delta,
-    length,
 )
 from .measures import (
     InclusionResult,
@@ -60,16 +55,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConsonantBBD",
     "DiscreteMassFunction",
-    "EMPTY",
     "GenericBBD",
     "InclusionResult",
-    "Interval",
-    "IntervalCurve",
     "QuadratureConfig",
     "Scenario",
     "SweepSpec",
     "TableSet",
-    "bracket",
     "conflict",
     "consonant_from_exponential",
     "consonant_from_normal",
@@ -85,7 +76,6 @@ __all__ = [
     "inc_strict",
     "jaccard_delta",
     "jousselme_distance",
-    "length",
     "load_bba",
     "mc_estimate",
     "parse_bba",

@@ -81,7 +81,6 @@ def _cmd_tables(args) -> int:
         distributions=tuple(args.dists),
         measures=args.measures,
         quadrature=_config_from_args(args),
-        output_format=args.format,
     )
     tset = run_tables(scenario)
     _emit(render_tables(tset, args.format), args.out)
@@ -93,7 +92,6 @@ def _cmd_distance(args) -> int:
         distributions=tuple(args.dists),
         measures=("distance",),
         quadrature=_config_from_args(args),
-        output_format=args.format,
     )
     tset = run_tables(scenario)
     _emit(render_tables(tset, args.format), args.out)

@@ -12,7 +12,9 @@ pignistic transform gives p back:
   m(z) = -z p'(z) = lam^2 z exp(-lam z), a Gamma(2, 1/lam) density.
 
 ``pignistic_density`` evaluates the round trip numerically; the test suite
-anchors on it reproducing the source pdf.  ``tail_mass`` is the closed-form
+anchors on it reproducing the source pdf.  ``to_generic`` exposes the same
+density as a ``GenericBBD``, the bare curve z -> (focal(z), m(z)) that the
+generic cross-check measures read.  ``tail_mass`` is the closed-form
 upper tail of m, which is what turns strict-inclusion integrals into 1D
 integrals (the nesting makes {z2 : I1 subset I2(z2)} an upper ray).
 """
@@ -26,14 +28,12 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .intervals import Interval
-from .quadrature import nodes_and_weights
+from .quadrature import check_truncation_k, nodes_and_weights
 
 __all__ = [
     "Normal",
     "Exponential",
     "ConsonantBBD",
-    "IntervalCurve",
     "GenericBBD",
     "consonant_from_normal",
     "consonant_from_exponential",
@@ -130,13 +130,6 @@ class ConsonantBBD:
         lo, hi = self.base_bounds(z)
         return lo + self.location, hi + self.location
 
-    def focal(self, z: float) -> Interval:
-        """Focal interval for one nesting parameter value z >= 0."""
-        if not z >= 0.0:
-            raise ValueError(f"nesting parameter must be >= 0, got {z}")
-        lo, hi = self.focal_bounds(z)
-        return Interval(float(lo), float(hi))
-
     def pignistic_integrand(self, z):
         """density(z) / length(focal(z)) with the z -> 0 cancellation done."""
         z = np.asarray(z, dtype=float)
@@ -158,8 +151,7 @@ def consonant_from_normal(mu: float, sigma: float, truncation_k: float = 8.0) ->
         raise ValueError(f"mu must be finite, got {mu}")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if not truncation_k > 0:
-        raise ValueError(f"truncation_k must be positive, got {truncation_k}")
+    check_truncation_k(truncation_k)
     return ConsonantBBD(Normal(float(mu), float(sigma)), truncation_k * sigma)
 
 
@@ -171,52 +163,28 @@ def consonant_from_exponential(rate: float, truncation_k: float = 8.0) -> Conson
     """
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be positive, got {rate}")
-    if not truncation_k > 0:
-        raise ValueError(f"truncation_k must be positive, got {truncation_k}")
+    check_truncation_k(truncation_k)
     return ConsonantBBD(Exponential(float(rate)), truncation_k / rate)
 
 
 @dataclass(frozen=True)
-class IntervalCurve:
-    """One-parameter family of weighted intervals z -> (endpoints, weight)."""
+class GenericBBD:
+    """Belief density carried by a one-parameter family of intervals.
+
+    ``endpoints(z)`` gives the interval bounds and ``weight(z)`` the mass
+    density for z in [0, z_max]; ``to_generic`` builds one from a consonant
+    density, and the generic measures read nothing else.
+    """
 
     endpoints: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     weight: Callable[[np.ndarray], np.ndarray]
     z_max: float
-
-
-@dataclass(frozen=True)
-class GenericBBD:
-    """Belief density over arbitrary intervals [x, y], x <= y.
-
-    Exactly one representation is set: ``density2d(x, y)`` supported on the
-    part of ``truncation_box`` with x <= y, or ``curve`` for mass carried on
-    a one-parameter family (the image of a consonant density).
-    """
-
-    density2d: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
-    truncation_box: tuple[float, float, float, float]
-    curve: IntervalCurve | None = None
     label: str = "generic"
-
-    def __post_init__(self):
-        if (self.density2d is None) == (self.curve is None):
-            raise ValueError("exactly one of density2d and curve must be set")
-        x_lo, x_hi, y_lo, y_hi = self.truncation_box
-        if not (x_lo <= x_hi and y_lo <= y_hi):
-            raise ValueError(f"truncation box out of order: {self.truncation_box}")
 
 
 def to_generic(c: ConsonantBBD) -> GenericBBD:
     """View a consonant density as a generic one (mass on the nesting curve)."""
-    zmax = c.support_bound
-    loc = c.location
-    if isinstance(c.family, Normal):
-        box = (loc - zmax, loc, loc, loc + zmax)
-    else:
-        box = (0.0, 0.0, 0.0, zmax)
-    curve = IntervalCurve(endpoints=c.focal_bounds, weight=c.density, z_max=zmax)
-    return GenericBBD(density2d=None, truncation_box=box, curve=curve, label=c.label)
+    return GenericBBD(c.focal_bounds, c.density, c.support_bound, c.label)
 
 
 def pignistic_density(c: ConsonantBBD, x, points: int = 512):

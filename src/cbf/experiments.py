@@ -6,14 +6,16 @@ each matrix.  ``run_sweep`` fixes one operand and sweeps a normal second
 operand over a (mu2, sigma2) grid, producing one CSV row per grid cell.
 
 Outputs are deterministic: rows are ordered lexicographically, values are
-formatted with 6 significant digits and files are written with LF line
-endings, so reruns are byte-identical.
+formatted with 6 significant digits and ``render_tables`` and ``sweep_csv``
+return text with LF line endings, so reruns are byte-identical.  Writing
+that text is left to the caller.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +61,8 @@ class SweepSpec:
     def __post_init__(self):
         parse_distribution(self.fixed)
         for name, rng in (("mu2", self.mu2), ("sigma2", self.sigma2)):
+            if not all(math.isfinite(v) for v in rng):
+                raise ValueError(f"{name} range bounds must be finite, got {rng}")
             start, stop, step = rng
             if not step > 0:
                 raise ValueError(f"{name} step must be positive, got {step}")
@@ -80,8 +84,6 @@ class Scenario:
     measures: tuple[str, ...] = ("incstr", "incpar")
     sweep: SweepSpec | None = None
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    output_format: str = "markdown"
-    output_path: str | None = None
 
     def __post_init__(self):
         for spec in self.distributions:
@@ -91,8 +93,6 @@ class Scenario:
         for meas in self.measures:
             if meas not in MEASURES:
                 raise ValueError(f"unknown measure {meas!r}, expected one of {MEASURES}")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,7 @@ def run_tables(s: Scenario) -> TableSet:
     for meas, mat in matrices.items():
         averages[meas] = np.array([mat[i, off_diag[i]].mean() for i in range(n)])
 
-    tset = TableSet(labels, matrices, averages)
-    if s.output_path:
-        _write_text(s.output_path, render_tables(tset, s.output_format))
-    return tset
+    return TableSet(labels, matrices, averages)
 
 
 def run_sweep(s: Scenario) -> list[tuple[float, float, float]]:
@@ -187,8 +184,6 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, float]]:
             else:
                 value = _pair_value(spec.measure, swept, fixed, cfg)
             rows.append((float(mu2), float(sigma2), value))
-    if s.output_path:
-        _write_text(s.output_path, sweep_csv(rows))
     return rows
 
 
@@ -234,8 +229,3 @@ def _tables_csv(t: TableSet) -> str:
                 writer.writerow([meas, row_label, col_label, f"{mat[i, j]:.6g}"])
             writer.writerow([meas, row_label, "avg", f"{t.averages[meas][i]:.6g}"])
     return buf.getvalue()
-
-
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

@@ -1,11 +1,9 @@
-"""Closed-interval algebra used for focal elements.
+"""Degree functions between closed focal intervals.
 
-An interval is a closed subset [lower, upper] of the real line; ``EMPTY`` is
-the distinguished empty interval produced by ``bracket`` when the requested
-endpoints are out of order.
+A focal interval is an endpoint pair (lower, upper) with lower <= upper.
 
-The degree functions compare two non-empty intervals (xi, yi) and (xj, yj)
-given as separate endpoint arguments, so they vectorise over numpy arrays:
+The degree functions compare two intervals (xi, yi) and (xj, yj) given as
+separate endpoint arguments, so they vectorise over numpy arrays:
 
 * ``jaccard_delta``         intersection length over the length of the
                             smallest interval covering both endpoints.
@@ -15,65 +13,20 @@ given as separate endpoint arguments, so they vectorise over numpy arrays:
 * ``delta_inc_partial_rev`` overlap length normalised by the second length.
 
 All four return values in [0, 1].  Scalar inputs give a plain float, array
-inputs broadcast and give an array.
+inputs broadcast and give an array.  Non-finite endpoints and lower > upper
+are rejected with ``ValueError``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Interval",
-    "EMPTY",
-    "bracket",
-    "length",
     "jaccard_delta",
     "delta_inc_strict",
     "delta_inc_partial",
     "delta_inc_partial_rev",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lower, upper]; the empty interval has no endpoints."""
-
-    lower: float = math.nan
-    upper: float = math.nan
-    is_empty: bool = False
-
-    def __post_init__(self):
-        if not self.is_empty and not self.lower <= self.upper:
-            raise ValueError(
-                f"interval endpoints out of order: [{self.lower}, {self.upper}]"
-            )
-
-    def contains(self, x: float) -> bool:
-        if self.is_empty:
-            return False
-        return self.lower <= x <= self.upper
-
-
-EMPTY = Interval(is_empty=True)
-
-
-def bracket(a: float, b: float) -> Interval:
-    """Interval [a, b] when a <= b, otherwise ``EMPTY``.  Endpoints must be finite."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"bracket endpoints must be finite, got ({a}, {b})")
-    if a > b:
-        return EMPTY
-    return Interval(float(a), float(b))
-
-
-def length(i: Interval) -> float:
-    """Lebesgue length; 0.0 for the empty interval and for points."""
-    if i.is_empty:
-        return 0.0
-    return i.upper - i.lower
 
 
 def _check_pairs(xi, yi, xj, yj):

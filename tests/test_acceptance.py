@@ -52,7 +52,7 @@ from cbf.measures import (
 from cbf.quadrature import QuadratureConfig, mc_estimate, nodes_and_weights
 
 CFG = QuadratureConfig()
-LIGHT = QuadratureConfig(points_per_axis=128, refine_max_doublings=1)
+LIGHT = QuadratureConfig(points_per_axis=16, refine_max_doublings=1)
 
 F1 = consonant_from_normal(0.0, 1.0)
 F2 = consonant_from_normal(0.0, 0.5)

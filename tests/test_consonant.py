@@ -8,7 +8,6 @@ from scipy import stats
 
 from cbf.consonant import (
     ConsonantBBD,
-    GenericBBD,
     consonant_from_exponential,
     consonant_from_normal,
     parse_distribution,
@@ -50,6 +49,18 @@ class TestConstructors:
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             consonant_from_normal(0.0, 1.0, truncation_k=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1000.5, 1e4])
+    def test_rejects_truncation_beyond_panel_resolution(self, bad):
+        # 16-node panels cannot resolve a density spread over more than
+        # 1000 scale units: at k = 1e4 self-inclusion came out 0, not 1/2
+        for build in (lambda k: consonant_from_normal(0.0, 1.0, k),
+                      lambda k: consonant_from_exponential(1.0, k)):
+            with pytest.raises(ValueError, match="truncation_k"):
+                build(bad)
+
+    def test_accepts_largest_truncation(self):
+        assert consonant_from_normal(0.0, 1.0, 1000.0).support_bound == 1000.0
 
     def test_labels(self):
         assert consonant_from_normal(0, 1).label == "normal:0,1"
@@ -126,17 +137,11 @@ class TestTailMass:
 class TestFocalGeometry:
     def test_normal_focal_is_centred(self):
         f = consonant_from_normal(2.0, 1.0)
-        i = f.focal(1.5)
-        assert (i.lower, i.upper) == (0.5, 3.5)
+        assert f.focal_bounds(1.5) == (0.5, 3.5)
 
     def test_exponential_focal_starts_at_origin(self):
         f = consonant_from_exponential(1.0)
-        i = f.focal(2.0)
-        assert (i.lower, i.upper) == (0.0, 2.0)
-
-    def test_focal_rejects_negative_parameter(self):
-        with pytest.raises(ValueError):
-            consonant_from_normal(0, 1).focal(-0.1)
+        assert f.focal_bounds(2.0) == (0.0, 2.0)
 
     def test_nesting(self):
         # focal families are nested: z1 <= z2 implies focal(z1) inside focal(z2)
@@ -197,28 +202,11 @@ class TestGenericView:
     def test_curve_matches_focal_family(self):
         f = consonant_from_normal(1.0, 2.0)
         g = to_generic(f)
-        assert g.curve is not None and g.density2d is None
         z = np.array([0.0, 1.0, 3.0])
-        np.testing.assert_allclose(g.curve.endpoints(z), f.focal_bounds(z))
-        np.testing.assert_allclose(g.curve.weight(z), f.density(z))
-        assert g.curve.z_max == f.support_bound
+        np.testing.assert_allclose(g.endpoints(z), f.focal_bounds(z))
+        np.testing.assert_allclose(g.weight(z), f.density(z))
+        assert g.z_max == f.support_bound
         assert g.label == f.label
-
-    def test_truncation_box_brackets_curve(self):
-        f = consonant_from_normal(1.0, 2.0)
-        x_lo, x_hi, y_lo, y_hi = to_generic(f).truncation_box
-        z = np.linspace(0.0, f.support_bound, 100)
-        lo, hi = f.focal_bounds(z)
-        assert np.all((lo >= x_lo - 1e-12) & (lo <= x_hi + 1e-12))
-        assert np.all((hi >= y_lo - 1e-12) & (hi <= y_hi + 1e-12))
-
-    def test_generic_requires_exactly_one_representation(self):
-        with pytest.raises(ValueError):
-            GenericBBD(density2d=None, truncation_box=(0, 1, 0, 1), curve=None)
-
-    def test_generic_rejects_bad_box(self):
-        with pytest.raises(ValueError):
-            GenericBBD(density2d=lambda x, y: x, truncation_box=(1, 0, 0, 1))
 
 
 class TestParseDistribution:

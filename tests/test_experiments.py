@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -34,10 +37,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="cauchy"):
             Scenario(distributions=("cauchy:0,1",))
 
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValueError):
-            Scenario(distributions=TABLE_DISTS[:2], output_format="yaml")
-
     def test_sweep_rejects_zero_step(self):
         with pytest.raises(ValueError, match="step"):
             SweepSpec(fixed="normal:0,1", mu2=(0, 1, 0.0), sigma2=(0.5, 1, 0.5))
@@ -57,6 +56,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             SweepSpec(fixed="normal:0,1", mu2=(0, 1, 1), sigma2=(0.5, 1, 0.5),
                       direction="both")
+
+    @pytest.mark.parametrize("mu2,sigma2", [
+        ((0, math.inf, 1), (1, 1, 1)),
+        ((math.nan, 1, 1), (1, 1, 1)),
+        ((0, 1, 1), (1, 1, math.inf)),
+        ((-math.inf, 1, 1), (1, 1, 1)),
+    ])
+    def test_sweep_rejects_non_finite_bounds(self, mu2, sigma2):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepSpec(fixed="normal:0,1", mu2=mu2, sigma2=sigma2)
 
 
 class TestGridValues:
@@ -121,9 +130,9 @@ class TestRunTables:
 
     def test_writes_output_file(self, tmp_path):
         out = tmp_path / "tables.md"
-        s = Scenario(distributions=TABLE_DISTS[:2], measures=("incstr",),
-                     quadrature=LIGHT, output_path=str(out))
-        run_tables(s)
+        rc = main(["tables", "--dists", *TABLE_DISTS[:2], "--measures", "incstr",
+                   "--out", str(out)])
+        assert rc == 0
         text = out.read_text()
         assert "### incstr" in text
         assert "normal:0,0.5" in text
@@ -225,10 +234,9 @@ class TestRunSweep:
     def test_sweep_output_is_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            s = Scenario(sweep=SweepSpec(fixed="normal:0,1", mu2=(0, 1, 0.5),
-                                         sigma2=(0.5, 1, 0.5)),
-                         quadrature=LIGHT, output_path=str(out))
-            run_sweep(s)
+            rc = main(["sweep", "--fixed", "normal:0,1", "--mu2", "0:1:0.5",
+                       "--sigma2", "0.5:1:0.5", "--out", str(out)])
+            assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -309,3 +317,38 @@ class TestCli:
                    "--m2", "/nonexistent2.bba"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu2", ["0:inf:1", "nan:1:1"])
+    def test_sweep_rejects_non_finite_range(self, mu2, capsys):
+        rc = main(["sweep", "--fixed", "normal:0,1", "--mu2", mu2, "--sigma2", "1:1:1"])
+        assert rc == 2
+        assert "mu2 range bounds must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["inf", "nan", "1e4"])
+    def test_rejects_truncation_outside_range(self, k, capsys):
+        rc = main(["sweep", "--fixed", "normal:0,1", "--mu2", "0:0:1",
+                   "--sigma2", "1:1:1", "--trunc-k", k])
+        assert rc == 2
+        assert "error: truncation_k must be in (0, 1000]" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_estimate_is_reported(self, capsys):
+        rc = main(["tables", "--dists", "normal:0,1e-120", "normal:0,1",
+                   "--measures", "incstr,incpar,scalar"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: quadrature estimate is" in captured.err
+
+
+def test_reproduce_tables_script_matches_cli(tmp_path, monkeypatch, capsys):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+    from_script, from_cli = tmp_path / "a.csv", tmp_path / "b.csv"
+    monkeypatch.setattr(sys, "argv", [str(script), "--format", "csv", "--out", str(from_script)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    assert stop.value.code == 0
+    rc = main(["tables", "--dists", *TABLE_DISTS, "--measures", "incstr,incpar,scalar,distance",
+               "--format", "csv", "--out", str(from_cli)])
+    assert rc == 0
+    assert from_script.read_bytes() == from_cli.read_bytes()

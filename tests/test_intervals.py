@@ -1,19 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cbf.intervals import (
-    EMPTY,
-    Interval,
-    bracket,
     delta_inc_partial,
     delta_inc_partial_rev,
     delta_inc_strict,
     jaccard_delta,
-    length,
 )
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -27,37 +21,6 @@ def endpoint_pair(draw, min_len=0.0):
     if hi - lo < min_len:
         hi = lo + min_len
     return lo, hi
-
-
-class TestBracketAndLength:
-    def test_ordered_endpoints(self):
-        i = bracket(-1.0, 3.0)
-        assert (i.lower, i.upper) == (-1.0, 3.0)
-        assert not i.is_empty
-        assert length(i) == 4.0
-
-    def test_reversed_endpoints_give_empty(self):
-        assert bracket(2.0, 1.0) is EMPTY
-        assert length(bracket(2.0, 1.0)) == 0.0
-
-    def test_point_interval(self):
-        i = bracket(0.0, 0.0)
-        assert not i.is_empty
-        assert length(i) == 0.0
-        assert i.contains(0.0)
-
-    def test_non_finite_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            bracket(math.nan, 1.0)
-        with pytest.raises(ValueError):
-            bracket(0.0, math.inf)
-
-    def test_interval_constructor_rejects_disorder(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
-
-    def test_empty_contains_nothing(self):
-        assert not EMPTY.contains(0.0)
 
 
 class TestJaccardDelta:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cbf.consonant import consonant_from_normal
 from cbf.quadrature import (
     QuadratureConfig,
+    _refine,
     inverse_cdf_table,
     mc_estimate,
     nodes_and_weights,
@@ -18,21 +19,32 @@ class TestConfigValidation:
     def test_defaults(self):
         cfg = QuadratureConfig()
         assert cfg.points_per_axis == 16
-        assert cfg.points_per_axis_4d == 64
         assert cfg.truncation_k == 8.0
 
     @pytest.mark.parametrize("kwargs", [
         {"points_per_axis": 8},
-        {"points_per_axis_4d": 15},
+        {"truncation_k": math.inf},
         {"target_rel_tol": math.nan},
         {"truncation_k": 0.0},
         {"truncation_k": -1.0},
         {"target_rel_tol": 0.0},
         {"refine_max_doublings": -1},
+        {"truncation_k": 1000.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
+
+
+class TestRefine:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_estimate_raises(self, bad):
+        with pytest.raises(ValueError, match="quadrature estimate"):
+            _refine(lambda n: bad, 16, QuadratureConfig())
+
+    def test_non_finite_refined_estimate_raises(self):
+        with pytest.raises(ValueError, match="at 32 nodes"):
+            _refine(lambda n: 1.0 if n == 16 else math.nan, 16, QuadratureConfig())
 
 
 class TestNodesAndWeights:
