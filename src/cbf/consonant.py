@@ -3,13 +3,20 @@
 A consonant belief density carries its mass on a nested family of focal
 intervals indexed by a single non-negative parameter z.  For a pignistic
 density p this package uses the least-committed consonant allocation whose
-pignistic transform gives p back:
+pignistic transform gives p back.  Both families are location-scale
+families, so each is one unit-scale ``Shape`` in u = z / scale:
 
-* normal N(mu, sigma^2): focal(z) = [mu - z, mu + z] with mass density
-  m(z) = -2 z p'(mu + z) = (2 z^2 / sigma^3) phi(z / sigma), a Maxwell
-  density in z;
-* exponential with rate lam: focal(z) = [0, z] with mass density
-  m(z) = -z p'(z) = lam^2 z exp(-lam z), a Gamma(2, 1/lam) density.
+* normal N(mu, sigma^2), scale sigma: focal(z) = [mu - z, mu + z] with the
+  Maxwell nesting density g(u) = 2 u^2 phi(u);
+* exponential with rate lam, scale 1/lam: focal(z) = [0, z] with the
+  Gamma(2) nesting density g(u) = u exp(-u).
+
+A ``ConsonantBBD`` is a shape placed at ``location`` and stretched by
+``scale``: density(z) = g(z/scale)/scale, tail_mass(t) = G(t/scale).  No
+formula raises the scale to a power, so the measures see only offsets and
+scale ratios and give the same values at every scale from the smallest
+normal float up to where truncation_k * scale overflows; the constructors
+reject scales outside that range.
 
 ``pignistic_density`` evaluates the round trip numerically; the test suite
 anchors on it reproducing the source pdf.  ``to_generic`` exposes the same
@@ -22,6 +29,7 @@ integrals (the nesting makes {z2 : I1 subset I2(z2)} an upper ray).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +39,6 @@ from scipy.special import ndtr
 from .quadrature import check_truncation_k, nodes_and_weights
 
 __all__ = [
-    "Normal",
-    "Exponential",
     "ConsonantBBD",
     "GenericBBD",
     "consonant_from_normal",
@@ -46,113 +52,101 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _phi(u):
+    # phi is 0.0 in floats beyond |u| = 38.6; the clip keeps u * u finite
+    u = np.minimum(np.abs(u), 40.0)
     return np.exp(-0.5 * u * u) / _SQRT_2PI
 
 
-@dataclass(frozen=True)
-class Normal:
-    mu: float
-    sigma: float
+def _float_or_array(out):
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True)
-class Exponential:
-    rate: float
+class Shape:
+    """Unit-scale nesting shape of a consonant family, in u = z / scale.
+
+    lo_slope   lower focal endpoint per unit of z (the upper one is +1)
+    density    nesting density g(u)
+    tail       closed-form upper tail of g from u >= 0 to infinity
+    pignistic  g(u) / length(focal(u)) with the u -> 0 cancellation done
+    """
+
+    lo_slope: float
+    density: Callable[[np.ndarray], np.ndarray]
+    tail: Callable[[np.ndarray], np.ndarray]
+    pignistic: Callable[[np.ndarray], np.ndarray]
+
+
+# Maxwell, upper tail 2 [u phi(u) + Q(u)] with Q the normal upper tail.
+_MAXWELL = Shape(-1.0, lambda u: 2.0 * u * (u * _phi(u)),
+                 lambda u: 2.0 * (u * _phi(u) + ndtr(-u)), lambda u: u * _phi(u))
+# Gamma(2), upper tail (1 + u) exp(-u).
+_GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)),
+                lambda u: (1.0 + u) * np.exp(-u), lambda u: np.exp(-np.maximum(u, 0.0)))
 
 
 @dataclass(frozen=True)
 class ConsonantBBD:
     """Consonant belief density with focal intervals focal(z), z >= 0.
 
+    ``shape`` stretched by ``scale`` and placed at ``location``.
     ``support_bound`` is the truncation point Z_max: integration domains
     stop there and the residual tail mass beyond it is treated as zero.
     """
 
-    family: Normal | Exponential
+    shape: Shape
+    location: float
+    scale: float
     support_bound: float
-
-    @property
-    def location(self) -> float:
-        """Centre of the nested family (mu for normal, 0 for exponential)."""
-        if isinstance(self.family, Normal):
-            return self.family.mu
-        return 0.0
-
-    @property
-    def label(self) -> str:
-        if isinstance(self.family, Normal):
-            return f"normal:{self.family.mu:g},{self.family.sigma:g}"
-        return f"exp:{self.family.rate:g}"
+    label: str
 
     def density(self, z):
         """Mass density over the nesting parameter; zero for z < 0."""
         z = np.asarray(z, dtype=float)
-        if isinstance(self.family, Normal):
-            s = self.family.sigma
-            vals = 2.0 * z * z / s**3 * _phi(z / s)
-        else:
-            lam = self.family.rate
-            vals = lam * lam * z * np.exp(-lam * np.maximum(z, 0.0))
-        out = np.where(z >= 0.0, vals, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        vals = self.shape.density(z / self.scale) / self.scale
+        return _float_or_array(np.where(z >= 0.0, vals, 0.0))
 
     def tail_mass(self, t):
         """Closed-form upper tail integral of ``density`` from t to infinity.
 
-        Normal: 2 [a phi(a) + Q(a)] with a = t / sigma and Q the standard
-        normal upper tail.  Exponential: (1 + lam t) exp(-lam t).  Equals 1
-        for t <= 0.
+        Equals 1 for t <= 0.
         """
         t = np.asarray(t, dtype=float)
-        tp = np.maximum(t, 0.0)
-        if isinstance(self.family, Normal):
-            a = tp / self.family.sigma
-            vals = 2.0 * (a * _phi(a) + ndtr(-a))
-        else:
-            lam = self.family.rate
-            vals = (1.0 + lam * tp) * np.exp(-lam * tp)
-        out = np.where(t <= 0.0, 1.0, vals)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        vals = self.shape.tail(np.maximum(t, 0.0) / self.scale)
+        return _float_or_array(np.where(t <= 0.0, 1.0, vals))
 
     def base_bounds(self, z):
-        """Focal endpoints relative to ``location``: (-z, z) or (0, z)."""
+        """Focal endpoints relative to ``location``: (lo_slope * z, z)."""
         z = np.asarray(z, dtype=float)
-        if isinstance(self.family, Normal):
-            return -z, +z
-        return np.zeros_like(z), +z
+        return self.shape.lo_slope * z, +z
 
     def focal_bounds(self, z):
         """Absolute focal endpoints as arrays."""
         lo, hi = self.base_bounds(z)
         return lo + self.location, hi + self.location
 
-    def pignistic_integrand(self, z):
-        """density(z) / length(focal(z)) with the z -> 0 cancellation done."""
-        z = np.asarray(z, dtype=float)
-        if isinstance(self.family, Normal):
-            s = self.family.sigma
-            vals = z / s**3 * _phi(z / s)
-        else:
-            lam = self.family.rate
-            vals = lam * lam * np.exp(-lam * np.maximum(z, 0.0))
-        out = np.where(z >= 0.0, vals, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+
+def _consonant(shape, location, scale, truncation_k, label, param) -> ConsonantBBD:
+    """Place ``shape`` at ``location``; ``param`` names where the scale came from."""
+    check_truncation_k(truncation_k)
+    if not (scale >= sys.float_info.min and math.isfinite(truncation_k * scale)):
+        raise ValueError(
+            f"{param} gives scale {scale:g}, outside [{sys.float_info.min:g}, "
+            f"{sys.float_info.max / truncation_k:g}] at truncation_k = {truncation_k:g}"
+        )
+    return ConsonantBBD(shape, location, scale, truncation_k * scale, label)
 
 
 def consonant_from_normal(mu: float, sigma: float, truncation_k: float = 8.0) -> ConsonantBBD:
     """Consonant belief density whose pignistic transform is N(mu, sigma^2)."""
-    if not (math.isfinite(mu)):
+    if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
-    if not (math.isfinite(sigma) and sigma > 0):
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    check_truncation_k(truncation_k)
-    return ConsonantBBD(Normal(float(mu), float(sigma)), truncation_k * sigma)
+    mu, sigma = float(mu), float(sigma)
+    return _consonant(_MAXWELL, mu, sigma, truncation_k, f"normal:{mu:g},{sigma:g}", f"sigma = {sigma}")
 
 
 def consonant_from_exponential(rate: float, truncation_k: float = 8.0) -> ConsonantBBD:
@@ -161,10 +155,10 @@ def consonant_from_exponential(rate: float, truncation_k: float = 8.0) -> Conson
     Note the Gamma(2) tail decays like (1 + k) exp(-k); pass a larger
     ``truncation_k`` (about 17+) when residual mass below 1e-6 matters.
     """
-    if not (math.isfinite(rate) and rate > 0):
+    if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    check_truncation_k(truncation_k)
-    return ConsonantBBD(Exponential(float(rate)), truncation_k / rate)
+    rate = float(rate)
+    return _consonant(_GAMMA2, 0.0, 1.0 / rate, truncation_k, f"exp:{rate:g}", f"rate = {rate}")
 
 
 @dataclass(frozen=True)
@@ -195,47 +189,39 @@ def pignistic_density(c: ConsonantBBD, x, points: int = 512):
     z >= z_min(x), truncated at ``support_bound``.
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(c.family, Normal):
-        z_min = np.abs(x - c.family.mu)
-    else:
-        z_min = np.where(x < 0.0, np.inf, x)
-    width = np.maximum(c.support_bound - z_min, 0.0)
-    z_min_safe = np.where(np.isfinite(z_min), z_min, 0.0)
+    # in units of the scale: betf(x) = (1/scale) integral of the shape's
+    # pignistic integrand over u >= u_min, so 1/scale^2 never forms
+    d = (x - c.location) / c.scale
+    lo = c.shape.lo_slope
+    u_min = np.where(d >= 0.0, d, d / lo if lo else np.inf)
+    width = np.maximum(c.support_bound / c.scale - u_min, 0.0)
+    u_min_safe = np.where(np.isfinite(u_min), u_min, 0.0)
     t, wt = nodes_and_weights(points, 0.0, 1.0)
-    z = z_min_safe[..., None] + width[..., None] * t
-    vals = width * np.sum(wt * c.pignistic_integrand(z), axis=-1)
-    if vals.ndim == 0:
-        return float(vals)
-    return vals
+    u = u_min_safe[..., None] + width[..., None] * t
+    vals = width * np.sum(wt * c.shape.pignistic(u), axis=-1) / c.scale
+    return _float_or_array(vals)
+
+
+# family name -> (constructor, number of parameters, spec form)
+_FAMILIES = {
+    "normal": (consonant_from_normal, 2, "normal:MU,SIGMA"),
+    "exp": (consonant_from_exponential, 1, "exp:RATE"),
+}
 
 
 def parse_distribution(spec: str, truncation_k: float = 8.0) -> ConsonantBBD:
-    """Parse a distribution spec string.
-
-    Accepted forms: ``normal:MU,SIGMA`` and ``exp:RATE``.
-    """
+    """Parse a distribution spec string: ``normal:MU,SIGMA`` or ``exp:RATE``."""
     name, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"invalid distribution spec {spec!r}: missing ':' separator")
-    if name == "normal":
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise ValueError(
-                f"invalid distribution spec {spec!r}: expected normal:MU,SIGMA"
-            )
-        try:
-            mu, sigma = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValueError(
-                f"invalid distribution spec {spec!r}: non-numeric parameter"
-            ) from None
-        return consonant_from_normal(mu, sigma, truncation_k)
-    if name == "exp":
-        try:
-            rate = float(arg)
-        except ValueError:
-            raise ValueError(
-                f"invalid distribution spec {spec!r}: non-numeric parameter"
-            ) from None
-        return consonant_from_exponential(rate, truncation_k)
-    raise ValueError(f"invalid distribution spec {spec!r}: unknown family {name!r}")
+    if name not in _FAMILIES:
+        raise ValueError(f"invalid distribution spec {spec!r}: unknown family {name!r}")
+    build, arity, form = _FAMILIES[name]
+    parts = arg.split(",")
+    if len(parts) != arity:
+        raise ValueError(f"invalid distribution spec {spec!r}: expected {form}")
+    try:
+        params = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"invalid distribution spec {spec!r}: non-numeric parameter") from None
+    return build(*params, truncation_k)

@@ -41,6 +41,8 @@ MEASURES = ("incstr", "incpar", "scalar", "distance")
 SWEEP_MEASURES = ("incstr", "incpar")
 DIRECTIONS = ("1in2", "2in1")
 FORMATS = ("markdown", "csv")
+# About 200 times the 5,049 cells of the fine grid in scripts/run_sweeps.py.
+MAX_SWEEP_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,11 @@ class SweepSpec:
                 raise ValueError(f"{name} range is empty: {rng}")
         if self.sigma2[0] <= 0:
             raise ValueError(f"sigma2 must start above 0, got {self.sigma2[0]}")
+        cells = _grid_count(self.mu2) * _grid_count(self.sigma2)
+        if not cells <= MAX_SWEEP_CELLS:
+            raise ValueError(
+                f"sweep cell count {cells:g} must be finite and at most {MAX_SWEEP_CELLS}"
+            )
         if self.measure not in SWEEP_MEASURES:
             raise ValueError(f"unknown sweep measure {self.measure!r}, expected one of {SWEEP_MEASURES}")
         if self.direction not in DIRECTIONS:
@@ -108,15 +115,21 @@ class TableSet:
     averages: dict[str, np.ndarray]
 
 
-def grid_values(rng: tuple[float, float, float]) -> np.ndarray:
-    """Inclusive arithmetic grid start, start+step, ..., up to stop.
+def _grid_count(rng: tuple[float, float, float]) -> float:
+    """Number of points in ``grid_values(rng)``, inf if it is unbounded.
 
-    The endpoint test has a half-step-relative slack so stops that are a
-    whole number of steps away are always included despite float noise.
+    The endpoint test has a slack of 1e-9 steps so stops that are a whole
+    number of steps away are always included despite float noise.
     """
     start, stop, step = rng
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(max(count, 1))
+    steps = (stop - start) / step
+    return max(math.floor(steps + 1e-9) + 1, 1) if math.isfinite(steps) else math.inf
+
+
+def grid_values(rng: tuple[float, float, float]) -> np.ndarray:
+    """Inclusive arithmetic grid start, start+step, ..., up to stop."""
+    start, _, step = rng
+    return start + step * np.arange(_grid_count(rng))
 
 
 def _pair_value(measure: str, f1, f2, cfg: QuadratureConfig) -> float:

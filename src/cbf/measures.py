@@ -9,7 +9,9 @@ rectangle [0, Z1_max] x [0, Z2_max] regardless of the focal geometry:
 
 Focal endpoints are expressed relative to each operand's location and only
 the location offset enters the degree, so translating both operands by the
-same amount reproduces results exactly.
+same amount reproduces results exactly.  Densities and tails are unit-scale
+shapes stretched by each operand's scale, so scaling both operands by the
+same factor changes no measure beyond rounding.
 
 The degrees are piecewise smooth: their kinks lie on the straight lines
 where a focal endpoint of one operand crosses one of the other.  One rule
@@ -102,12 +104,6 @@ def _inclusion(f1, f2, kind: str, refined) -> InclusionResult:
     return InclusionResult(_unit(value), (f1.label, f2.label), kind, QuadratureMeta(points, err))
 
 
-def _slopes(f: ConsonantBBD) -> tuple[float, float]:
-    """Focal endpoints per unit of z, relative to the location."""
-    lo, hi = f.base_bounds(1.0)
-    return float(lo), float(hi)
-
-
 def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     """Kink lines and outer breaks of a pair degree on [0, Z1] x [0, Z2].
 
@@ -125,8 +121,8 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     """
     z1_max, z2_max = f1.support_bound, f2.support_bound
     lines, breaks = set(), {0.0, z1_max}
-    for s1 in _slopes(f1):
-        for s2 in _slopes(f2):
+    for s1 in (f1.shape.lo_slope, 1.0):
+        for s2 in (f2.shape.lo_slope, 1.0):
             if s2:
                 p, q = s1 / s2, -off / s2
                 ends = (q, p * z1_max + q)
@@ -221,14 +217,14 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
     cfg = cfg or QuadratureConfig()
     off = f2.location - f1.location
     _, outer = _kinks(f1, f2, off)
-    lo2, hi2 = _slopes(f2)
+    lo2 = f2.shape.lo_slope
 
     def estimate(n):
         z1, w1 = _panel_nodes(outer[:-1], np.diff(outer), n)
         a1, b1 = f1.base_bounds(z1)
         weight = w1 * f1.density(z1)
-        # I1 sits in I2(z2) iff lo2*z2 + off <= a1 and b1 <= hi2*z2 + off.
-        needed = (b1 - off) / hi2
+        # I1 sits in I2(z2) iff lo2*z2 + off <= a1 and b1 <= z2 + off.
+        needed = b1 - off
         if lo2 < 0.0:
             needed = np.maximum(needed, (a1 - off) / lo2)
         else:

@@ -32,18 +32,20 @@ class TestConstructors:
         assert f.location == 0.0
         assert f.support_bound == 4.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    # 1e-310 is below the smallest normal float; 8 * 1e308 overflows
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-310, 1e308])
     def test_normal_rejects_bad_sigma(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma"):
             consonant_from_normal(0.0, bad)
 
     def test_normal_rejects_non_finite_mu(self):
         with pytest.raises(ValueError):
             consonant_from_normal(math.inf, 1.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+    # rate 1e-308: 8 / rate overflows; rate 1e308: 1 / rate is below the smallest normal float
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, 1e-308, 1e308])
     def test_exponential_rejects_bad_rate(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rate"):
             consonant_from_exponential(bad)
 
     def test_rejects_bad_truncation(self):
@@ -211,13 +213,13 @@ class TestGenericView:
 
 class TestParseDistribution:
     def test_normal(self):
-        f = parse_distribution("normal:0,1")
-        assert isinstance(f.family.mu, float)
-        assert (f.family.mu, f.family.sigma) == (0.0, 1.0)
+        f = parse_distribution("normal:-1.5,2")
+        assert isinstance(f.location, float)
+        assert (f.location, f.scale, f.label) == (-1.5, 2.0, "normal:-1.5,2")
 
     def test_exponential(self):
         f = parse_distribution("exp:2.5")
-        assert f.family.rate == 2.5
+        assert (f.location, f.scale, f.label) == (0.0, 0.4, "exp:2.5")
 
     def test_truncation_passes_through(self):
         f = parse_distribution("normal:0,2", truncation_k=4.0)

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import pathlib
+import re
 import runpy
 import sys
 
@@ -62,6 +63,9 @@ class TestScenarioValidation:
         ((math.nan, 1, 1), (1, 1, 1)),
         ((0, 1, 1), (1, 1, math.inf)),
         ((-math.inf, 1, 1), (1, 1, 1)),
+        # finite bounds, but an unbounded or oversized cell count
+        ((0, 1e300, 1e-300), (1, 1, 1)),
+        ((0, 1e9, 1), (1, 1, 1)),
     ])
     def test_sweep_rejects_non_finite_bounds(self, mu2, sigma2):
         with pytest.raises(ValueError, match="must be finite"):
@@ -318,11 +322,12 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mu2", ["0:inf:1", "nan:1:1"])
+    @pytest.mark.parametrize("mu2", ["0:inf:1", "nan:1:1", "0:1e300:1e-300", "0:1e9:1"])
     def test_sweep_rejects_non_finite_range(self, mu2, capsys):
         rc = main(["sweep", "--fixed", "normal:0,1", "--mu2", mu2, "--sigma2", "1:1:1"])
         assert rc == 2
-        assert "mu2 range bounds must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"error: (mu2 range bounds|sweep cell count \S+) must be finite", err)
 
     @pytest.mark.parametrize("k", ["inf", "nan", "1e4"])
     def test_rejects_truncation_outside_range(self, k, capsys):
@@ -331,14 +336,15 @@ class TestCli:
         assert rc == 2
         assert "error: truncation_k must be in (0, 1000]" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_estimate_is_reported(self, capsys):
-        rc = main(["tables", "--dists", "normal:0,1e-120", "normal:0,1",
+        # a scale below the smallest normal float would give non-finite
+        # estimates, so it is rejected before any quadrature runs
+        rc = main(["tables", "--dists", "normal:0,1e-310", "normal:0,1",
                    "--measures", "incstr,incpar,scalar"])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: quadrature estimate is" in captured.err
+        assert "error: sigma = 1e-310 gives scale" in captured.err
 
 
 def test_reproduce_tables_script_matches_cli(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,22 @@ F4 = consonant_from_normal(4.0, 0.5)
 
 HALF_PLUS_INV_PI = 0.5 + 1.0 / math.pi
 
+
+def assert_same_at_extreme_scales(measure, anchor):
+    """Self-pairs far from scale 1 give ``anchor`` (normal) and the exp:2 value.
+
+    The consonant shapes are unit-scale, so no scale power can under- or
+    overflow there.
+    """
+    for sigma in (1e-120, 1e110, 1e300):
+        f = consonant_from_normal(0.0, sigma)
+        assert measure(f, f) == pytest.approx(anchor, abs=1e-12)
+    e2 = consonant_from_exponential(2.0)
+    for rate in (1e-200, 1e200):
+        e = consonant_from_exponential(rate)
+        assert measure(e, e) == pytest.approx(measure(e2, e2), abs=1e-12)
+
+
 norm_params = st.tuples(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
     st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
@@ -55,6 +72,7 @@ class TestScalarProduct:
         a = scalar_product(F1, F1, CFG)
         b = scalar_product(consonant_from_normal(3.0, 2.5), consonant_from_normal(3.0, 2.5), CFG)
         assert a == pytest.approx(b, abs=1e-12)
+        assert_same_at_extreme_scales(lambda f, g: scalar_product(f, g, CFG), 2.0 / math.pi)
 
     def test_symmetry(self):
         a = scalar_product(F1, F4, CFG)
@@ -91,6 +109,7 @@ class TestStrictInclusion:
         # P(Z2 >= Z1) for iid draws: exactly 1/2
         r = inc_strict(F1, F1, CFG)
         assert r.value == pytest.approx(0.5, abs=1e-9)
+        assert_same_at_extreme_scales(lambda f, g: inc_strict(f, g, CFG).value, 0.5)
 
     def test_narrow_in_wide(self):
         assert inc_strict(F2, F1, CFG).value == pytest.approx(0.8576215, abs=1e-4)
@@ -147,6 +166,7 @@ class TestPartialInclusion:
     def test_self_inclusion_scale_invariant(self):
         v = inc_partial(F4, F4, CFG).value
         assert v == pytest.approx(HALF_PLUS_INV_PI, abs=1e-5)
+        assert_same_at_extreme_scales(lambda f, g: inc_partial(f, g, CFG).value, HALF_PLUS_INV_PI)
 
     def test_narrow_in_wide(self):
         assert inc_partial(F2, F1, CFG).value == pytest.approx(0.9594807, abs=1e-4)
@@ -276,12 +296,16 @@ class TestGenericPath:
 
 
 class TestNonFiniteEstimates:
-    # sigma**3 underflows at sigma = 1e-120, so the nesting density is inf on
-    # the diagonal pair; clamping used to turn that into strict 1, partial 0
-    TINY = consonant_from_normal(0.0, 1e-120)
+    # an operand whose nesting density is inf for z >= 0; every measure must
+    # raise instead of clamping the non-finite estimate into [0, 1].  The
+    # constructors reject scales that could produce this, so the operand is
+    # built by hand.
+    INF = dataclasses.replace(
+        F1, shape=dataclasses.replace(F1.shape, density=lambda u: np.where(u >= 0.0, np.inf, 0.0))
+    )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("measure", [inc_strict, inc_partial, scalar_product])
     def test_measure_raises(self, measure):
         with pytest.raises(ValueError, match="estimate is (inf|nan)"):
-            measure(self.TINY, self.TINY, CFG)
+            measure(self.INF, self.INF, CFG)
