@@ -87,17 +87,6 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _cmd_distance(args) -> int:
-    scenario = Scenario(
-        distributions=tuple(args.dists),
-        measures=("distance",),
-        quadrature=_config_from_args(args),
-    )
-    tset = run_tables(scenario)
-    _emit(render_tables(tset, args.format), args.out)
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     scenario = Scenario(
         sweep=SweepSpec(
@@ -159,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--format", choices=FORMATS, default="markdown")
     p_dist.add_argument("--out", default=None)
     _add_quadrature_flags(p_dist)
-    p_dist.set_defaults(func=_cmd_distance)
+    p_dist.set_defaults(func=_cmd_tables, measures=("distance",))
 
     p_sweep = sub.add_parser("sweep", help="grid sweep against a fixed distribution")
     p_sweep.add_argument("--fixed", required=True, metavar="SPEC")

@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from .intervals import _as_scalar_or_array
 from .quadrature import check_truncation_k, nodes_and_weights
 
 __all__ = [
@@ -57,12 +58,6 @@ def _phi(u):
     return np.exp(-0.5 * u * u) / _SQRT_2PI
 
 
-def _float_or_array(out):
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class Shape:
     """Unit-scale nesting shape of a consonant family, in u = z / scale.
@@ -79,12 +74,13 @@ class Shape:
     pignistic: Callable[[np.ndarray], np.ndarray]
 
 
-# Maxwell, upper tail 2 [u phi(u) + Q(u)] with Q the normal upper tail.
+# Maxwell, upper tail 2 [u phi(u) + Q(u)] with Q the normal upper tail.  The
+# tails clip u where they reach 0.0 in floats, so u = inf gives 0, not inf * 0.
 _MAXWELL = Shape(-1.0, lambda u: 2.0 * u * (u * _phi(u)),
-                 lambda u: 2.0 * (u * _phi(u) + ndtr(-u)), lambda u: u * _phi(u))
+                 lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + ndtr(-u)), lambda u: u * _phi(u))
 # Gamma(2), upper tail (1 + u) exp(-u).
 _GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)),
-                lambda u: (1.0 + u) * np.exp(-u), lambda u: np.exp(-np.maximum(u, 0.0)))
+                lambda u: (1.0 + np.minimum(u, 800.0)) * np.exp(-u), lambda u: np.exp(-np.maximum(u, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -106,16 +102,15 @@ class ConsonantBBD:
         """Mass density over the nesting parameter; zero for z < 0."""
         z = np.asarray(z, dtype=float)
         vals = self.shape.density(z / self.scale) / self.scale
-        return _float_or_array(np.where(z >= 0.0, vals, 0.0))
+        return _as_scalar_or_array(np.where(z >= 0.0, vals, 0.0))
 
     def tail_mass(self, t):
         """Closed-form upper tail integral of ``density`` from t to infinity.
 
-        Equals 1 for t <= 0.
+        Equals 1 for t <= 0 and 0 where t / scale overflows.
         """
-        t = np.asarray(t, dtype=float)
-        vals = self.shape.tail(np.maximum(t, 0.0) / self.scale)
-        return _float_or_array(np.where(t <= 0.0, 1.0, vals))
+        with np.errstate(over="ignore"):
+            return self.shape.tail(np.maximum(t, 0.0) / self.scale)
 
     def base_bounds(self, z):
         """Focal endpoints relative to ``location``: (lo_slope * z, z)."""
@@ -199,7 +194,7 @@ def pignistic_density(c: ConsonantBBD, x, points: int = 512):
     t, wt = nodes_and_weights(points, 0.0, 1.0)
     u = u_min_safe[..., None] + width[..., None] * t
     vals = width * np.sum(wt * c.shape.pignistic(u), axis=-1) / c.scale
-    return _float_or_array(vals)
+    return _as_scalar_or_array(vals)
 
 
 # family name -> (constructor, number of parameters, spec form)

@@ -2,6 +2,8 @@
 
 A focal interval is an endpoint pair (lower, upper) with lower <= upper.
 
+``overlap`` is the unchecked intersection length, for callers that have
+validated their endpoints once (the consonant pair rules in ``cbf.measures``).
 The degree functions compare two intervals (xi, yi) and (xj, yj) given as
 separate endpoint arguments, so they vectorise over numpy arrays:
 
@@ -13,8 +15,8 @@ separate endpoint arguments, so they vectorise over numpy arrays:
 * ``delta_inc_partial_rev`` overlap length normalised by the second length.
 
 All four return values in [0, 1].  Scalar inputs give a plain float, array
-inputs broadcast and give an array.  Non-finite endpoints and lower > upper
-are rejected with ``ValueError``.
+inputs broadcast and give an array.  On every call, non-finite endpoints
+and lower > upper are rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "overlap",
     "jaccard_delta",
     "delta_inc_strict",
     "delta_inc_partial",
@@ -39,10 +42,25 @@ def _check_pairs(xi, yi, xj, yj):
     return np.broadcast_arrays(xi, yi, xj, yj)
 
 
+def overlap(xi, yi, xj, yj):
+    """Length of [xi, yi] & [xj, yj]; endpoints must be finite and ordered."""
+    return np.maximum(0.0, np.minimum(yi, yj) - np.maximum(xi, xj))
+
+
 def _as_scalar_or_array(out):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _covered(xi, yi, xj, yj):
+    """Fraction of [xi, yi] inside [xj, yj], for checked endpoints."""
+    # asarray: comparisons on 0-d operands collapse to scalars, which
+    # np.divide rejects as an out= target
+    out = np.asarray((xj <= xi) & (xi <= yj), dtype=float)
+    den = yi - xi
+    np.divide(overlap(xi, yi, xj, yj), den, out=out, where=den > 0.0)
+    return _as_scalar_or_array(out)
 
 
 def jaccard_delta(xi, yi, xj, yj):
@@ -53,7 +71,7 @@ def jaccard_delta(xi, yi, xj, yj):
     zero and the degree is 1 by convention (two identical points coincide).
     """
     xi, yi, xj, yj = _check_pairs(xi, yi, xj, yj)
-    inter = np.maximum(0.0, np.minimum(yi, yj) - np.maximum(xi, xj))
+    inter = overlap(xi, yi, xj, yj)
     hull = np.maximum(yi, yj) - np.minimum(xi, xj)
     out = np.ones_like(inter)
     np.divide(inter, hull, out=out, where=hull > 0.0)
@@ -73,14 +91,7 @@ def delta_inc_partial(xi, yi, xj, yj):
     max(0, min(yi, yj) - max(xi, xj)) / (yi - xi).  When the first interval
     is a point the fraction is 1 if the point lies in I2 and 0 otherwise.
     """
-    xi, yi, xj, yj = _check_pairs(xi, yi, xj, yj)
-    num = np.maximum(0.0, np.minimum(yi, yj) - np.maximum(xi, xj))
-    den = yi - xi
-    # asarray: comparisons on 0-d operands collapse to scalars, which
-    # np.divide rejects as an out= target
-    out = np.asarray((xj <= xi) & (xi <= yj), dtype=float)
-    np.divide(num, den, out=out, where=den > 0.0)
-    return _as_scalar_or_array(out)
+    return _covered(*_check_pairs(xi, yi, xj, yj))
 
 
 def delta_inc_partial_rev(xi, yi, xj, yj):
@@ -90,8 +101,4 @@ def delta_inc_partial_rev(xi, yi, xj, yj):
     delta_inc_partial_rev(I1, I2) == delta_inc_partial(I2, I1) exactly.
     """
     xi, yi, xj, yj = _check_pairs(xi, yi, xj, yj)
-    num = np.maximum(0.0, np.minimum(yi, yj) - np.maximum(xi, xj))
-    den = yj - xj
-    out = np.asarray((xi <= xj) & (xj <= yi), dtype=float)
-    np.divide(num, den, out=out, where=den > 0.0)
-    return _as_scalar_or_array(out)
+    return _covered(xj, yj, xi, yi)

@@ -23,6 +23,10 @@ focals make {z2 : I1(z1) subset I2(z2)} an upper ray [L(z1), inf), so the
 inner integral collapses to the closed-form tail mass and a 1D integral
 over the same outer panels remains.
 
+Each pair is validated once: the constructors make locations, scales and
+supports finite and ``_offset`` checks the offset, so the hot loops run
+unchecked unit-scale kernels (the shapes and ``cbf.intervals.overlap``).
+
 The Monte Carlo and generic-representation paths below rebuild the same
 quantities from raw interval operations and serve as cross-checks.
 """
@@ -41,6 +45,7 @@ from .intervals import (
     delta_inc_partial_rev,
     delta_inc_strict,
     jaccard_delta,
+    overlap,
 )
 from .quadrature import QuadratureConfig, _refine, inverse_cdf_table, nodes_and_weights
 
@@ -104,6 +109,29 @@ def _inclusion(f1, f2, kind: str, refined) -> InclusionResult:
     return InclusionResult(_unit(value), (f1.label, f2.label), kind, QuadratureMeta(points, err))
 
 
+def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
+    """Location offset f2 - f1, checked so that no focal endpoint overflows."""
+    off = f2.location - f1.location
+    if not math.isfinite(abs(off) + max(f1.support_bound, f2.support_bound)):
+        raise ValueError(f"location offset between {f1.label} and {f2.label} overflows their endpoints")
+    return off
+
+
+# Unchecked degrees: the hull >= |I1| > 0 at interior nodes.  |I2| rounds to 0
+# once |off| dwarfs z2, so inc_partial_reversed keeps the checked degree.
+def _partial(a1, b1, a2, b2):
+    return overlap(a1, b1, a2, b2) / (b1 - a1)
+
+
+def _jaccard(a1, b1, a2, b2):
+    return overlap(a1, b1, a2, b2) / (np.maximum(b1, b2) - np.minimum(a1, a2))
+
+
+def _weights(f: ConsonantBBD, z, w):
+    """Quadrature weights times the nesting density at nodes z > 0."""
+    return w / f.scale * f.shape.density(z / f.scale)
+
+
 def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     """Kink lines and outer breaks of a pair degree on [0, Z1] x [0, Z2].
 
@@ -164,9 +192,10 @@ def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: Quadrature
     smooth on every panel and each panel gets the same n-point rule.  Inner
     panels of zero width (lines clipped at 0 or Z2) are dropped.
     """
-    off = f2.location - f1.location
+    off = _offset(f1, f2)
     lines, outer = _kinks(f1, f2, off)
     z2_max = f2.support_bound
+    lo1, lo2 = f1.shape.lo_slope, f2.shape.lo_slope
 
     def estimate(n):
         z1, w1 = _panel_nodes(outer[:-1], np.diff(outer), n)
@@ -176,11 +205,10 @@ def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: Quadrature
         width = np.diff(inner, axis=1)
         node, panel = np.nonzero(width)
         z2, w2 = _panel_nodes(inner[node, panel], width[node, panel], n)
-        a1, b1 = f1.base_bounds(z1[node])
-        a2, b2 = f2.base_bounds(z2)
-        degrees = delta(a1[:, None], b1[:, None], a2 + off, b2 + off)
-        g1 = (w1 * f1.density(z1))[node]
-        g2 = w2 * f2.density(z2)
+        b1 = z1[node, None]
+        degrees = delta(lo1 * b1, b1, lo2 * z2 + off, z2 + off)
+        g1 = _weights(f1, z1, w1)[node]
+        g2 = _weights(f2, z2, w2)
         return float(g1 @ np.einsum("ij,ij->i", degrees, g2))
 
     return _refine(estimate, cfg.points_per_axis, cfg)
@@ -189,7 +217,7 @@ def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: Quadrature
 def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
     """Expected Jaccard overlap degree between the two focal families."""
     cfg = cfg or QuadratureConfig()
-    value, _, _ = _pair_expectation(f1, f2, jaccard_delta, cfg)
+    value, _, _ = _pair_expectation(f1, f2, _jaccard, cfg)
     return value
 
 
@@ -215,16 +243,16 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
     ``_kinks`` keep the integrand smooth on each panel.
     """
     cfg = cfg or QuadratureConfig()
-    off = f2.location - f1.location
+    off = _offset(f1, f2)
     _, outer = _kinks(f1, f2, off)
-    lo2 = f2.shape.lo_slope
+    lo1, lo2 = f1.shape.lo_slope, f2.shape.lo_slope
 
     def estimate(n):
         z1, w1 = _panel_nodes(outer[:-1], np.diff(outer), n)
-        a1, b1 = f1.base_bounds(z1)
-        weight = w1 * f1.density(z1)
-        # I1 sits in I2(z2) iff lo2*z2 + off <= a1 and b1 <= z2 + off.
-        needed = b1 - off
+        a1 = lo1 * z1
+        weight = _weights(f1, z1, w1)
+        # I1 sits in I2(z2) iff lo2*z2 + off <= a1 and z1 <= z2 + off.
+        needed = z1 - off
         if lo2 < 0.0:
             needed = np.maximum(needed, (a1 - off) / lo2)
         else:
@@ -237,7 +265,7 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Expected fraction of I1 covered by I2."""
     cfg = cfg or QuadratureConfig()
-    return _inclusion(f1, f2, "partial", _pair_expectation(f1, f2, delta_inc_partial, cfg))
+    return _inclusion(f1, f2, "partial", _pair_expectation(f1, f2, _partial, cfg))
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
@@ -250,27 +278,23 @@ def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConf
     return _inclusion(f2, f1, "partial", _pair_expectation(f1, f2, delta_inc_partial_rev, cfg))
 
 
-def _check_family(fs, i: int):
+def _inc_avg(inclusion, i: int, fs, cfg) -> float:
+    fs = list(fs)
     if len(fs) < 2:
         raise ValueError(f"need at least two densities to average over, got {len(fs)}")
     if not 0 <= i < len(fs):
         raise ValueError(f"index {i} out of range for {len(fs)} densities")
+    return sum(inclusion(fs[i], g, cfg).value for j, g in enumerate(fs) if j != i) / (len(fs) - 1)
 
 
 def inc_avg_strict(i: int, fs, cfg: QuadratureConfig | None = None) -> float:
     """Mean strict inclusion of fs[i] in the other members of fs."""
-    fs = list(fs)
-    _check_family(fs, i)
-    others = [j for j in range(len(fs)) if j != i]
-    return sum(inc_strict(fs[i], fs[j], cfg).value for j in others) / len(others)
+    return _inc_avg(inc_strict, i, fs, cfg)
 
 
 def inc_avg_partial(i: int, fs, cfg: QuadratureConfig | None = None) -> float:
     """Mean partial inclusion of fs[i] in the other members of fs."""
-    fs = list(fs)
-    _check_family(fs, i)
-    others = [j for j in range(len(fs)) if j != i]
-    return sum(inc_partial(fs[i], fs[j], cfg).value for j in others) / len(others)
+    return _inc_avg(inc_partial, i, fs, cfg)
 
 
 def nesting_pair_sampler(f1: ConsonantBBD, f2: ConsonantBBD, n_grid: int = 8193):

@@ -130,6 +130,13 @@ class TestTailMass:
             z, w = nodes_and_weights(512, t, f.support_bound)
             assert f.tail_mass(t) == pytest.approx(float(w @ f.density(z)), abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_where_the_scaled_argument_overflows(self):
+        for f in (consonant_from_normal(0.0, 1e-300), consonant_from_exponential(1e300)):
+            assert f.tail_mass(1e300) == 0.0
+            assert f.tail_mass(np.inf) == 0.0
+            np.testing.assert_array_equal(f.tail_mass(np.array([-1.0, 1e300])), [1.0, 0.0])
+
     @given(st.floats(min_value=-5, max_value=30, allow_nan=False), rates)
     def test_monotone_decreasing(self, t, rate):
         f = consonant_from_exponential(rate)

@@ -346,6 +346,14 @@ class TestCli:
         assert captured.out == ""
         assert "error: sigma = 1e-310 gives scale" in captured.err
 
+    @pytest.mark.parametrize("measure", ["incstr", "incpar", "scalar"])
+    def test_overflowing_offset_is_reported(self, capsys, measure):
+        rc = main(["tables", "--dists", "normal:1e308,1", "normal:-1e308,1", "--measures", measure])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: location offset between normal:1e+308,1 and normal:-1e+308,1" in captured.err
+
 
 def test_reproduce_tables_script_matches_cli(tmp_path, monkeypatch, capsys):
     script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,44 @@ class TestGenericPath:
         assert generic_mass(ge) == pytest.approx(1.0, abs=1e-2)
         assert inc_strict_generic(ge, to_generic(F1), CFG) == pytest.approx(
             inc_strict(e, F1, CFG).value, abs=1e-4)
+
+
+class TestExtremePairs:
+    @pytest.mark.filterwarnings("error")
+    def test_scale_ratio_beyond_the_float_range(self):
+        # z / scale overflows to inf in one order; the tails give 0 there
+        tiny, huge = consonant_from_normal(0.0, 1e-300), consonant_from_normal(0.0, 1e300)
+        for measure in (inc_strict, inc_partial):
+            assert measure(tiny, huge, CFG).value == pytest.approx(1.0, abs=1e-12)
+            assert measure(huge, tiny, CFG).value == pytest.approx(0.0, abs=1e-12)
+        assert scalar_product(tiny, huge, CFG) == pytest.approx(0.0, abs=1e-12)
+        assert scalar_product(huge, tiny, CFG) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("measure", [inc_strict, inc_partial, inc_partial_reversed,
+                                         scalar_product, distance])
+    def test_overflowing_offset_names_both_operands(self, measure):
+        # the offset itself overflows, or it does once a support bound is added
+        for (mu1, s1), (mu2, s2) in (((1e308, 1.0), (-1e308, 1.0)), ((1.5e308, 1.0), (0.0, 1e307))):
+            f1, f2 = consonant_from_normal(mu1, s1), consonant_from_normal(mu2, s2)
+            with pytest.raises(ValueError, match=f"offset between {re.escape(f1.label)} and {re.escape(f2.label)}"):
+                measure(f1, f2, CFG)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_finite_offset(self):
+        # far apart but with a finite offset: every degree is 0
+        far = consonant_from_normal(1.7e308, 1.0)
+        for measure in (inc_strict, inc_partial, inc_partial_reversed):
+            assert measure(far, F1, CFG).value == 0.0
+            assert measure(F1, far, CFG).value == 0.0
+        assert scalar_product(far, F1, CFG) == 0.0
+
+    def test_reversed_partial_where_the_offset_dwarfs_the_second_focal(self):
+        # |I2| rounds to 0 once the offset is added; the point convention of
+        # the checked degree still gives P(I2 inside I1) = tail of f1 at 1e17
+        wide = consonant_from_normal(0.0, 1e17)
+        value = inc_partial_reversed(wide, consonant_from_normal(1e17, 1.0), CFG).value
+        assert value == pytest.approx(wide.tail_mass(1e17), abs=1e-9)
+        assert inc_partial_reversed(F1, consonant_from_normal(1e17, 1.0), CFG).value == 0.0
 
 
 class TestNonFiniteEstimates:

@@ -5,15 +5,19 @@ panel splitter (scipy's adaptive quadrature with hand-placed breakpoints,
 or the same measure integrated in the other order).
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
+import cbf.measures
 from cbf.cli import build_parser
 from cbf.consonant import consonant_from_exponential, consonant_from_normal, parse_distribution
+from cbf.intervals import delta_inc_partial, delta_inc_partial_rev, jaccard_delta
 from cbf.measures import (
     _kinks,
     _pair_expectation,
@@ -33,6 +37,7 @@ N4H = consonant_from_normal(4.0, 0.5)
 EXP2_DEEP = consonant_from_exponential(2.0, truncation_k=40.0)
 REFERENCE_FAMILY = [consonant_from_normal(mu, s) for mu in (0.0, 4.0) for s in (1.0, 0.5)]
 STRESS_FAMILY = [parse_distribution(spec) for spec in ("exp:2", "normal:0,0.001", "normal:0.5,1")]
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _partial(f1, f2):
@@ -167,3 +172,49 @@ def test_cli_quadrature_flags_default_to_the_config():
     for gone in (["--rule", "midpoint"], ["--seed", "1"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--dists", "normal:0,1", *gone])
+
+
+def test_unchecked_kernels_match_the_public_checked_degrees():
+    # the measures validate each pair once and then run unchecked kernels;
+    # the checked degrees of cbf.intervals on the same panels agree
+    for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
+        for delta, lean in ((delta_inc_partial, _partial(f1, f2)),
+                            (delta_inc_partial_rev, inc_partial_reversed(f1, f2, CFG).value),
+                            (jaccard_delta, _scalar(f1, f2))):
+            value, _, _ = _pair_expectation(f1, f2, delta, CFG)
+            assert abs(value - lean) <= 1e-15, (f1.label, f2.label, delta.__name__)
+
+
+@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(refine_max_doublings=0)],
+                         ids=["default", "no-refinement"])
+@pytest.mark.parametrize("measure", [inc_partial, scalar_product])
+def test_two_d_measures_ask_for_nodes_twice_per_pass(monkeypatch, cfg, measure):
+    # perfbench counts a 2-D measure's refinement passes as its
+    # nodes_and_weights calls / 2 and checks the largest n against the meta
+    real, asked = cbf.measures.nodes_and_weights, []
+
+    def counting(n, lo, hi):
+        asked.append(n)
+        return real(n, lo, hi)
+
+    monkeypatch.setattr(cbf.measures, "nodes_and_weights", counting)
+    result = measure(N01, N4H, cfg)
+    passes = [cfg.points_per_axis * 2**k for k in range(len(asked) // 2)]
+    assert asked == [n for n in passes for _ in range(2)]
+    assert 1 <= len(passes) <= cfg.refine_max_doublings + 1
+    if measure is inc_partial:
+        assert result.quadrature_meta.points_per_axis == max(asked)
+
+
+def test_names_the_benchmark_tracer_wraps_still_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {(owner, attr) for owner, attr, *_ in tracer.TRACE_POINTS}
+    for name in ("nodes_and_weights", "delta_inc_partial", "delta_inc_partial_rev",
+                 "delta_inc_strict", "jaccard_delta"):
+        assert ("cbf.measures", name) in wrapped
+    for name in ("density", "tail_mass", "base_bounds"):
+        assert ("cbf.consonant:ConsonantBBD", name) in wrapped
+    for owner, attr in wrapped:
+        assert callable(getattr(tracer._resolve(owner), attr)), (owner, attr)
