@@ -15,8 +15,8 @@ A ``ConsonantBBD`` is a shape placed at ``location`` and stretched by
 ``scale``: density(z) = g(z/scale)/scale, tail_mass(t) = G(t/scale).  No
 formula raises the scale to a power, so the measures see only offsets and
 scale ratios and give the same values at every scale from the smallest
-normal float up to where truncation_k * scale overflows; the constructors
-reject scales outside that range.
+normal float up to where the longest focal, (1 - lo_slope) * truncation_k
+* scale, overflows; the constructors reject scales outside that range.
 
 ``pignistic_density`` evaluates the round trip numerically; the test suite
 anchors on it reproducing the source pdf.  ``to_generic`` exposes the same
@@ -74,9 +74,14 @@ class Shape:
     pignistic: Callable[[np.ndarray], np.ndarray]
 
 
+def _maxwell(u):
+    uu = np.minimum(u * u, 1600.0)  # 2 u^2 phi(u); phi is 0.0 beyond u = 40
+    return 2.0 / _SQRT_2PI * uu * np.exp(-0.5 * uu)
+
+
 # Maxwell, upper tail 2 [u phi(u) + Q(u)] with Q the normal upper tail.  The
 # tails clip u where they reach 0.0 in floats, so u = inf gives 0, not inf * 0.
-_MAXWELL = Shape(-1.0, lambda u: 2.0 * u * (u * _phi(u)),
+_MAXWELL = Shape(-1.0, _maxwell,
                  lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + ndtr(-u)), lambda u: u * _phi(u))
 # Gamma(2), upper tail (1 + u) exp(-u).
 _GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)),
@@ -101,7 +106,8 @@ class ConsonantBBD:
     def density(self, z):
         """Mass density over the nesting parameter; zero for z < 0."""
         z = np.asarray(z, dtype=float)
-        vals = self.shape.density(z / self.scale) / self.scale
+        with np.errstate(over="ignore"):
+            vals = self.shape.density(z / self.scale) / self.scale
         return _as_scalar_or_array(np.where(z >= 0.0, vals, 0.0))
 
     def tail_mass(self, t):
@@ -126,10 +132,11 @@ class ConsonantBBD:
 def _consonant(shape, location, scale, truncation_k, label, param) -> ConsonantBBD:
     """Place ``shape`` at ``location``; ``param`` names where the scale came from."""
     check_truncation_k(truncation_k)
-    if not (scale >= sys.float_info.min and math.isfinite(truncation_k * scale)):
+    reach = (1.0 - shape.lo_slope) * truncation_k  # longest focal, in scale units
+    if not (scale >= sys.float_info.min and math.isfinite(reach * scale)):
         raise ValueError(
             f"{param} gives scale {scale:g}, outside [{sys.float_info.min:g}, "
-            f"{sys.float_info.max / truncation_k:g}] at truncation_k = {truncation_k:g}"
+            f"{sys.float_info.max / reach:g}] at truncation_k = {truncation_k:g}"
         )
     return ConsonantBBD(shape, location, scale, truncation_k * scale, label)
 

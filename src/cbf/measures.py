@@ -15,13 +15,15 @@ same factor changes no measure beyond rounding.
 
 The degrees are piecewise smooth: their kinks lie on the straight lines
 where a focal endpoint of one operand crosses one of the other.  One rule
-serves every pair measure: the outer z1 axis is cut where those lines cross
-each other or the edges of the rectangle, the inner z2 axis is cut along the
-lines themselves for each outer node, and every panel gets the same
-n-point Gauss-Legendre rule.  Strict inclusion has a faster route: nested
-focals make {z2 : I1(z1) subset I2(z2)} an upper ray [L(z1), inf), so the
-inner integral collapses to the closed-form tail mass and a 1D integral
-over the same outer panels remains.
+serves every pair measure.  The outer z1 axis is cut where those lines
+cross each other or the edges of the rectangle; the lines then cut each
+outer panel into cells, on which the endpoint order is fixed.  This cell
+map is built once per pair.  Cells where the focals are disjoint are
+dropped; cells where I1 sits in I2 give partial inclusion the degree 1, so
+their inner integral is a difference of closed-form tails; every other cell
+gets the same n x n Gauss-Legendre rule.  Strict inclusion goes further:
+nested focals make {z2 : I1(z1) subset I2(z2)} an upper ray [L(z1), inf),
+so a 1D integral of the tail mass over the same outer panels remains.
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -110,10 +112,11 @@ def _inclusion(f1, f2, kind: str, refined) -> InclusionResult:
 
 
 def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
-    """Location offset f2 - f1, checked so that no focal endpoint overflows."""
+    """Location offset f2 - f1, checked so that no focal endpoint overflows
+    and no hull of two meeting focals (at most |off| + Z1 + Z2 long) does."""
     off = f2.location - f1.location
-    if not math.isfinite(abs(off) + max(f1.support_bound, f2.support_bound)):
-        raise ValueError(f"location offset between {f1.label} and {f2.label} overflows their endpoints")
+    if not math.isfinite(abs(off) + f1.support_bound + f2.support_bound):
+        raise ValueError(f"location offset between {f1.label} and {f2.label} overflows the hull of their focals")
     return off
 
 
@@ -140,7 +143,8 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     corner (0, 0) a degree varies on the scale of the shorter support, so
     when the supports differ the panels are also graded geometrically
     toward it: outer breaks at z1 = 8**j * Z2 below Z1, and lines
-    z2 = 8**k * z1 while 8**k < 2 * Z2 / Z1 (j, k >= 1).
+    z2 = 8**k * z1 while 8**k < 2 * Z2 / Z1 (j, k >= 1).  A break or line
+    is skipped where the operand it grades has no mass below it in floats.
 
     Returns the lines (p, q) for z2 = p*z1 + q that enter (0, Z2), as an
     (L, 2) array, and the sorted z1 breaks: 0, Z1, the vertical crossings,
@@ -160,11 +164,13 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
                 breaks.add(off / s1)
     grade = _GRADING * z2_max
     while grade < z1_max:
-        breaks.add(grade)
+        if f1.tail_mass(grade) < 1.0:
+            breaks.add(grade)
         grade *= _GRADING
     grade = _GRADING
     while grade * z1_max < 2.0 * z2_max:
-        lines.add((grade, 0.0))
+        if f2.tail_mass(grade * z1_max) < 1.0:
+            lines.add((grade, 0.0))
         grade *= _GRADING
     lines = sorted(lines)
     for i, (p, q) in enumerate(lines):
@@ -176,40 +182,67 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
 
 
 def _panel_nodes(lo, width, n: int):
-    """n Gauss-Legendre nodes and weights on each panel [lo, lo + width].
-
-    Returns (panels, n) arrays, one row per panel.
-    """
+    """n Gauss-Legendre nodes and weights on each panel [lo, lo + width], one row each."""
     x, w = nodes_and_weights(n, 0.0, 1.0)
     return lo[:, None] + width[:, None] * x, width[:, None] * w
 
 
-def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: QuadratureConfig):
-    """E[delta(I1, I2)] over the nesting-parameter rectangle.
+def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
+    """The cells of the outer panels of ``_kinks`` where the focals meet.
 
-    The outer z1 panels end at the breaks of ``_kinks``; for each outer node
-    the inner z2 panels end where the kink lines cross, so the degree is
-    smooth on every panel and each panel gets the same n-point rule.  Inner
-    panels of zero width (lines clipped at 0 or Z2) are dropped.
+    No kink line crosses another, 0 or Z2 inside an outer panel, so its
+    inner panels are cells with bounds z2 = p*z1 + q, read at the panel
+    centre, and an order of a1, b1, a2, b2 that the cell centre gives.
+    Disjoint cells are dropped: every degree carries an overlap factor.
+    Returns the outer breaks and, per cell, its panel, its lower and upper
+    (p, q) and whether I1 is nested in I2 on it.
+    """
+    lines, outer = _kinks(f1, f2, off)
+    z2_max, lo1, lo2 = f2.support_bound, f1.shape.lo_slope, f2.shape.lo_slope
+    # Z2 first and 0 last: ties sort by position, so a cell at 0 or Z2 is
+    # bounded by them and not by a line clipped there
+    bounds = [(0.0, z2_max), *map(tuple, lines.tolist()), (0.0, 0.0)]
+    cells = []
+    for i, z1 in enumerate((0.5 * (outer[:-1] + outer[1:])).tolist()):
+        at = sorted((min(max(p * z1 + q, 0.0), z2_max), j) for j, (p, q) in enumerate(bounds))
+        for (v, j), (v_next, j_next) in zip(at, at[1:]):
+            z2 = 0.5 * (v + v_next)
+            a1, a2 = lo1 * z1, lo2 * z2 + off
+            if v < v_next and z1 > a2 and z2 + off > a1:
+                cells.append((i, *bounds[j], *bounds[j_next], a2 <= a1 and z1 <= z2 + off))
+    cells = np.array(cells, dtype=float).reshape(-1, 6)
+    return outer, cells[:, 0].astype(int), cells[:, 1:3], cells[:, 3:5], cells[:, 5] == 1.0
+
+
+def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: QuadratureConfig, nested=None):
+    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each cell.
+
+    ``nested``, if given, is the constant degree where I1 sits in I2; those
+    cells take nested * (T2(lo) - T2(hi)) at each outer node instead.
     """
     off = _offset(f1, f2)
-    lines, outer = _kinks(f1, f2, off)
-    z2_max = f2.support_bound
-    lo1, lo2 = f1.shape.lo_slope, f2.shape.lo_slope
+    outer, panel, lo, hi, inside = _cells(f1, f2, off)
+    inside &= nested is not None  # without a nested value, every cell is on the rule
+    # (p, q) columns of the lower bound and width of each crossing cell
+    p_c, (lo_p, lo_q), (d_p, d_q) = panel[~inside], lo[~inside].T[..., None], (hi - lo)[~inside].T[..., None]
+    p_n, ends = panel[inside], np.stack((lo[inside], hi[inside]))
+    s2, lo1, lo2 = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
 
     def estimate(n):
         z1, w1 = _panel_nodes(outer[:-1], np.diff(outer), n)
-        z1, w1 = z1.ravel(), w1.ravel()
-        cuts = np.clip(np.multiply.outer(z1, lines[:, 0]) + lines[:, 1], 0.0, z2_max)
-        inner = np.sort(np.column_stack([np.zeros_like(z1), cuts, np.full_like(z1, z2_max)]), axis=1)
-        width = np.diff(inner, axis=1)
-        node, panel = np.nonzero(width)
-        z2, w2 = _panel_nodes(inner[node, panel], width[node, panel], n)
-        b1 = z1[node, None]
+        g1 = _weights(f1, z1, w1)
+        x, w = nodes_and_weights(n, 0.0, 1.0)
+        b1 = z1[p_c]
+        span = d_p * b1 + d_q
+        z2 = (lo_p * b1 + lo_q)[..., None] + span[..., None] * x
+        b1 = b1[..., None]
         degrees = delta(lo1 * b1, b1, lo2 * z2 + off, z2 + off)
-        g1 = _weights(f1, z1, w1)[node]
-        g2 = _weights(f2, z2, w2)
-        return float(g1 @ np.einsum("ij,ij->i", degrees, g2))
+        # inner weights (span / s2) * w, with w contracted last
+        total = np.vdot(g1[p_c] * span / s2, (degrees * f2.shape.density(z2 / s2)) @ w)
+        if p_n.size:
+            tails = f2.shape.tail((ends[..., :1] * z1[p_n] + ends[..., 1:]) / s2)
+            total += nested * np.vdot(g1[p_n], tails[0] - tails[1])
+        return float(total)
 
     return _refine(estimate, cfg.points_per_axis, cfg)
 
@@ -265,7 +298,7 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Expected fraction of I1 covered by I2."""
     cfg = cfg or QuadratureConfig()
-    return _inclusion(f1, f2, "partial", _pair_expectation(f1, f2, _partial, cfg))
+    return _inclusion(f1, f2, "partial", _pair_expectation(f1, f2, _partial, cfg, nested=1.0))
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:

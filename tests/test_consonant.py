@@ -38,6 +38,12 @@ class TestConstructors:
         with pytest.raises(ValueError, match="sigma"):
             consonant_from_normal(0.0, bad)
 
+    def test_normal_scale_limit_keeps_the_focal_finite(self):
+        # the focal at the support bound is 2 * truncation_k * sigma long
+        assert consonant_from_normal(0.0, 1.1e307).support_bound == 8.8e307
+        with pytest.raises(ValueError, match=r"sigma = 2e\+307 .* 1\.12356e\+307\]"):
+            consonant_from_normal(0.0, 2e307)
+
     def test_normal_rejects_non_finite_mu(self):
         with pytest.raises(ValueError):
             consonant_from_normal(math.inf, 1.0)

@@ -346,6 +346,14 @@ class TestCli:
         assert captured.out == ""
         assert "error: sigma = 1e-310 gives scale" in captured.err
 
+    def test_sigma_whose_focal_overflows_is_reported(self, capsys):
+        # at truncation_k = 8 the focal [-8 sigma, 8 sigma] is 3.2e308 long
+        rc = main(["tables", "--dists", "normal:0,2e307", "normal:1,2e307"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: sigma = 2e+307 gives scale" in captured.err
+
     @pytest.mark.parametrize("measure", ["incstr", "incpar", "scalar"])
     def test_overflowing_offset_is_reported(self, capsys, measure):
         rc = main(["tables", "--dists", "normal:1e308,1", "normal:-1e308,1", "--measures", measure])

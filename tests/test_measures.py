@@ -317,6 +317,24 @@ class TestExtremePairs:
                 measure(f1, f2, CFG)
 
     @pytest.mark.filterwarnings("error")
+    def test_self_anchors_at_the_largest_normal_scale(self):
+        # the focal [-8 sigma, 8 sigma] is 1.76e308 long, just below the
+        # float maximum, and so is the hull of two such focals
+        f = consonant_from_normal(0.0, 1.1e307)
+        assert inc_strict(f, f, CFG).value == pytest.approx(0.5, abs=1e-12)
+        assert inc_partial(f, f, CFG).value == pytest.approx(HALF_PLUS_INV_PI, abs=1e-12)
+        assert scalar_product(f, f, CFG) == pytest.approx(2.0 / math.pi, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("measure", [inc_partial, inc_partial_reversed, scalar_product])
+    def test_hull_beyond_the_float_range_names_both_operands(self, measure):
+        # each endpoint is finite, but |off| + Z1 + Z2 is not
+        for (mu1, s1), (mu2, s2) in (((0.0, 1e307), (7e307, 1e307)), ((0.0, 5e306), (1.2e308, 5e306))):
+            f1, f2 = consonant_from_normal(mu1, s1), consonant_from_normal(mu2, s2)
+            with pytest.raises(ValueError, match=f"{re.escape(f1.label)} and {re.escape(f2.label)}"):
+                measure(f1, f2, CFG)
+
+    @pytest.mark.filterwarnings("error")
     def test_largest_finite_offset(self):
         # far apart but with a finite offset: every degree is 0
         far = consonant_from_normal(1.7e308, 1.0)
