@@ -4,12 +4,12 @@ Subcommands:
 
 * ``cbf tables``    pairwise measure tables for a list of distributions
 * ``cbf distance``  shorthand for a distance-only table
-* ``cbf sweep``     (mu2, sigma2) grid sweep against a fixed distribution
+* ``cbf sweep``     (mu2, sigma2) grid sweep of one measure against a fixed distribution
 * ``cbf discrete conf``  discrete conflict report for two .bba files
 
-Distribution specs use the ``normal:MU,SIGMA`` / ``exp:RATE`` forms; sweep
-ranges use ``START:STOP:STEP``.  All numeric output carries 6 significant
-digits.
+Measure names are those of ``cbf.experiments.MEASURES``, distribution specs
+use the ``normal:MU,SIGMA`` / ``exp:RATE`` forms and sweep ranges use
+``START:STOP:STEP``.  All numeric output carries 6 significant digits.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .discrete import conflict, d_inc, jousselme_distance, parse_bba, sigma_inc
+from .discrete import DiscreteMassFunction, conflict, d_inc, jousselme_distance, load_bba, sigma_inc
 from .experiments import (
     DIRECTIONS,
     FORMATS,
     MEASURES,
-    SWEEP_MEASURES,
     Scenario,
     SweepSpec,
     render_tables,
@@ -96,7 +95,6 @@ def _cmd_sweep(args) -> int:
             measure=args.measure,
             direction=args.direction,
         ),
-        measures=(args.measure,),
         quadrature=_config_from_args(args),
     )
     rows = run_sweep(scenario)
@@ -105,22 +103,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_discrete_conf(args) -> int:
-    with open(args.m1, "r", encoding="utf-8") as fh:
-        text1 = fh.read()
-    with open(args.m2, "r", encoding="utf-8") as fh:
-        text2 = fh.read()
+    m1, m2 = load_bba(args.m1), load_bba(args.m2)
     # Shared frame: the union of the labels used by either file.
-    labels1 = {lab for labels, _ in parse_bba(text1).items() for lab in labels}
-    labels2 = {lab for labels, _ in parse_bba(text2).items() for lab in labels}
-    frame = tuple(sorted(labels1 | labels2))
-    m1 = parse_bba(text1, frame)
-    m2 = parse_bba(text2, frame)
+    frame = tuple(sorted({*m1.frame, *m2.frame}))
+    m1, m2 = (DiscreteMassFunction(frame, dict(m.items())) for m in (m1, m2))
     lines = [
         f"d_inc_1in2 = {d_inc(m1, m2):.6g}",
         f"d_inc_2in1 = {d_inc(m2, m1):.6g}",
         f"sigma_inc = {sigma_inc(m1, m2):.6g}",
         f"jousselme = {jousselme_distance(m1, m2):.6g}",
-        f"conflict = {conflict(m1, m2, variant=args.variant):.6g}",
+        f"conflict = {conflict(m1, m2):.6g}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -154,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fixed", required=True, metavar="SPEC")
     p_sweep.add_argument("--mu2", type=_parse_range, required=True, metavar="LO:HI:STEP")
     p_sweep.add_argument("--sigma2", type=_parse_range, required=True, metavar="LO:HI:STEP")
-    p_sweep.add_argument("--measure", choices=SWEEP_MEASURES, default="incpar")
+    p_sweep.add_argument("--measure", choices=MEASURES, default="incpar")
     p_sweep.add_argument("--direction", choices=DIRECTIONS, default="1in2")
     p_sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
     _add_quadrature_flags(p_sweep)
@@ -165,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf = disc_sub.add_parser("conf", help="conflict report for two .bba files")
     p_conf.add_argument("--m1", required=True, help="first .bba file")
     p_conf.add_argument("--m2", required=True, help="second .bba file")
-    p_conf.add_argument("--variant", choices=("discounted", "complement"),
-                        default="discounted", help="conflict reading (default discounted)")
     p_conf.add_argument("--out", default=None)
     p_conf.set_defaults(func=_cmd_discrete_conf)
 

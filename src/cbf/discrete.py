@@ -5,12 +5,10 @@ set operations are integer bit operations.  Frames are capped at 16
 elements; everything here is exact arithmetic over the focal sets, no
 quadrature involved.
 
-The conflict measure combines the Jousselme distance d with the symmetric
-inclusion degree sigma_inc as (1 - sigma_inc) * d: two mass functions are
-conflict-free when one is fully included in the other or when they coincide
-(d = 0).  The literal complement reading 1 - sigma_inc * d is available as
-``variant="complement"`` for comparison; note it assigns conflict 1 to a
-pair of identical mass functions, which is why it is not the default.
+The conflict measure discounts the Jousselme distance d by the symmetric
+inclusion degree sigma_inc, as (1 - sigma_inc) * d (Martin, Jousselme &
+Osswald, FUSION 2008): two mass functions are conflict-free when one is
+fully included in the other or when they coincide (d = 0).
 """
 
 from __future__ import annotations
@@ -165,19 +163,9 @@ def sigma_inc(m1: DiscreteMassFunction, m2: DiscreteMassFunction) -> float:
     return max(d_inc(m1, m2), d_inc(m2, m1))
 
 
-def conflict(m1: DiscreteMassFunction, m2: DiscreteMassFunction, variant: str = "discounted") -> float:
-    """Inclusion-discounted conflict between two mass functions.
-
-    variant="discounted": (1 - sigma_inc) * d (default).
-    variant="complement": 1 - sigma_inc * d (kept for comparison only).
-    """
-    if variant not in ("discounted", "complement"):
-        raise ValueError(f"unknown conflict variant {variant!r}")
-    s = sigma_inc(m1, m2)
-    d = jousselme_distance(m1, m2)
-    if variant == "discounted":
-        return (1.0 - s) * d
-    return 1.0 - s * d
+def conflict(m1: DiscreteMassFunction, m2: DiscreteMassFunction) -> float:
+    """Inclusion-discounted conflict (1 - sigma_inc) * d between two mass functions."""
+    return (1.0 - sigma_inc(m1, m2)) * jousselme_distance(m1, m2)
 
 
 def parse_bba(text: str, frame: Iterable[str] | None = None) -> DiscreteMassFunction:

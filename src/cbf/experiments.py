@@ -1,9 +1,11 @@
 """Scenario runners: pairwise-measure tables and two-parameter sweeps.
 
-``run_tables`` evaluates a set of measures over every ordered pair of the
-scenario's distributions and reports the off-diagonal row averages next to
-each matrix.  ``run_sweep`` fixes one operand and sweeps a normal second
-operand over a (mu2, sigma2) grid, producing one CSV row per grid cell.
+One table maps each name of ``MEASURES`` to the value of an ordered pair
+and to whether the measure is symmetric.  ``run_tables`` evaluates a set of
+measures over every ordered pair of the scenario's distributions and
+reports the off-diagonal row averages next to each matrix.  ``run_sweep``
+fixes one operand and sweeps a normal second operand over a (mu2, sigma2)
+grid, producing one CSV row per grid cell.
 
 Outputs are deterministic: rows are ordered lexicographically, values are
 formatted with 6 significant digits and ``render_tables`` and ``sweep_csv``
@@ -21,12 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consonant import consonant_from_normal, parse_distribution
-from .measures import distance, inc_partial, inc_strict, scalar_product
+from .measures import distance, gram_distance, inc_partial, inc_strict, scalar_product
 from .quadrature import QuadratureConfig
 
 __all__ = [
     "MEASURES",
-    "SWEEP_MEASURES",
     "SweepSpec",
     "Scenario",
     "TableSet",
@@ -37,8 +38,16 @@ __all__ = [
     "grid_values",
 ]
 
-MEASURES = ("incstr", "incpar", "scalar", "distance")
-SWEEP_MEASURES = ("incstr", "incpar")
+# name -> (value of the ordered pair (f1, f2) under cfg, symmetric?).  The
+# lambdas look the measures up in this module when called, so wrappers set
+# on its attributes see every evaluation.
+_TABLE = {
+    "incstr": (lambda f1, f2, cfg: inc_strict(f1, f2, cfg).value, False),
+    "incpar": (lambda f1, f2, cfg: inc_partial(f1, f2, cfg).value, False),
+    "scalar": (lambda f1, f2, cfg: scalar_product(f1, f2, cfg), True),
+    "distance": (lambda f1, f2, cfg: distance(f1, f2, cfg), True),
+}
+MEASURES = tuple(_TABLE)
 DIRECTIONS = ("1in2", "2in1")
 FORMATS = ("markdown", "csv")
 # About 200 times the 5,049 cells of the fine grid in scripts/run_sweeps.py.
@@ -77,8 +86,8 @@ class SweepSpec:
             raise ValueError(
                 f"sweep cell count {cells:g} must be finite and at most {MAX_SWEEP_CELLS}"
             )
-        if self.measure not in SWEEP_MEASURES:
-            raise ValueError(f"unknown sweep measure {self.measure!r}, expected one of {SWEEP_MEASURES}")
+        if self.measure not in MEASURES:
+            raise ValueError(f"unknown sweep measure {self.measure!r}, expected one of {MEASURES}")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}, expected one of {DIRECTIONS}")
 
@@ -132,16 +141,9 @@ def grid_values(rng: tuple[float, float, float]) -> np.ndarray:
     return start + step * np.arange(_grid_count(rng))
 
 
-def _pair_value(measure: str, f1, f2, cfg: QuadratureConfig) -> float:
-    if measure == "incstr":
-        return inc_strict(f1, f2, cfg).value
-    if measure == "incpar":
-        return inc_partial(f1, f2, cfg).value
-    raise ValueError(f"unknown pairwise measure {measure!r}")
-
-
 def run_tables(s: Scenario) -> TableSet:
-    """Evaluate the scenario's measures over all ordered distribution pairs."""
+    """Evaluate the scenario's measures over all ordered distribution pairs
+    (symmetric ones for i <= j, mirrored; distances off the scalar Gram matrix)."""
     if len(s.distributions) < 2:
         raise ValueError(f"need at least two distributions, got {len(s.distributions)}")
     cfg = s.quadrature
@@ -149,26 +151,23 @@ def run_tables(s: Scenario) -> TableSet:
     labels = tuple(b.label for b in bbds)
     n = len(bbds)
 
-    matrices: dict[str, np.ndarray] = {}
-    gram: np.ndarray | None = None
-    for meas in s.measures:
-        if meas in ("incstr", "incpar"):
-            mat = np.array(
-                [[_pair_value(meas, bbds[i], bbds[j], cfg) for j in range(n)] for i in range(n)]
-            )
-        else:
-            if gram is None:
-                gram = np.zeros((n, n))
-                for i in range(n):
-                    for j in range(i, n):
-                        gram[i, j] = gram[j, i] = scalar_product(bbds[i], bbds[j], cfg)
-            if meas == "scalar":
-                mat = gram.copy()
+    computed: dict[str, np.ndarray] = {}
+
+    def matrix(meas: str) -> np.ndarray:
+        if meas not in computed:
+            if meas == "distance":
+                gram = matrix("scalar")
+                norms = np.diag(gram)
+                computed[meas] = gram_distance(norms[:, None], norms[None, :], gram)
             else:
-                diag = np.diag(gram)
-                rad = 0.5 * (diag[:, None] + diag[None, :] - 2.0 * gram)
-                mat = np.sqrt(np.maximum(0.0, rad))
-        matrices[meas] = mat
+                value, symmetric = _TABLE[meas]
+                mat = computed[meas] = np.empty((n, n))
+                for i in range(n):
+                    for j in range(n):
+                        mat[i, j] = mat[j, i] if symmetric and j < i else value(bbds[i], bbds[j], cfg)
+        return computed[meas]
+
+    matrices = {meas: matrix(meas) for meas in s.measures}
 
     averages = {}
     off_diag = ~np.eye(n, dtype=bool)
@@ -188,15 +187,13 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, float]]:
     spec = s.sweep
     cfg = s.quadrature
     fixed = parse_distribution(spec.fixed, cfg.truncation_k)
+    value, _ = _TABLE[spec.measure]
     rows: list[tuple[float, float, float]] = []
     for mu2 in grid_values(spec.mu2):
         for sigma2 in grid_values(spec.sigma2):
             swept = consonant_from_normal(mu2, sigma2, cfg.truncation_k)
-            if spec.direction == "1in2":
-                value = _pair_value(spec.measure, fixed, swept, cfg)
-            else:
-                value = _pair_value(spec.measure, swept, fixed, cfg)
-            rows.append((float(mu2), float(sigma2), value))
+            pair = (fixed, swept) if spec.direction == "1in2" else (swept, fixed)
+            rows.append((float(mu2), float(sigma2), value(*pair, cfg)))
     return rows
 
 

@@ -22,8 +22,8 @@ map is built once per pair.  Cells where the focals are disjoint are
 dropped; cells where I1 sits in I2 give partial inclusion the degree 1, so
 their inner integral is a difference of closed-form tails; every other cell
 gets the same n x n Gauss-Legendre rule.  Strict inclusion goes further:
-nested focals make {z2 : I1(z1) subset I2(z2)} an upper ray [L(z1), inf),
-so a 1D integral of the tail mass over the same outer panels remains.
+nested focals make {z2 : I1(z1) subset I2(z2)} the segment [L(z1), Z2],
+so a 1D integral of tail masses over the same outer panels remains.
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -56,6 +56,7 @@ __all__ = [
     "InclusionResult",
     "scalar_product",
     "distance",
+    "gram_distance",
     "inc_strict",
     "inc_partial",
     "inc_partial_reversed",
@@ -254,31 +255,35 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
     return value
 
 
-def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
-    """Jousselme-style distance sqrt((<f1,f1> + <f2,f2> - 2 <f1,f2>) / 2).
-
-    The radicand is clamped at zero so quadrature noise cannot produce a
-    NaN for nearly identical operands.
+def gram_distance(n1, n2, s):
+    """Jousselme distance sqrt((n1 + n2 - 2 s) / 2) from the scalar products
+    n1 = <f1,f1>, n2 = <f2,f2> and s = <f1,f2>, elementwise.  The radicand is
+    clamped at zero so quadrature noise cannot give NaN for near-identical operands.
     """
+    return np.sqrt(np.maximum(0.0, 0.5 * (n1 + n2 - 2.0 * s)))
+
+
+def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
+    """Jousselme distance between f1 and f2, from three scalar products."""
     cfg = cfg or QuadratureConfig()
-    n1 = scalar_product(f1, f1, cfg)
-    n2 = scalar_product(f2, f2, cfg)
-    s = scalar_product(f1, f2, cfg)
-    return math.sqrt(max(0.0, 0.5 * (n1 + n2 - 2.0 * s)))
+    products = (scalar_product(f1, f1, cfg), scalar_product(f2, f2, cfg), scalar_product(f1, f2, cfg))
+    return float(gram_distance(*products))
 
 
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Degree to which f1 is strictly included in f2.
 
-    Computed as integral m1(z1) T2(L(z1)) dz1 where T2 is the closed-form
-    tail mass of f2 and L(z1) the smallest z2 whose focal contains I1(z1).
-    L is the larger of at most two kink lines, so the z1 panels of
-    ``_kinks`` keep the integrand smooth on each panel.
+    Computed as integral m1(z1) [T2(L(z1)) - T2(Z2)]+ dz1 with T2 the
+    closed-form tail mass of f2, Z2 its support bound (the mass beyond it is
+    dropped, as in every pair measure) and L(z1) the smallest z2 whose focal
+    contains I1(z1).  L is the larger of at most two kink lines, so the z1
+    panels of ``_kinks`` keep the integrand smooth on each panel.
     """
     cfg = cfg or QuadratureConfig()
     off = _offset(f1, f2)
     _, outer = _kinks(f1, f2, off)
     lo1, lo2 = f1.shape.lo_slope, f2.shape.lo_slope
+    beyond = f2.shape.tail(f2.support_bound / f2.scale)
 
     def estimate(n):
         z1, w1 = _panel_nodes(outer[:-1], np.diff(outer), n)
@@ -290,7 +295,7 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
             needed = np.maximum(needed, (a1 - off) / lo2)
         else:
             weight = np.where(off <= a1, weight, 0.0)
-        return float(np.sum(weight * f2.tail_mass(needed)))
+        return float(np.sum(weight * np.maximum(f2.tail_mass(needed) - beyond, 0.0)))
 
     return _inclusion(f1, f2, "strict", _refine(estimate, cfg.points_per_axis, cfg))
 

@@ -236,18 +236,6 @@ class TestConflict:
             m1, m2 = random_bba(rng, frame), random_bba(rng, frame)
             assert 0.0 <= conflict(m1, m2) <= 1.0
 
-    def test_complement_variant_pathology(self):
-        # the complement reading scores identical operands as maximally
-        # conflicting, which is why it is not the default
-        m = DiscreteMassFunction(("a", "b"), {("a",): 1.0})
-        assert conflict(m, m, variant="complement") == 1.0
-        assert conflict(m, m, variant="discounted") == 0.0
-
-    def test_rejects_unknown_variant(self):
-        m = DiscreteMassFunction(("a",), {("a",): 1.0})
-        with pytest.raises(ValueError):
-            conflict(m, m, variant="other")
-
 
 class TestParseBba:
     def test_round_trip(self):

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import math
@@ -9,8 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from cbf.cli import main
+import cbf.experiments
+from cbf.cli import build_parser, main
 from cbf.experiments import (
+    DIRECTIONS,
+    MEASURES,
     Scenario,
     SweepSpec,
     grid_values,
@@ -53,7 +57,7 @@ class TestScenarioValidation:
     def test_sweep_rejects_bad_measure_and_direction(self):
         with pytest.raises(ValueError):
             SweepSpec(fixed="normal:0,1", mu2=(0, 1, 1), sigma2=(0.5, 1, 0.5),
-                      measure="distance")
+                      measure="entropy")
         with pytest.raises(ValueError):
             SweepSpec(fixed="normal:0,1", mu2=(0, 1, 1), sigma2=(0.5, 1, 0.5),
                       direction="both")
@@ -70,6 +74,46 @@ class TestScenarioValidation:
     def test_sweep_rejects_non_finite_bounds(self, mu2, sigma2):
         with pytest.raises(ValueError, match="must be finite"):
             SweepSpec(fixed="normal:0,1", mu2=mu2, sigma2=sigma2)
+
+
+class TestMeasureTable:
+    """Tables and sweeps evaluate measures through the names of cbf.experiments.
+
+    Wrappers set on those names (as a benchmark's timers do) must see every
+    evaluation, so the table may not hold the measure functions themselves.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("inc_strict", "inc_partial", "scalar_product", "distance"):
+            def counted(*args, _name=name, _measure=getattr(cbf.experiments, name)):
+                counts[_name] += 1
+                return _measure(*args)
+            monkeypatch.setattr(cbf.experiments, name, counted)
+        return counts
+
+    def test_names_and_order(self):
+        assert MEASURES == ("incstr", "incpar", "scalar", "distance")
+
+    def test_tables_count_each_pair_once(self, calls):
+        run_tables(Scenario(distributions=TABLE_DISTS[:3], measures=MEASURES, quadrature=LIGHT))
+        # ordered pairs for the inclusions, i <= j for the Gram matrix, and
+        # the distances read off it
+        assert calls == {"inc_strict": 9, "inc_partial": 9, "scalar_product": 6}
+
+    def test_distance_table_computes_the_gram_matrix_only(self, calls):
+        t = run_tables(Scenario(distributions=TABLE_DISTS[:3], measures=("distance",), quadrature=LIGHT))
+        assert calls == {"scalar_product": 6}
+        assert list(t.matrices) == ["distance"]
+
+    @pytest.mark.parametrize("measure,name", [("incstr", "inc_strict"), ("incpar", "inc_partial"),
+                                              ("scalar", "scalar_product"), ("distance", "distance")])
+    def test_sweep_calls_the_named_measure_once_per_cell(self, calls, measure, name):
+        spec = SweepSpec(fixed="normal:0,1", mu2=(0, 1, 0.5), sigma2=(0.5, 1, 0.5), measure=measure)
+        rows = run_sweep(Scenario(sweep=spec, quadrature=LIGHT))
+        assert len(rows) == 6
+        assert calls == {name: 6}
 
 
 class TestGridValues:
@@ -215,6 +259,19 @@ class TestRunSweep:
         assert v12 == pytest.approx(0.1423785, abs=1e-3)
         assert v21 == pytest.approx(0.8576215, abs=1e-3)
 
+    @pytest.mark.parametrize("measure", ["scalar", "distance"])
+    def test_symmetric_measures_agree_in_both_directions(self, measure):
+        spec = dict(fixed="normal:0,1", mu2=(0, 2, 1), sigma2=(0.5, 1.5, 0.5), measure=measure)
+        v12, v21 = (run_sweep(Scenario(sweep=SweepSpec(**spec, direction=d))) for d in DIRECTIONS)
+        assert [r[:2] for r in v12] == [r[:2] for r in v21]
+        np.testing.assert_allclose([r[2] for r in v12], [r[2] for r in v21], rtol=0, atol=1e-12)
+        # the (0, 1) cell pairs N(0,1) with itself: <f,f> = 2/pi, d = 0
+        self_value = {r[:2]: r[2] for r in v12}[(0.0, 1.0)]
+        if measure == "distance":
+            assert self_value == 0.0
+        else:
+            assert self_value == pytest.approx(2.0 / math.pi, abs=1e-10)
+
     def test_self_inclusion_peaks_on_unit_sigma_subgrid(self):
         # on the sigma2 >= 1 subgrid the reversed self-inclusion surface
         # peaks at the matching cell (mu2, sigma2) = (0, 1)
@@ -281,6 +338,21 @@ class TestCli:
         assert lines[0] == "mu2,sigma2,value"
         assert len(lines) == 1 + 3 * 2
 
+    def test_sweep_distance_surface(self, capsys):
+        rc = main(["sweep", "--fixed", "normal:0,1", "--mu2", "0:1:1",
+                   "--sigma2", "1:1:1", "--measure", "distance"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["mu2,sigma2,value", "0,1,0"]
+
+    def test_sweep_measure_choices_are_the_table(self):
+        for measure in MEASURES:
+            args = build_parser().parse_args(["sweep", "--fixed", "normal:0,1", "--mu2", "0:1:1",
+                                              "--sigma2", "1:1:1", "--measure", measure])
+            assert args.measure == measure
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--fixed", "normal:0,1", "--mu2", "0:1:1",
+                                       "--sigma2", "1:1:1", "--measure", "conflict"])
+
     def test_sweep_rejects_malformed_range(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--fixed", "normal:0,1", "--mu2", "0-1-0.5",
@@ -315,6 +387,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "jousselme = 1" in out
         assert "conflict = 1" in out
+
+    def test_discrete_conf_zero_mass_label(self, tmp_path, capsys):
+        # a label named only on a zero-mass line joins the frame harmlessly
+        f1 = tmp_path / "m1.bba"
+        f2 = tmp_path / "m2.bba"
+        f1.write_text("a:1.0\nz:0\n")
+        f2.write_text("a|b:1.0\n")
+        rc = main(["discrete", "conf", "--m1", str(f1), "--m2", str(f2)])
+        assert rc == 0
+        assert "d_inc_1in2 = 1" in capsys.readouterr().out
 
     def test_discrete_conf_missing_file(self, capsys):
         rc = main(["discrete", "conf", "--m1", "/nonexistent.bba",

@@ -226,6 +226,33 @@ class TestInclusionProperties:
             inc_partial(ga, gb, LIGHT).value, abs=1e-9)
 
 
+    @pytest.mark.parametrize("k", [1.0, 2.0, 8.0])
+    def test_strict_below_partial_at_any_truncation(self, k):
+        # both inclusions drop the mass of the including operand beyond its
+        # support bound, so truncation cannot lift strict above partial
+        rng = np.random.default_rng(int(10 * k))
+
+        def draw():
+            if rng.random() < 0.5:
+                return consonant_from_normal(rng.normal(0.0, 3.0), 10 ** rng.uniform(-1, 1), k)
+            return consonant_from_exponential(10 ** rng.uniform(-1, 1), k)
+
+        pairs = [(draw(), draw()) for _ in range(30)]
+        pairs += [(f, f) for f in (consonant_from_normal(0.0, 1.0, k), consonant_from_exponential(2.0, k))]
+        for fa, fb in pairs:
+            assert inc_strict(fa, fb, CFG).value <= inc_partial(fa, fb, CFG).value + 1e-12
+
+    def test_strict_drops_the_tail_beyond_the_support(self):
+        # exp:100 sits near the origin of exp:1, so it is nested in almost
+        # every focal of exp:1 that the truncation keeps
+        narrow, wide = consonant_from_exponential(100.0), consonant_from_exponential(1.0)
+        strict, partial = inc_strict(narrow, wide, CFG).value, inc_partial(narrow, wide, CFG).value
+        assert strict == pytest.approx(0.99369059, abs=1e-8)
+        assert partial == pytest.approx(0.99387680, abs=1e-8)
+        # N(8, 0.1) lies in focals of exp:1 that reach past its support bound
+        assert inc_strict(consonant_from_normal(8.0, 0.1), wide, CFG).value == 0.0
+
+
 class TestAverages:
     def test_average_matches_manual_mean(self):
         fs = [F1, F2, F3, F4]
