@@ -19,11 +19,12 @@ serves every pair measure.  The outer z1 axis is cut where those lines
 cross each other or the edges of the rectangle; the lines then cut each
 outer panel into cells, on which the endpoint order is fixed.  This cell
 map is built once per pair.  Cells where the focals are disjoint are
-dropped; cells where I1 sits in I2 give partial inclusion the degree 1, so
-their inner integral is a difference of closed-form tails; every other cell
-gets the same n x n Gauss-Legendre rule.  Strict inclusion goes further:
-nested focals make {z2 : I1(z1) subset I2(z2)} the segment [L(z1), Z2],
-so a 1D integral of tail masses over the same outer panels remains.
+dropped.  On the others the overlap is one linear piece in z2, so partial
+inclusion integrates z2 in closed form from the tails of the second operand
+and a 1D integral over the outer panels remains; ``scalar_product`` and
+``inc_partial_reversed`` take an n x n Gauss-Legendre rule on every such
+cell.  Strict inclusion is 1D as well: nested focals make
+{z2 : I1(z1) subset I2(z2)} the segment [L(z1), Z2].
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -42,13 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .consonant import ConsonantBBD, GenericBBD
-from .intervals import (
-    delta_inc_partial,
-    delta_inc_partial_rev,
-    delta_inc_strict,
-    jaccard_delta,
-    overlap,
-)
+from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta, overlap
 from .quadrature import QuadratureConfig, _refine, inverse_cdf_table, nodes_and_weights
 
 __all__ = [
@@ -121,12 +116,8 @@ def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
     return off
 
 
-# Unchecked degrees: the hull >= |I1| > 0 at interior nodes.  |I2| rounds to 0
-# once |off| dwarfs z2, so inc_partial_reversed keeps the checked degree.
-def _partial(a1, b1, a2, b2):
-    return overlap(a1, b1, a2, b2) / (b1 - a1)
-
-
+# Unchecked Jaccard degree: the hull >= |I1| > 0 at interior nodes.  |I2| rounds
+# to 0 once |off| dwarfs z2, so inc_partial_reversed keeps the checked degree.
 def _jaccard(a1, b1, a2, b2):
     return overlap(a1, b1, a2, b2) / (np.maximum(b1, b2) - np.minimum(a1, a2))
 
@@ -196,7 +187,7 @@ def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     centre, and an order of a1, b1, a2, b2 that the cell centre gives.
     Disjoint cells are dropped: every degree carries an overlap factor.
     Returns the outer breaks and, per cell, its panel, its lower and upper
-    (p, q) and whether I1 is nested in I2 on it.
+    (p, q) and the (alpha, beta, c1) of its overlap alpha*z1 + beta + c1*z2.
     """
     lines, outer = _kinks(f1, f2, off)
     z2_max, lo1, lo2 = f2.support_bound, f1.shape.lo_slope, f2.shape.lo_slope
@@ -210,40 +201,51 @@ def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
             z2 = 0.5 * (v + v_next)
             a1, a2 = lo1 * z1, lo2 * z2 + off
             if v < v_next and z1 > a2 and z2 + off > a1:
-                cells.append((i, *bounds[j], *bounds[j_next], a2 <= a1 and z1 <= z2 + off))
-    cells = np.array(cells, dtype=float).reshape(-1, 6)
-    return outer, cells[:, 0].astype(int), cells[:, 1:3], cells[:, 3:5], cells[:, 5] == 1.0
+                b1_in, a1_in = z1 <= z2 + off, a2 <= a1  # overlap = min(b1, b2) - max(a1, a2)
+                coef = b1_in - lo1 * a1_in, off * (a1_in - b1_in), (not b1_in) - lo2 * (not a1_in)
+                cells.append((i, *bounds[j], *bounds[j_next], *coef))
+    cells = np.array(cells, dtype=float).reshape(-1, 8)
+    return outer, cells[:, 0].astype(int), cells[:, 1:3], cells[:, 3:5], cells[:, 5:]
 
 
-def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: QuadratureConfig, nested=None):
-    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each cell.
+def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: QuadratureConfig):
+    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each met cell.
 
-    ``nested``, if given, is the constant degree where I1 sits in I2; those
-    cells take nested * (T2(lo) - T2(hi)) at each outer node instead.
+    ``delta`` None is partial inclusion, overlap / ((1 - lo1) z1), whose
+    inner integral on a cell is [(alpha*z1 + beta) dT0 + c1 s2 dT1] divided
+    by (1 - lo1) z1, with dT = T(lo / s2) - T(hi / s2) from f2's tails.
     """
     off = _offset(f1, f2)
-    outer, panel, lo, hi, inside = _cells(f1, f2, off)
-    inside &= nested is not None  # without a nested value, every cell is on the rule
-    # (p, q) columns of the lower bound and width of each crossing cell
-    p_c, (lo_p, lo_q), (d_p, d_q) = panel[~inside], lo[~inside].T[..., None], (hi - lo)[~inside].T[..., None]
-    p_n, ends = panel[inside], np.stack((lo[inside], hi[inside]))
+    outer, panel, lo, hi, coef = _cells(f1, f2, off)
+    starts, widths = outer[:-1], np.diff(outer)
     s2, lo1, lo2 = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
+    if delta is None:
+        # (p, q) of both bounds over s2; alpha, beta and c1 * s2 over (1 - lo1)
+        ends_p, ends_q = (np.stack((lo, hi)).transpose(2, 0, 1) / s2)[..., None]
+        alpha, beta, c1 = (coef * (1.0, 1.0, s2) / (1.0 - lo1)).T[..., None]
+
+        def integrate(b1, g1, x, w):
+            u = ends_p * b1 + ends_q
+            (t0_lo, t0_hi), (t1_lo, t1_hi), (h1_lo, h1_hi) = f2.shape.tails(u)
+            # below u = 1, dT1 times s2 / z1 would lose digits that the heads keep
+            d0, d1 = t0_lo - t0_hi, np.where(u[1] < 1.0, h1_hi - h1_lo, t1_lo - t1_hi)
+            return np.vdot(g1, alpha * d0 + (beta * d0 + c1 * d1) / b1)
+    else:
+        # (p, q) columns of the lower bound and width of each cell
+        (lo_p, lo_q), (d_p, d_q) = lo.T[..., None], (hi - lo).T[..., None]
+
+        def integrate(b1, g1, x, w):
+            span = d_p * b1 + d_q
+            z2 = (lo_p * b1 + lo_q)[..., None] + span[..., None] * x
+            b1 = b1[..., None]
+            degrees = delta(lo1 * b1, b1, lo2 * z2 + off, z2 + off)
+            # inner weights (span / s2) * w, with w contracted last
+            return np.vdot(g1 * span / s2, (degrees * f2.shape.density(z2 / s2)) @ w)
 
     def estimate(n):
-        z1, w1 = _panel_nodes(outer[:-1], np.diff(outer), n)
-        g1 = _weights(f1, z1, w1)
-        x, w = nodes_and_weights(n, 0.0, 1.0)
-        b1 = z1[p_c]
-        span = d_p * b1 + d_q
-        z2 = (lo_p * b1 + lo_q)[..., None] + span[..., None] * x
-        b1 = b1[..., None]
-        degrees = delta(lo1 * b1, b1, lo2 * z2 + off, z2 + off)
-        # inner weights (span / s2) * w, with w contracted last
-        total = np.vdot(g1[p_c] * span / s2, (degrees * f2.shape.density(z2 / s2)) @ w)
-        if p_n.size:
-            tails = f2.shape.tail((ends[..., :1] * z1[p_n] + ends[..., 1:]) / s2)
-            total += nested * np.vdot(g1[p_n], tails[0] - tails[1])
-        return float(total)
+        z1, w1 = _panel_nodes(starts, widths, n)
+        x, w = nodes_and_weights(n, 0.0, 1.0)  # for partial inclusion too: the bench counts 2 per pass
+        return float(integrate(z1[panel], _weights(f1, z1, w1)[panel], x, w))
 
     return _refine(estimate, cfg.points_per_axis, cfg)
 
@@ -303,7 +305,7 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Expected fraction of I1 covered by I2."""
     cfg = cfg or QuadratureConfig()
-    return _inclusion(f1, f2, "partial", _pair_expectation(f1, f2, _partial, cfg, nested=1.0))
+    return _inclusion(f1, f2, "partial", _pair_expectation(f1, f2, None, cfg))
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:

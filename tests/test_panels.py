@@ -167,23 +167,26 @@ def test_pair_rule_integrates_the_product_density(f1, f2):
                          ids=["reference", "stress", "random"])
 def test_cell_map_sorts_every_point_by_how_the_focals_meet(family):
     # random points of every outer panel lie in exactly one kept cell where
-    # the focals meet and in none where they are disjoint; a cell is marked
-    # nested exactly where I1 sits in I2
+    # the focals meet and in none where they are disjoint; on its kept cell
+    # the overlap of a point is the cell's alpha*z1 + beta + c1*z2 up to the
+    # rounding of terms of size |off| + z1 + z2
     rng = np.random.default_rng(5)
     for f1, f2 in itertools.product(family, repeat=2):
         off = f2.location - f1.location
-        outer, panel, lo, hi, nested = _cells(f1, f2, off)
+        outer, panel, lo, hi, coef = _cells(f1, f2, off)
         for i in range(len(outer) - 1):
             z1 = rng.uniform(outer[i], outer[i + 1], 256)
             z2 = rng.uniform(0.0, f2.support_bound, 256)
             mine = panel == i
             kept = (lo[mine, :1] * z1 + lo[mine, 1:] < z2) & (z2 < hi[mine, :1] * z1 + hi[mine, 1:])
             a1, a2 = f1.shape.lo_slope * z1, f2.shape.lo_slope * z2 + off
-            meet = overlap(a1, z1, a2, z2 + off) > 0.0
-            inside = (a2 <= a1) & (z1 <= z2 + off)
+            meet = overlap(a1, z1, a2, z2 + off)
             where = (f1.label, f2.label, i)
-            np.testing.assert_array_equal(kept.sum(axis=0), meet, err_msg=str(where))
-            np.testing.assert_array_equal(nested[mine] @ kept, inside & meet, err_msg=str(where))
+            np.testing.assert_array_equal(kept.sum(axis=0), meet > 0.0, err_msg=str(where))
+            alpha, beta, c1 = coef[mine].T[..., None]
+            gap = np.abs(alpha * z1 + beta + c1 * z2 - meet)[kept]
+            np.testing.assert_array_less(gap, 8e-16 * (abs(off) + z1 + z2)[kept.nonzero()[1]],
+                                         err_msg=str(where))
 
 
 def _workload_pairs():
@@ -262,11 +265,44 @@ def test_unchecked_kernels_match_the_public_checked_degrees():
     # the measures validate each pair once and then run unchecked kernels;
     # the checked degrees of cbf.intervals on the same panels agree
     for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
-        for delta, nested, lean in ((delta_inc_partial, 1.0, _partial(f1, f2)),
-                                    (delta_inc_partial_rev, None, inc_partial_reversed(f1, f2, CFG).value),
-                                    (jaccard_delta, None, _scalar(f1, f2))):
-            value, _, _ = _pair_expectation(f1, f2, delta, CFG, nested=nested)
+        for delta, lean in ((delta_inc_partial_rev, inc_partial_reversed(f1, f2, CFG).value),
+                            (jaccard_delta, _scalar(f1, f2))):
+            value, _, _ = _pair_expectation(f1, f2, delta, CFG)
             assert abs(value - lean) <= 1e-15, (f1.label, f2.label, delta.__name__)
+
+
+def _cross_check_family(k, seed=11):
+    # both families in both roles, scale ratios 1e-3 to 1e3, each normal
+    # placed up to 10 of its own scales from the origin
+    rng = np.random.default_rng(seed)
+
+    def make(normal, s):
+        return consonant_from_normal(rng.uniform(-10.0, 10.0) * s, s, k) if normal \
+            else consonant_from_exponential(1.0 / s, k)
+
+    pairs = []
+    for ratio in 10.0 ** np.arange(-3.0, 3.5, 1.5):
+        for normal1, normal2 in itertools.product((True, False), repeat=2):
+            s1 = 10.0 ** rng.uniform(-1.0, 1.0)
+            pairs.append((make(normal1, s1), make(normal2, s1 * ratio)))
+    return pairs
+
+
+@pytest.mark.parametrize("k", [8.0, 40.0])
+def test_closed_form_partial_matches_the_two_d_rule(k):
+    # inc_partial integrates z2 in closed form; the n x n rule with the
+    # checked degree at the same outer nodes is independent of that
+    fine = QuadratureConfig(points_per_axis=128, refine_max_doublings=1)
+    for f1, f2 in _cross_check_family(k):
+        rule, _, _ = _pair_expectation(f1, f2, delta_inc_partial, fine)
+        assert abs(inc_partial(f1, f2, fine).value - rule) <= 1e-12, (f1.label, f2.label)
+
+
+def test_closed_form_partial_matches_the_reversed_rule():
+    # at the default config the 2-D rule of the other operand order agrees
+    for f1, f2 in _cross_check_family(CFG.truncation_k):
+        gap = abs(inc_partial(f1, f2, CFG).value - inc_partial_reversed(f2, f1, CFG).value)
+        assert gap <= 1e-12, (f1.label, f2.label)
 
 
 @pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(refine_max_doublings=0)],
