@@ -10,15 +10,16 @@ Produces three CSV surfaces, one per figure-style sweep:
 The default grid is desk-scale (mu2 step 0.5, sigma2 step 0.25) so the whole
 run takes a few seconds; pass --full for the fine grid (0.1 / 0.05).
 
+Both inclusions are closed-form, so no quadrature setting applies.
+
 Usage:
-    python scripts/run_sweeps.py [--out-dir DIR] [--full] [--grid N]
+    python scripts/run_sweeps.py [--out-dir DIR] [--full]
 """
 
 import argparse
 import pathlib
 
 from cbf.experiments import Scenario, SweepSpec, run_sweep, sweep_csv
-from cbf.quadrature import QuadratureConfig
 
 SWEEPS = (
     ("strict_1in2.csv", "incstr", "1in2"),
@@ -32,8 +33,6 @@ def main() -> int:
     parser.add_argument("--out-dir", default="sweeps", help="directory for the CSV files")
     parser.add_argument("--full", action="store_true",
                         help="use the fine grid (mu2 step 0.1, sigma2 step 0.05)")
-    parser.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis,
-                        help="Gauss-Legendre nodes per panel (default %(default)s)")
     args = parser.parse_args()
 
     if args.full:
@@ -45,12 +44,10 @@ def main() -> int:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = QuadratureConfig(points_per_axis=args.grid)
-
     for filename, measure, direction in SWEEPS:
         spec = SweepSpec(fixed="normal:0,1", mu2=mu2, sigma2=sigma2,
                          measure=measure, direction=direction)
-        scenario = Scenario(sweep=spec, quadrature=cfg)
+        scenario = Scenario(sweep=spec)
         rows = run_sweep(scenario)
         path = out_dir / filename
         path.write_text(sweep_csv(rows), newline="\n")

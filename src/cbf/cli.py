@@ -52,11 +52,13 @@ def _parse_measures(text: str) -> tuple[str, ...]:
 def _add_quadrature_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("quadrature")
     group.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis, metavar="N",
-                       help="Gauss-Legendre nodes per panel (default %(default)s)")
+                       help="Gauss-Legendre nodes per panel of the scalar product and distance; "
+                            "the inclusions are closed-form (default %(default)s)")
     group.add_argument("--trunc-k", type=float, default=QuadratureConfig.truncation_k, metavar="K",
                        help="domain truncation in scale units (default %(default)s)")
     group.add_argument("--tol", type=float, default=QuadratureConfig.target_rel_tol, metavar="T",
-                       help="relative refinement tolerance (default %(default)s)")
+                       help="relative refinement tolerance of the scalar product and distance "
+                            "(default %(default)s)")
 
 
 def _config_from_args(args) -> QuadratureConfig:

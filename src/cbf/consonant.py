@@ -69,6 +69,8 @@ class Shape:
                T1 the tail of v g(v) (T1(0) is the mean of g) and its head,
                which keeps its digits near u = 0 where T1 cancels
     pignistic  g(u) / length(focal(u)) with the u -> 0 cancellation done
+    kernel     the factor of g beside a polynomial, "phi" (the normal density)
+               or "exp" (exp(-u)); the closed-form inclusions key on it
     """
 
     lo_slope: float
@@ -76,6 +78,7 @@ class Shape:
     tail: Callable[[np.ndarray], np.ndarray]
     tails: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     pignistic: Callable[[np.ndarray], np.ndarray]
+    kernel: str
 
 
 def _maxwell(u):
@@ -102,9 +105,9 @@ def _gamma2_tails(u):
 
 
 _MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + ndtr(-u)),
-                 _maxwell_tails, lambda u: u * _phi(u))
+                 _maxwell_tails, lambda u: u * _phi(u), "phi")
 _GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)), lambda u: (1.0 + np.minimum(u, 800.0)) * np.exp(-u),
-                _gamma2_tails, lambda u: np.exp(-np.maximum(u, 0.0)))
+                _gamma2_tails, lambda u: np.exp(-np.maximum(u, 0.0)), "exp")
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,23 @@ shapes stretched by each operand's scale, so scaling both operands by the
 same factor changes no measure beyond rounding.
 
 The degrees are piecewise smooth: their kinks lie on the straight lines
-where a focal endpoint of one operand crosses one of the other.  One rule
-serves every pair measure.  The outer z1 axis is cut where those lines
-cross each other or the edges of the rectangle; the lines then cut each
-outer panel into cells, on which the endpoint order is fixed.  This cell
-map is built once per pair.  Cells where the focals are disjoint are
-dropped.  On the others the overlap is one linear piece in z2, so partial
-inclusion integrates z2 in closed form from the tails of the second operand
-and a 1D integral over the outer panels remains; ``scalar_product`` and
-``inc_partial_reversed`` take an n x n Gauss-Legendre rule on every such
-cell.  Strict inclusion is 1D as well: nested focals make
-{z2 : I1(z1) subset I2(z2)} the segment [L(z1), Z2].
+where a focal endpoint of one operand crosses one of the other.  The outer
+z1 axis is cut where those lines cross each other or the edges of the
+rectangle; the lines then cut each outer panel into cells, on which the
+endpoint order is fixed.  This cell map is built once per pair.  Cells
+where the focals are disjoint are dropped.  On the others the overlap is
+one linear piece in z2, so both inclusions are closed-form on every cell:
+the inner z2 integral is a difference of the second operand's tails
+between the cell's sides, and the outer z1 integral of each side is a
+difference of antiderivatives at the panel ends (Gaussian and exponential
+moments, Owen's T for the one bivariate normal term).  On cells thin
+against the second operand the two sides' tails would cancel; there the
+z2 integral is taken on six Gauss-Legendre lines across the cell, each
+again closed-form along z1.  Strict inclusion
+is a single side per panel: nested focals make
+{z2 : I1(z1) subset I2(z2)} the segment [L(z1), Z2].  Only
+``scalar_product`` keeps a rule, n x n Gauss-Legendre nodes on every met
+cell, because the Jaccard degree is a ratio of linear pieces.
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -38,13 +44,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, starmap
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import erfcx, ndtr, owens_t
 
-from .consonant import ConsonantBBD, GenericBBD
+from .consonant import ConsonantBBD, GenericBBD, _phi
+# delta_inc_partial_rev is unused here but stays a name of this module: the
+# benchmark tracer (perfbench/tracer.py) wraps it by name
 from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta, overlap
-from .quadrature import QuadratureConfig, _refine, inverse_cdf_table, nodes_and_weights
+from .quadrature import QuadratureConfig, _refine, _unit_nodes, inverse_cdf_table, nodes_and_weights
 
 __all__ = [
     "QuadratureMeta",
@@ -88,7 +99,9 @@ class InclusionResult:
     value            degree in [0, 1]
     direction        (label of included operand, label of including operand)
     kind             "strict" or "partial"
-    quadrature_meta  final nodes per panel and refinement error
+    quadrature_meta  (0, nan): the closed forms use no nodes and form no
+                     error estimate; they agree with the n x n rule within
+                     1e-13 (see the README numerical notes)
     """
 
     value: float
@@ -100,11 +113,6 @@ class InclusionResult:
 def _unit(value: float) -> float:
     """Clamp an inclusion estimate into [0, 1] against rounding."""
     return min(1.0, max(0.0, value))
-
-
-def _inclusion(f1, f2, kind: str, refined) -> InclusionResult:
-    value, points, err = refined
-    return InclusionResult(_unit(value), (f1.label, f2.label), kind, QuadratureMeta(points, err))
 
 
 def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
@@ -127,7 +135,7 @@ def _weights(f: ConsonantBBD, z, w):
     return w / f.scale * f.shape.density(z / f.scale)
 
 
-def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
+def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool = True):
     """Kink lines and outer breaks of a pair degree on [0, Z1] x [0, Z2].
 
     An endpoint s1*z1 of I1 meets an endpoint s2*z2 + off of I2 on the line
@@ -137,12 +145,19 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     toward it: outer breaks at z1 = 8**j * Z2 below Z1, and lines
     z2 = 8**k * z1 while 8**k < 2 * Z2 / Z1 (j, k >= 1).  A break or line
     is skipped where the operand it grades has no mass below it in floats.
+    The grading serves a quadrature rule only; ``graded=False`` leaves it out.
 
     Returns the lines (p, q) for z2 = p*z1 + q that enter (0, Z2), as an
     (L, 2) array, and the sorted z1 breaks: 0, Z1, the vertical crossings,
     the grading breaks and every z1 where two lines cross each other, 0 or
     Z2.
     """
+    lines, outer = _kink_lists(f1, f2, off, graded)
+    return np.array(lines, dtype=float).reshape(-1, 2), np.array(outer)
+
+
+def _kink_lists(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
+    """``_kinks`` as lists: (p, q) tuples and the sorted breaks."""
     z1_max, z2_max = f1.support_bound, f2.support_bound
     lines, breaks = set(), {0.0, z1_max}
     for s1 in (f1.shape.lo_slope, 1.0):
@@ -154,12 +169,12 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
                     lines.add((p, q))
             elif s1:
                 breaks.add(off / s1)
-    grade = _GRADING * z2_max
+    grade = _GRADING * z2_max if graded else math.inf
     while grade < z1_max:
         if f1.tail_mass(grade) < 1.0:
             breaks.add(grade)
         grade *= _GRADING
-    grade = _GRADING
+    grade = _GRADING if graded else math.inf
     while grade * z1_max < 2.0 * z2_max:
         if f2.tail_mass(grade * z1_max) < 1.0:
             lines.add((grade, 0.0))
@@ -169,8 +184,7 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
         if p:
             breaks.update((-q / p, (z2_max - q) / p))
         breaks.update((q2 - q) / (p - p2) for p2, q2 in lines[:i] if p2 != p)
-    outer = np.array(sorted(b for b in breaks if 0.0 <= b <= z1_max))
-    return np.array(lines, dtype=float).reshape(-1, 2), outer
+    return lines, sorted(b for b in breaks if 0.0 <= b <= z1_max)
 
 
 def _panel_nodes(lo, width, n: int):
@@ -179,7 +193,7 @@ def _panel_nodes(lo, width, n: int):
     return lo[:, None] + width[:, None] * x, width[:, None] * w
 
 
-def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
+def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool = True):
     """The cells of the outer panels of ``_kinks`` where the focals meet.
 
     No kink line crosses another, 0 or Z2 inside an outer panel, so its
@@ -189,14 +203,21 @@ def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     Returns the outer breaks and, per cell, its panel, its lower and upper
     (p, q) and the (alpha, beta, c1) of its overlap alpha*z1 + beta + c1*z2.
     """
-    lines, outer = _kinks(f1, f2, off)
+    outer, rows = _cell_rows(f1, f2, off, graded)
+    cells = np.array(rows, dtype=float).reshape(-1, 8)
+    return np.array(outer), cells[:, 0].astype(int), cells[:, 1:3], cells[:, 3:5], cells[:, 5:]
+
+
+def _cell_rows(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
+    """``_cells`` as lists: the outer breaks and one tuple of floats per cell."""
+    lines, breaks = _kink_lists(f1, f2, off, graded)
     z2_max, lo1, lo2 = f2.support_bound, f1.shape.lo_slope, f2.shape.lo_slope
     # Z2 first and 0 last: ties sort by position, so a cell at 0 or Z2 is
     # bounded by them and not by a line clipped there
-    bounds = [(0.0, z2_max), *map(tuple, lines.tolist()), (0.0, 0.0)]
+    bounds = [(0.0, z2_max), *lines, (0.0, 0.0)]
     cells = []
-    for i, z1 in enumerate((0.5 * (outer[:-1] + outer[1:])).tolist()):
-        at = sorted((min(max(p * z1 + q, 0.0), z2_max), j) for j, (p, q) in enumerate(bounds))
+    for i, z1 in enumerate(0.5 * (z0 + z1) for z0, z1 in zip(breaks, breaks[1:])):
+        at = sorted([(min(max(p * z1 + q, 0.0), z2_max), j) for j, (p, q) in enumerate(bounds)])
         for (v, j), (v_next, j_next) in zip(at, at[1:]):
             z2 = 0.5 * (v + v_next)
             a1, a2 = lo1 * z1, lo2 * z2 + off
@@ -204,48 +225,28 @@ def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
                 b1_in, a1_in = z1 <= z2 + off, a2 <= a1  # overlap = min(b1, b2) - max(a1, a2)
                 coef = b1_in - lo1 * a1_in, off * (a1_in - b1_in), (not b1_in) - lo2 * (not a1_in)
                 cells.append((i, *bounds[j], *bounds[j_next], *coef))
-    cells = np.array(cells, dtype=float).reshape(-1, 8)
-    return outer, cells[:, 0].astype(int), cells[:, 1:3], cells[:, 3:5], cells[:, 5:]
+    return breaks, cells
 
 
 def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: QuadratureConfig):
-    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each met cell.
-
-    ``delta`` None is partial inclusion, overlap / ((1 - lo1) z1), whose
-    inner integral on a cell is [(alpha*z1 + beta) dT0 + c1 s2 dT1] divided
-    by (1 - lo1) z1, with dT = T(lo / s2) - T(hi / s2) from f2's tails.
-    """
+    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each met cell."""
     off = _offset(f1, f2)
-    outer, panel, lo, hi, coef = _cells(f1, f2, off)
-    starts, widths = outer[:-1], np.diff(outer)
+    outer, panel, lo, hi, _ = _cells(f1, f2, off)
     s2, lo1, lo2 = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
-    if delta is None:
-        # (p, q) of both bounds over s2; alpha, beta and c1 * s2 over (1 - lo1)
-        ends_p, ends_q = (np.stack((lo, hi)).transpose(2, 0, 1) / s2)[..., None]
-        alpha, beta, c1 = (coef * (1.0, 1.0, s2) / (1.0 - lo1)).T[..., None]
-
-        def integrate(b1, g1, x, w):
-            u = ends_p * b1 + ends_q
-            (t0_lo, t0_hi), (t1_lo, t1_hi), (h1_lo, h1_hi) = f2.shape.tails(u)
-            # below u = 1, dT1 times s2 / z1 would lose digits that the heads keep
-            d0, d1 = t0_lo - t0_hi, np.where(u[1] < 1.0, h1_hi - h1_lo, t1_lo - t1_hi)
-            return np.vdot(g1, alpha * d0 + (beta * d0 + c1 * d1) / b1)
-    else:
-        # (p, q) columns of the lower bound and width of each cell
-        (lo_p, lo_q), (d_p, d_q) = lo.T[..., None], (hi - lo).T[..., None]
-
-        def integrate(b1, g1, x, w):
-            span = d_p * b1 + d_q
-            z2 = (lo_p * b1 + lo_q)[..., None] + span[..., None] * x
-            b1 = b1[..., None]
-            degrees = delta(lo1 * b1, b1, lo2 * z2 + off, z2 + off)
-            # inner weights (span / s2) * w, with w contracted last
-            return np.vdot(g1 * span / s2, (degrees * f2.shape.density(z2 / s2)) @ w)
+    # (p, q) columns of the lower bound and width of each cell
+    (lo_p, lo_q), (d_p, d_q) = lo.T[..., None], (hi - lo).T[..., None]
+    starts, widths = outer[:-1], np.diff(outer)
 
     def estimate(n):
         z1, w1 = _panel_nodes(starts, widths, n)
-        x, w = nodes_and_weights(n, 0.0, 1.0)  # for partial inclusion too: the bench counts 2 per pass
-        return float(integrate(z1[panel], _weights(f1, z1, w1)[panel], x, w))
+        x, w = nodes_and_weights(n, 0.0, 1.0)
+        b1, g1 = z1[panel], _weights(f1, z1, w1)[panel]
+        span = d_p * b1 + d_q
+        z2 = (lo_p * b1 + lo_q)[..., None] + span[..., None] * x
+        b1 = b1[..., None]
+        degrees = delta(lo1 * b1, b1, lo2 * z2 + off, z2 + off)
+        # inner weights (span / s2) * w, with w contracted last
+        return float(np.vdot(g1 * span / s2, (degrees * f2.shape.density(z2 / s2)) @ w))
 
     return _refine(estimate, cfg.points_per_axis, cfg)
 
@@ -272,50 +273,257 @@ def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = 
     return float(gram_distance(*products))
 
 
-def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Degree to which f1 is strictly included in f2.
+# ---------------------------------------------------------------------------
+# Closed-form inclusions.  In the unit variables t = z1 / s1 and u = z2 / s2 a
+# cell side z2 = p z1 + q is the line u = a t + b (a = p s1 / s2, b = q / s2),
+# and m1(z1) dz1 / z1 is k1(t) dt / s1 with k1 = g1(t) / t: 2 t phi(t) for the
+# normal family, exp(-t) for the exponential one.  Every term is then an
+# integral along a line of a polynomial in (t, u) times the kernels of the two
+# shapes (phi or exp) or, from the normal tails, times Q(u) = 1 - Phi(u).
 
-    Computed as integral m1(z1) [T2(L(z1)) - T2(Z2)]+ dz1 with T2 the
-    closed-form tail mass of f2, Z2 its support bound (the mass beyond it is
-    dropped, as in every pair measure) and L(z1) the smallest z2 whose focal
-    contains I1(z1).  L is the larger of at most two kink lines, so the z1
-    panels of ``_kinks`` keep the integrand smooth on each panel.
+# Cells whose partial-inclusion multiplier c1 s2 / ((1 - lo1) s1) exceeds this
+# are thin against f2: the two sides' tails nearly cancel there.
+_THIN = 16.0
+# A side steeper than this spans at most k / _STEEP of f1's unit axis, so its
+# cell holds no mass in floats and is dropped.
+_STEEP = 1e20
+# Gauss-Legendre nodes across a thin cell: g2 is smooth over its u-width of
+# at most 2 t / _THIN, where 6 nodes are exact to rounding.
+_THIN_NODES = 6
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _moments(c, sigma, n):
+    """mu_l = integral over y > 0 of y^l exp(-c y - sigma y^2 / 2) for l <= n and c >= 0.
+
+    Forward from the Mills ratio while c <= 6 sqrt(sigma); beyond, that
+    recurrence cancels and the continued fraction mu_0 = 1 / (c + G_1),
+    G_k = k sigma / (c + G_{k+1}) converges instead: in 40 levels at
+    c = 6 sqrt(sigma), in fewer the larger c / sqrt(sigma) is.
     """
-    cfg = cfg or QuadratureConfig()
+    root = np.sqrt(sigma)
+    fwd = c <= 6.0 * root
+    if fwd.any():
+        mu, prev = [_SQRT_HALF_PI * erfcx(c / (root * math.sqrt(2.0))) / root], 1.0
+        for l in range(n):
+            mu.append((prev - c * mu[l]) / sigma)
+            prev = (l + 1) * mu[l]
+        if fwd.all():
+            return mu
+    x = np.min(c / root, where=~fwd, initial=np.inf)
+    g, tail = 0.0, [0.0] * (n + 2)
+    for k in range(min(40, 12 + int(2000.0 / x**2)), 0, -1):
+        g = k * sigma / (c + g)
+        if k <= n + 1:
+            tail[k] = g
+    frac = [1.0 / (c + tail[1])]
+    for l in range(1, n + 1):
+        frac.append(frac[-1] * l / (c + tail[l + 1]))
+    return [np.where(fwd, f, g) for f, g in zip(mu, frac)] if fwd.any() else frac
+
+
+# Kernel pairs: (k1(t) k2(u), c, sigma) along u = a t + b, where
+# c = -(log k1 k2)' and sigma = c' is constant.
+_DECAY = {
+    ("phi", "phi"): lambda t, u, a: (_phi(t) * _phi(u), t + a * u, 1.0 + a * a),
+    ("phi", "exp"): lambda t, u, a: (_phi(t) * np.exp(-u), t + a, 1.0),
+    ("exp", "phi"): lambda t, u, a: (np.exp(-t) * _phi(u), 1.0 + a * u, a * a),
+    ("exp", "exp"): lambda t, u, a: (np.exp(-t - u), 1.0 + a + 0.0 * t, 0.0),
+}
+
+
+def _along(pair, poly, t0, t1, a, b, tref):
+    """Integral over [t0, t1] of k1(t) k2(u) sum poly[i, j] (t - tref)^i u^j, u = a t + b.
+
+    The factor 2 t of k1 = 2 t phi(t) joins the polynomial.  The kernel
+    product k left is log-concave along the line, so the interval is split
+    at its mode t - c / sigma and each part is a difference of tails taken
+    in the direction d away from the mode, where nothing cancels:
+    k integral over y > 0 of P(t + d y, u + d a y) exp(-d c y - sigma y^2 / 2).
+    """
+    if pair[0] == "phi":  # 2 t = 2 (t - tref) + 2 tref
+        grown = {}
+        for (i, j), coef in poly.items():
+            grown[i + 1, j] = grown.get((i + 1, j), 0.0) + 2.0 * coef
+            grown[i, j] = grown.get((i, j), 0.0) + 2.0 * tref * coef
+        poly = grown
+    _, c, sigma = _DECAY[pair](t0, a * t0 + b, a)
+    mode = np.clip(t0 - c / sigma, t0, t1)
+    t = np.stack(np.broadcast_arrays(t0, mode, mode, t1))
+    d = np.array([-1.0, -1.0, 1.0, 1.0]).reshape((4,) + (1,) * mode.ndim)
+    u = a * t + b
+    kern, c, sigma = _DECAY[pair](t, u, a)
+    # a kernel without a mode only has zero-length parts there: any c will do
+    c = np.where((d * c > 0.0) | (sigma != 0.0), np.maximum(d * c, 0.0), 1.0)
+    n = max(i + j for i, j in poly)
+    mu = _moments(c, sigma, n)
+    tp, up, dt, du = [1.0], [1.0], [1.0], [1.0]
+    for _ in range(n):
+        tp.append(tp[-1] * (t - tref))
+        up.append(up[-1] * u)
+        dt.append(dt[-1] * d)
+        du.append(du[-1] * d * a)
+    total = 0.0
+    for (i, j), coef in poly.items():
+        for l1 in range(i + 1):
+            for l2 in range(j + 1):
+                total = total + comb(i, l1) * comb(j, l2) * coef * tp[i - l1] * up[j - l2] * dt[l1] * du[l2] * mu[l1 + l2]
+    return np.sum(np.array([-1.0, 1.0, 1.0, -1.0]).reshape(d.shape) * kern * total, axis=0)
+
+
+def _columns(rows, width: int):
+    """The columns of a sequence of equal-length float tuples, as rows of one array."""
+    return np.fromiter(chain.from_iterable(rows), float).reshape(-1, width).T
+
+
+def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, sign):
+    """Constants of one side of ``_sides`` for two normal operands, in floats.
+
+    Beyond the Q(u) terms the integrand is (e3 t^3 + e2 t^2 + e1 t + e0)
+    phi(t) phi(u) = phi(b / c) phi(s) times that cubic, with c = hypot(1, a)
+    and s = c (t - m), m = -a b / c^2.  Re-centred at m it integrates to
+    -[Q(s) A + phi(s) (B0 + B1 s + B2 s^2)], A and B carrying phi(b / c) / c.
+    The weights carry the side's sign.
+    """
+    e0, e1, e2, e3 = a * lin0, beta * b + 2.0 * gamma - a * lin1, kappa * b + beta * a, kappa * a
+    ic2 = 1.0 / (1.0 + a * a)
+    ic = math.sqrt(ic2)
+    m, bc = -a * b * ic2, b * ic
+    e23 = e2 + 3.0 * m * e3
+    pre = 4.0 * sign * ic * math.exp(-0.5 * bc * bc) / _SQRT_2PI
+    per, lin1, lin0 = pre * ic / _SQRT_2PI, sign * lin1, sign * lin0
+    return (a, b, 1.0 / ic, m, bc, pre * (m * (e1 + m * (e2 + m * e3)) + ic2 * e23 - e0),
+            per * (e1 + m * (e2 + e23) + 2.0 * ic2 * e3), per * ic * e23, per * ic2 * e3,
+            4.0 * lin1, 4.0 / _SQRT_2PI * lin1, 4.0 / _SQRT_2PI * lin0)
+
+
+def _sides(pair, t, sides) -> float:
+    """Signed sum over sides of the integrals of k1(t) [(kappa t + beta) T0(u) + gamma S(u)].
+
+    ``sides`` holds (a, b, kappa, beta, gamma, lin1, lin0, sign) per side
+    u = a t + b and the two rows of ``t`` its panel's ends.  T0 is the tail of
+    f2's shape and S(u) the integral over x > u of (x - u) g2(x):
+    (1 + u) e^-u and (2 + u) e^-u for Gamma(2), 2 u phi(u) + 2 Q(u) and
+    4 phi(u) - 2 u Q(u) for Maxwell.  Their Q(u) terms,
+    2 (lin1 t + lin0) Q(u), are integrated by parts; with k1 = 2 t phi that
+    leaves the bivariate normal probability
+    integral phi(t) Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) + Phi(t) / 2
+    with Owen's T, whose limit t -> 0 is taken at t = 1e-300 by the callers.
+    """
+    if pair == ("phi", "phi"):
+        consts = _columns(starmap(_normal_side, sides), 12)
+        # both ends of every side in one flat row: equal shapes spare numpy its broadcasting
+        a, b, c, m, bc, big_a, b0, b1, b2, w4, q1, q0 = np.concatenate((consts, consts), axis=1)
+        t, n = t.ravel(), len(sides)
+        u, ns = np.maximum(a * t + b, 0.0), (m - t) * c  # ns = -s
+        qu = ndtr(-u)
+        # T(t, u / t) + Phi(t) / 2 = 1/2 + Q(u) (1/2 - Q(t)) - T(u, t / u) keeps far tails small
+        w = owens_t(bc, (t + a * u) / b) - owens_t(u, t / u) + qu * (0.5 - ndtr(-t))
+        f = (w4 * w - np.exp(-0.5 * t * t) * qu * (q1 * t + q0) - ndtr(ns) * big_a
+             - np.exp(-0.5 * ns * ns) * (b0 - ns * (b1 - ns * b2)))
+        return float(f[n:].sum() - f[:n].sum())
+    a, b, kappa, beta, gamma, lin1, lin0, sign = _columns(sides, 8)
+    if pair[1] == "exp":
+        poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
+    else:
+        poly = {(1, 1): 2.0 * kappa, (0, 1): 2.0 * beta, (0, 0): 4.0 * gamma}
+    value = 0.0
+    if pair[1] == "phi":  # k1 = exp(-t)
+        f = -2.0 * np.exp(-t) * ndtr(-(a * t + b)) * (lin1 * (t + 1.0) + lin0)
+        poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
+        value = f[1] - f[0]
+    return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b, 0.0))))
+
+
+def _inclusion(f1, f2, kind: str, value: float) -> InclusionResult:
+    if not math.isfinite(value):
+        raise ValueError(f"closed-form {kind} inclusion of {f1.label} in {f2.label} is {value}")
+    return InclusionResult(_unit(value), (f1.label, f2.label), kind, QuadratureMeta(0, math.nan))
+
+
+def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
+    """Degree to which f1 is strictly included in f2, in closed form.
+
+    The integral of m1(z1) [T2(L(z1)) - T2(Z2)] dz1 with T2 the tail mass of
+    f2, Z2 its support bound (the mass beyond it is dropped, as in every
+    pair measure) and L(z1) the smallest z2 whose focal contains I1(z1).
+    On each z1 panel of ``_kinks`` L is one kink line or 0, so the panel
+    adds the difference of two ``_sides``.  ``cfg`` is accepted for a
+    uniform signature; no rule is involved.
+    """
     off = _offset(f1, f2)
-    _, outer = _kinks(f1, f2, off)
-    lo1, lo2 = f1.shape.lo_slope, f2.shape.lo_slope
-    beyond = f2.shape.tail(f2.support_bound / f2.scale)
-
-    def estimate(n):
-        z1, w1 = _panel_nodes(outer[:-1], np.diff(outer), n)
-        a1 = lo1 * z1
-        weight = _weights(f1, z1, w1)
-        # I1 sits in I2(z2) iff lo2*z2 + off <= a1 and z1 <= z2 + off.
-        needed = z1 - off
-        if lo2 < 0.0:
-            needed = np.maximum(needed, (a1 - off) / lo2)
-        else:
-            weight = np.where(off <= a1, weight, 0.0)
-        return float(np.sum(weight * np.maximum(f2.tail_mass(needed) - beyond, 0.0)))
-
-    return _inclusion(f1, f2, "strict", _refine(estimate, cfg.points_per_axis, cfg))
+    _, breaks = _kink_lists(f1, f2, off, graded=False)
+    s1, s2, lo1, lo2, z2_max = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope, f2.support_bound
+    # I1 sits in I2(z2) iff lo2*z2 + off <= lo1*z1 and z1 <= z2 + off, so z2 >= L = p z1 + q
+    sides, ends, beyond = [], [], (0.0, z2_max / s2, 1.0, 0.0, 0.0, 1.0, 0.0, -1.0)
+    for z0, z1 in zip(breaks, breaks[1:]):
+        mid = 0.5 * (z0 + z1)
+        p, q = 1.0, -off
+        if lo2 and lo1 / lo2 * mid - off / lo2 > mid - off:
+            p, q = lo1 / lo2, -off / lo2
+        low = p * mid + q
+        if low <= 0.0:
+            p = q = 0.0
+        if low < z2_max and (lo2 or off <= lo1 * mid) and z0 / s1 < z1 / s1 and abs(p * s1 / s2) <= _STEEP:
+            sides += [(p * s1 / s2, q / s2, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0), beyond]
+            ends += [(max(z0 / s1, 1e-300), z1 / s1)] * 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _inclusion(f1, f2, "strict", _sides((f1.shape.kernel, f2.shape.kernel), _columns(ends, 2), sides))
 
 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Expected fraction of I1 covered by I2."""
-    cfg = cfg or QuadratureConfig()
-    return _inclusion(f1, f2, "partial", _pair_expectation(f1, f2, None, cfg))
+    """Expected fraction of I1 covered by I2, in closed form.
+
+    On a met cell of ``_cells`` the overlap is lambda = alpha z1 + beta + c1 z2,
+    so the inner integral of m2 lambda / |I1| is a difference between its
+    sides z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, and each side adds
+    one ``_sides``.  On thin cells the two sides cancel; there g2 is smooth
+    across the cell and 6 Gauss-Legendre lines between the sides carry it.
+    ``cfg`` is accepted for a uniform signature; no outer rule is involved.
+    """
+    off = _offset(f1, f2)
+    z, rows = _cell_rows(f1, f2, off, graded=False)
+    s1, s2, n1, pair = f1.scale, f2.scale, 1.0 - f1.shape.lo_slope, (f1.shape.kernel, f2.shape.kernel)
+    sides, ends, thin, shared = [], [], [], None
+    for i, pl, ql, ph, qh, alpha, beta, c1 in rows:
+        t0, t1, gamma, al, ah = z[i] / s1, z[i + 1] / s1, c1 * s2 / s1 / n1, pl * s1 / s2, ph * s1 / s2
+        if not (t0 < t1 and abs(al) <= _STEEP and abs(ah) <= _STEEP):
+            continue
+        # per side: a, b and lambda / (s1 n1) = kappa t + lam0
+        kl, ll, lin1, lin0 = (alpha + c1 * pl) / n1, (beta + c1 * ql) / s1 / n1, alpha / n1, beta / s1 / n1
+        if abs(gamma) <= _THIN:
+            if shared == (i, pl, ql):  # the last side is this line as the upper side of the cell below
+                _, _, k, l, g, m1, m0, _ = sides[-1]
+                sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, lin1 - m1, lin0 - m0, 1.0)
+            else:
+                sides.append((al, ql / s2, kl, ll, gamma, lin1, lin0, 1.0))
+                ends.append((max(t0, 1e-300), t1))
+            sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, lin1, lin0, -1.0))
+            ends.append(ends[-1])
+            shared = (i, ph, qh)
+        else:  # cell width(t) = d0 + da (t - t0) in units of s2; gamma width = g0 + gda (t - t0)
+            width = (ph - pl) * z[i] + qh - ql
+            thin.append((t0, t1, al, ql / s2, ah - al, (qh - ql) / s2, kl, kl * t0 + ll, width / s2,
+                         c1 * width / s1 / n1, c1 * (ph - pl) / n1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = _sides(pair, _columns(ends, 2), sides)
+        if thin:  # the 6 lines between the sides of each thin cell, stacked in rows
+            t0, t1, a, b, da, db, kl, e0, d0, g0, gda = _columns(thin, 11)
+            theta, w = (x[:, None] for x in _unit_nodes(_THIN_NODES))
+            # k1(t) w width(t) (lambda_lower / (s1 n1) + theta gamma width(t)) g2(u_theta)
+            lam, lam_t = e0 + theta * g0, kl + theta * gda
+            poly = {(0, 1): w * d0 * lam, (1, 1): w * (da * lam + d0 * lam_t), (2, 1): w * da * lam_t}
+            if pair[1] == "phi":  # g2 = 2 u^2 phi(u)
+                poly = {(i, 2): 2.0 * coef for (i, _), coef in poly.items()}
+            value += float(np.sum(_along(pair, poly, t0, t1, a + theta * da, b + theta * db, t0)))
+    return _inclusion(f1, f2, "partial", value)
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Expected fraction of I2 covered by I1 (overlap normalised by I2).
-
-    Equals ``inc_partial(f2, f1)`` up to quadrature error; both orderings
-    are kept because the degree arguments keep their operand roles.
-    """
-    cfg = cfg or QuadratureConfig()
-    return _inclusion(f2, f1, "partial", _pair_expectation(f1, f2, delta_inc_partial_rev, cfg))
+    """Expected fraction of I2 covered by I1: ``inc_partial(f2, f1)``, direction (f2, f1)."""
+    _offset(f1, f2)  # errors name the operands in the caller's order
+    return inc_partial(f2, f1, cfg)
 
 
 def _inc_avg(inclusion, i: int, fs, cfg) -> float:

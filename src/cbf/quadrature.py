@@ -42,7 +42,11 @@ def check_truncation_k(k: float):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution and truncation policy shared by the consonant measures.
+    """Resolution and truncation policy of the consonant measures.
+
+    ``truncation_k`` reaches every measure through the operands; the other
+    three fields govern only the n x n rule of ``scalar_product`` and
+    ``distance``, because both inclusions are closed-form.
 
     points_per_axis     Gauss-Legendre nodes per panel (>= 16)
     truncation_k        half-width of integration domains in scale units,

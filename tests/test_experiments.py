@@ -456,3 +456,16 @@ def test_reproduce_tables_script_matches_cli(tmp_path, monkeypatch, capsys):
                "--format", "csv", "--out", str(from_cli)])
     assert rc == 0
     assert from_script.read_bytes() == from_cli.read_bytes()
+
+
+def test_desk_sweeps_reproduce_the_committed_surfaces(tmp_path, monkeypatch, capsys):
+    # tests/data/desk_*.csv pin the three desk surfaces of scripts/run_sweeps.py
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "run_sweeps.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    assert stop.value.code == 0
+    for name in ("strict_1in2", "partial_1in2", "partial_2in1"):
+        expected = (root / "tests" / "data" / f"desk_{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name

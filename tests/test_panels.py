@@ -1,8 +1,10 @@
-"""The kink-aware panel rule behind every consonant pair measure.
+"""The cell map behind every consonant pair measure: the panel rule of the
+scalar product and the closed-form inclusions.
 
 Anchors are closed forms; the other references are independent of the
-panel splitter (scipy's adaptive quadrature with hand-placed breakpoints,
-or the same measure integrated in the other order).
+closed forms and of the panel splitter (the n x n rule with the checked
+degrees, scipy's adaptive quadrature with hand-placed breakpoints, or the
+same measure integrated in the other order).
 """
 
 import importlib.util
@@ -17,7 +19,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 import cbf.measures
 from cbf.cli import build_parser
 from cbf.consonant import ConsonantBBD, consonant_from_exponential, consonant_from_normal, parse_distribution
-from cbf.intervals import delta_inc_partial, delta_inc_partial_rev, jaccard_delta, overlap
+from cbf.intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta, overlap
 from cbf.measures import (
     _cells,
     _kinks,
@@ -128,7 +130,8 @@ def test_scale_separated_pairs_agree_in_both_integration_orders(a, b):
     # the other operand on the outer axis, so agreement checks the grading
     fa, fb = STRESS_FAMILY[a], STRESS_FAMILY[b]
     assert abs(_scalar(fa, fb) - _scalar(fb, fa)) < 1e-12
-    assert abs(_partial(fa, fb) - inc_partial_reversed(fb, fa, CFG).value) < 1e-12
+    reversed_rule, _, _ = _pair_expectation(fb, fa, delta_inc_partial_rev, CFG)
+    assert abs(_partial(fa, fb) - reversed_rule) < 1e-12
 
 
 @pytest.mark.parametrize("f1,f2", [
@@ -237,10 +240,11 @@ def test_kinks_of_normal_in_exponential_are_vertical():
 
 
 def test_refinement_stops_after_one_doubling_on_smooth_panels():
-    # est_error is the change over that doubling, a bound on the coarser rule
-    r = inc_partial(N01, N01, CFG)
-    assert r.quadrature_meta.points_per_axis == 2 * CFG.points_per_axis
-    assert r.quadrature_meta.est_error <= CFG.target_rel_tol * r.value
+    # the scalar-product rule: est_error is the change over that doubling,
+    # a bound on the coarser rule
+    value, points, est_error = _pair_expectation(N01, N01, jaccard_delta, CFG)
+    assert points == 2 * CFG.points_per_axis
+    assert est_error <= CFG.target_rel_tol * value
 
 
 def test_inverse_cdf_table_matches_scipy_cumulative_trapezoid():
@@ -265,10 +269,11 @@ def test_unchecked_kernels_match_the_public_checked_degrees():
     # the measures validate each pair once and then run unchecked kernels;
     # the checked degrees of cbf.intervals on the same panels agree
     for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
-        for delta, lean in ((delta_inc_partial_rev, inc_partial_reversed(f1, f2, CFG).value),
-                            (jaccard_delta, _scalar(f1, f2))):
+        # the reversed partial degree is inc_partial of the swapped pair, in closed form
+        for delta, lean, tol in ((delta_inc_partial_rev, inc_partial(f2, f1, CFG).value, 1e-13),
+                                 (jaccard_delta, _scalar(f1, f2), 1e-15)):
             value, _, _ = _pair_expectation(f1, f2, delta, CFG)
-            assert abs(value - lean) <= 1e-15, (f1.label, f2.label, delta.__name__)
+            assert abs(value - lean) <= tol, (f1.label, f2.label, delta.__name__)
 
 
 def _cross_check_family(k, seed=11):
@@ -288,29 +293,96 @@ def _cross_check_family(k, seed=11):
     return pairs
 
 
+FINE = QuadratureConfig(points_per_axis=128, refine_max_doublings=1)
+
+
+def _rule_gap(k):
+    # the n x n rule itself moves by up to 3e-13 between 512 and 1024 nodes
+    # per panel at k = 40 (N(1.16,0.147) in N(-205,147)), where 30-digit
+    # quadrature puts the closed forms within 1e-16
+    return 1e-13 if k == 8.0 else 1e-12
+
+
 @pytest.mark.parametrize("k", [8.0, 40.0])
 def test_closed_form_partial_matches_the_two_d_rule(k):
-    # inc_partial integrates z2 in closed form; the n x n rule with the
-    # checked degree at the same outer nodes is independent of that
-    fine = QuadratureConfig(points_per_axis=128, refine_max_doublings=1)
+    # inc_partial is closed-form; the n x n rule with the checked degree is
+    # independent of it
     for f1, f2 in _cross_check_family(k):
-        rule, _, _ = _pair_expectation(f1, f2, delta_inc_partial, fine)
-        assert abs(inc_partial(f1, f2, fine).value - rule) <= 1e-12, (f1.label, f2.label)
+        rule, _, _ = _pair_expectation(f1, f2, delta_inc_partial, FINE)
+        assert abs(inc_partial(f1, f2).value - rule) <= _rule_gap(k), (f1.label, f2.label)
+
+
+@pytest.mark.parametrize("k", [8.0, 40.0])
+def test_closed_form_strict_matches_the_two_d_rule(k):
+    # the checked strict indicator is constant on each cell of the rule
+    for f1, f2 in _cross_check_family(k):
+        rule, _, _ = _pair_expectation(f1, f2, delta_inc_strict, FINE)
+        assert abs(inc_strict(f1, f2).value - rule) <= _rule_gap(k), (f1.label, f2.label)
+
+
+def _far_scale_family(seed=13):
+    # both families in both roles at scale ratios 1e4 to 1e8 either way
+    rng = np.random.default_rng(seed)
+
+    def make(normal, s):
+        return consonant_from_normal(rng.uniform(-10.0, 10.0) * s, s) if normal else consonant_from_exponential(1.0 / s)
+
+    return [(make(normal1, s1), make(normal2, s1 * ratio))
+            for ratio in (1e4, 1e6, 1e8, 1e-4, 1e-6, 1e-8)
+            for normal1, normal2 in itertools.product((True, False), repeat=2)
+            for s1 in [10.0 ** rng.uniform(-1.0, 1.0)]]
+
+
+def test_closed_forms_keep_their_digits_at_far_scale_ratios():
+    # narrow cells far from the wider operand's centre once cost the partial
+    # closed form up to 4e-10 at a ratio of 1e8
+    for f1, f2 in _far_scale_family():
+        for closed, delta in ((inc_partial, delta_inc_partial), (inc_strict, delta_inc_strict)):
+            rule, _, _ = _pair_expectation(f1, f2, delta, FINE)
+            assert abs(closed(f1, f2).value - rule) <= 1e-12, (f1.label, f2.label, closed.__name__)
 
 
 def test_closed_form_partial_matches_the_reversed_rule():
-    # at the default config the 2-D rule of the other operand order agrees
+    # at the default config the n x n rule of the other operand order, with
+    # the reversed checked degree, agrees
     for f1, f2 in _cross_check_family(CFG.truncation_k):
-        gap = abs(inc_partial(f1, f2, CFG).value - inc_partial_reversed(f2, f1, CFG).value)
-        assert gap <= 1e-12, (f1.label, f2.label)
+        rule, _, _ = _pair_expectation(f2, f1, delta_inc_partial_rev, CFG)
+        assert abs(inc_partial(f1, f2, CFG).value - rule) <= 1e-12, (f1.label, f2.label)
+
+
+def _desk_pairs():
+    # the operand pairs of scripts/run_sweeps.py, in both directions
+    fixed = consonant_from_normal(0.0, 1.0)
+    return [pair for mu in np.arange(0.0, 5.25, 0.5) for s in np.arange(0.25, 5.125, 0.25)
+            for pair in ((fixed, consonant_from_normal(mu, s)), (consonant_from_normal(mu, s), fixed))]
+
+
+def test_strict_never_exceeds_partial_on_the_desk_sweep():
+    # nested cells count fully in both measures; the benchmark compares
+    # them without slack
+    for f1, f2 in _desk_pairs():
+        assert inc_strict(f1, f2).value <= inc_partial(f1, f2).value, (f1.label, f2.label)
+
+
+def test_inclusions_ask_for_no_nodes(monkeypatch):
+    # both inclusions are closed-form: no rule, no refinement
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an inclusion asked for quadrature nodes")
+
+    monkeypatch.setattr(cbf.measures, "nodes_and_weights", forbidden)
+    monkeypatch.setattr(cbf.measures, "_refine", forbidden)
+    for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
+        for measure in (inc_strict, inc_partial, inc_partial_reversed):
+            meta = measure(f1, f2, CFG).quadrature_meta
+            assert meta.points_per_axis == 0 and math.isnan(meta.est_error)
 
 
 @pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(refine_max_doublings=0)],
                          ids=["default", "no-refinement"])
-@pytest.mark.parametrize("measure", [inc_partial, scalar_product])
+@pytest.mark.parametrize("measure", [scalar_product])
 def test_two_d_measures_ask_for_nodes_twice_per_pass(monkeypatch, cfg, measure):
-    # perfbench counts a 2-D measure's refinement passes as its
-    # nodes_and_weights calls / 2 and checks the largest n against the meta
+    # perfbench counts the scalar-product rule's refinement passes as its
+    # nodes_and_weights calls / 2
     real, asked = cbf.measures.nodes_and_weights, []
 
     def counting(n, lo, hi):
@@ -322,8 +394,7 @@ def test_two_d_measures_ask_for_nodes_twice_per_pass(monkeypatch, cfg, measure):
     passes = [cfg.points_per_axis * 2**k for k in range(len(asked) // 2)]
     assert asked == [n for n in passes for _ in range(2)]
     assert 1 <= len(passes) <= cfg.refine_max_doublings + 1
-    if measure is inc_partial:
-        assert result.quadrature_meta.points_per_axis == max(asked)
+    assert 0.0 < result < 1.0
 
 
 def test_names_the_benchmark_tracer_wraps_still_resolve():
