@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .discrete import DiscreteMassFunction, conflict, d_inc, jousselme_distance, load_bba, sigma_inc
+from .discrete import DiscreteMassFunction, d_inc, jousselme_distance, load_bba
 from .experiments import (
     DIRECTIONS,
     FORMATS,
@@ -109,12 +109,13 @@ def _cmd_discrete_conf(args) -> int:
     # Shared frame: the union of the labels used by either file.
     frame = tuple(sorted({*m1.frame, *m2.frame}))
     m1, m2 = (DiscreteMassFunction(frame, dict(m.items())) for m in (m1, m2))
+    inc12, inc21, dist = d_inc(m1, m2), d_inc(m2, m1), jousselme_distance(m1, m2)  # each kernel once
     lines = [
-        f"d_inc_1in2 = {d_inc(m1, m2):.6g}",
-        f"d_inc_2in1 = {d_inc(m2, m1):.6g}",
-        f"sigma_inc = {sigma_inc(m1, m2):.6g}",
-        f"jousselme = {jousselme_distance(m1, m2):.6g}",
-        f"conflict = {conflict(m1, m2):.6g}",
+        f"d_inc_1in2 = {inc12:.6g}",
+        f"d_inc_2in1 = {inc21:.6g}",
+        f"sigma_inc = {max(inc12, inc21):.6g}",
+        f"jousselme = {dist:.6g}",
+        f"conflict = {(1.0 - max(inc12, inc21)) * dist:.6g}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

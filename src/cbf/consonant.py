@@ -65,9 +65,6 @@ class Shape:
     lo_slope   lower focal endpoint per unit of z (the upper one is +1)
     density    nesting density g(u)
     tail       closed-form upper tail of g from u >= 0 to infinity
-    tails      (T0, T1, T1(0) - T1) at u from one exponential: T0 = ``tail``,
-               T1 the tail of v g(v) (T1(0) is the mean of g) and its head,
-               which keeps its digits near u = 0 where T1 cancels
     pignistic  g(u) / length(focal(u)) with the u -> 0 cancellation done
     kernel     the factor of g beside a polynomial, "phi" (the normal density)
                or "exp" (exp(-u)); the closed-form inclusions key on it
@@ -76,7 +73,6 @@ class Shape:
     lo_slope: float
     density: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[np.ndarray], np.ndarray]
-    tails: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     pignistic: Callable[[np.ndarray], np.ndarray]
     kernel: str
 
@@ -86,28 +82,10 @@ def _maxwell(u):
     return 2.0 / _SQRT_2PI * uu * np.exp(-0.5 * uu)
 
 
-# The tails clip u where they reach 0.0 in floats, so u = inf gives 0, not
-# inf * 0; the heads use expm1.  Maxwell: T0 = 2 [u phi(u) + Q(u)] with Q the
-# normal upper tail, T1 = 2 (u^2 + 2) phi(u), T1(0) = 4 phi(0).
-def _maxwell_tails(u):
-    u = np.minimum(u, 40.0)
-    uu = u * u
-    two_phi = np.exp(-0.5 * uu) * (2.0 / _SQRT_2PI)
-    return u * two_phi + 2.0 * ndtr(-u), (uu + 2.0) * two_phi, np.expm1(-0.5 * uu) * (-4.0 / _SQRT_2PI) - uu * two_phi
-
-
-# Gamma(2): T0 = (1 + u) exp(-u), T1 = (u^2 + 2 u + 2) exp(-u), T1(0) = 2.
-def _gamma2_tails(u):
-    u = np.minimum(u, 800.0)
-    e = np.exp(-u)
-    ue = u * e
-    return e + ue, ue * (u + 1.0) + (ue + 2.0 * e), -2.0 * np.expm1(-u) - ue * (u + 2.0)
-
-
 _MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + ndtr(-u)),
-                 _maxwell_tails, lambda u: u * _phi(u), "phi")
+                 lambda u: u * _phi(u), "phi")
 _GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)), lambda u: (1.0 + np.minimum(u, 800.0)) * np.exp(-u),
-                _gamma2_tails, lambda u: np.exp(-np.maximum(u, 0.0)), "exp")
+                lambda u: np.exp(-np.maximum(u, 0.0)), "exp")
 
 
 @dataclass(frozen=True)

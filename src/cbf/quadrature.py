@@ -1,11 +1,11 @@
 """Gauss-Legendre nodes, the refinement loop and a Monte Carlo cross-check.
 
-Every integral in this package is a fixed Gauss-Legendre rule on panels of
-a truncated domain, so results are reproducible bit for bit for a given
-configuration.  ``cbf.measures`` places the panel breaks at the kinks of
-the interval degrees; ``_refine`` doubles the nodes per panel until two
-successive estimates agree to a relative tolerance or the doubling budget
-is spent, and reports the last change as the error estimate.
+Both inclusions are closed-form but for six fixed lines on thin cells.
+The scalar product and distance, the pignistic round trip and the generic
+cross-check use Gauss-Legendre rules on panels of a truncated domain, bit
+for bit reproducible per configuration, with breaks at the degrees' kinks.
+``_refine`` doubles the nodes per panel until two estimates agree to a
+relative tolerance or the budget is spent; the last change is the error.
 
 ``mc_estimate`` provides a seeded Monte Carlo estimate of E[ratio] under a
 product sampler.  It is the slow second opinion used to validate the

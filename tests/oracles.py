@@ -52,6 +52,22 @@ def jousselme_naive(m1, m2):
     return math.sqrt(max(0.0, 0.5 * diff @ d @ diff))
 
 
+def jousselme_union(m1, m2):
+    """Jousselme distance as a double loop over the union of the focal sets.
+
+    Only the union's coordinates of m1 - m2 are non-zero, so this agrees with
+    ``jousselme_naive`` without enumerating 2^n subsets; it reaches 16 labels.
+    """
+    v1, v2 = as_map(m1), as_map(m2)
+    union = list(v1.keys() | v2.keys())
+    diff = [v1.get(a, 0.0) - v2.get(a, 0.0) for a in union]
+    rad = 0.0
+    for a, da in zip(union, diff):
+        for b, db in zip(union, diff):
+            rad += da * db * (len(a & b) / len(a | b) if a or b else 1.0)
+    return math.sqrt(max(0.0, 0.5 * rad))
+
+
 def d_inc_naive(m1, m2):
     f1 = [a for a in as_map(m1) if a]
     f2 = [b for b in as_map(m2) if b]
@@ -64,6 +80,16 @@ def sigma_inc_naive(m1, m2):
 
 def conflict_naive(m1, m2):
     return (1.0 - sigma_inc_naive(m1, m2)) * jousselme_naive(m1, m2)
+
+
+def random_bba_with_empty(rng, frame, k):
+    """Random mass function with k distinct focal sets, the empty set among them."""
+    masks = rng.choice(np.arange(1, 2 ** len(frame)), size=k - 1, replace=False)
+    weights = rng.dirichlet(np.ones(k))
+    masses = {(): float(weights[0])}
+    for mask, w in zip(masks, weights[1:]):
+        masses[tuple(lab for i, lab in enumerate(frame) if mask >> i & 1)] = float(w)
+    return DiscreteMassFunction(frame, masses)
 
 
 def random_bba(rng, frame):

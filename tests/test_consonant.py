@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.integrate import quad
 
 from cbf.consonant import (
     ConsonantBBD,
@@ -148,40 +147,6 @@ class TestTailMass:
     def test_monotone_decreasing(self, t, rate):
         f = consonant_from_exponential(rate)
         assert f.tail_mass(t) >= f.tail_mass(t + 0.5)
-
-
-SHAPES = [(consonant_from_normal(0.0, 1.0).shape, 2.0 * math.sqrt(2.0 / math.pi)),
-          (consonant_from_exponential(1.0).shape, 2.0)]
-
-
-@pytest.mark.parametrize("shape,mean", SHAPES, ids=["maxwell", "gamma2"])
-class TestFirstMomentTail:
-    def test_matches_numeric_integral(self, shape, mean):
-        # relative accuracy until the tail is subnormal (Maxwell near u = 38)
-        for u in np.linspace(0.0, 40.0, 81):
-            ref, _ = quad(lambda v: v * shape.density(v), u, np.inf, epsabs=1e-300, epsrel=1e-13, limit=200)
-            assert abs(shape.tails(u)[1] - ref) <= 1e-13 * ref + 1e-300, u
-
-    def test_head_keeps_its_digits_near_zero(self, shape, mean):
-        # mean - T1(u) would be off by about 1e-16 at every u; the head's
-        # error shrinks with u
-        for u in np.concatenate((10.0 ** np.arange(-6.0, 0.0), np.linspace(0.0, 40.0, 21))):
-            ref, _ = quad(lambda v: v * shape.density(v), 0.0, u, epsabs=1e-300, epsrel=1e-13, limit=200)
-            assert abs(shape.tails(u)[2] - ref) <= 1e-15 * min(u, 1.0), u
-
-    def test_zeroth_tail_is_the_tail(self, shape, mean):
-        u = np.linspace(0.0, 45.0, 181)
-        np.testing.assert_allclose(shape.tails(u)[0], shape.tail(u), rtol=1e-15, atol=1e-300)
-
-    @pytest.mark.filterwarnings("error")
-    def test_at_infinity(self, shape, mean):
-        t0, t1, head = shape.tails(np.array([np.inf, 1e300]))
-        np.testing.assert_array_equal(t0, [0.0, 0.0])
-        np.testing.assert_array_equal(t1, [0.0, 0.0])
-        np.testing.assert_allclose(head, [mean, mean], rtol=1e-15)
-
-    def test_at_zero_is_the_mean(self, shape, mean):
-        assert shape.tails(0.0) == pytest.approx((1.0, mean, 0.0), rel=1e-15)
 
 
 class TestFocalGeometry:

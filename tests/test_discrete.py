@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from oracles import (
     bel_naive,
     d_inc_naive,
     jousselme_naive,
+    jousselme_union,
     pl_naive,
     q_naive,
     random_bba,
+    random_bba_with_empty,
     subsets as _subsets,
 )
 
+from cbf import discrete
 from cbf.discrete import (
     MAX_FRAME,
     DiscreteMassFunction,
@@ -175,6 +179,42 @@ class TestJousselme:
         assert jousselme_distance(m1, m3) == pytest.approx(jousselme_naive(m1, m3), abs=1e-12)
 
 
+class TestJousselmeKernel:
+    FRAME = tuple(f"e{i}" for i in range(MAX_FRAME))
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(41)
+        return tuple(random_bba_with_empty(rng, self.FRAME, 200) for _ in range(2))
+
+    def test_popcount_table(self):
+        np.testing.assert_array_equal(
+            discrete._POPCOUNT, [k.bit_count() for k in range(1 << MAX_FRAME)])
+
+    def test_reference_agrees_with_the_full_enumeration(self):
+        rng = np.random.default_rng(42)
+        frame = ("a", "b", "c", "d")
+        for _ in range(20):
+            m1, m2 = random_bba_with_empty(rng, frame, 4), random_bba(rng, frame)
+            assert jousselme_union(m1, m2) == pytest.approx(jousselme_naive(m1, m2), abs=1e-12)
+
+    def test_full_frame_matches_the_union_reference(self, pair):
+        m1, m2 = pair
+        assert jousselme_distance(m1, m2) == pytest.approx(jousselme_union(m1, m2), abs=1e-12)
+
+    def test_row_blocks_match_one_block(self, pair, monkeypatch):
+        m1, m2 = pair
+        whole = jousselme_distance(m1, m2)
+        # about 400 masks in the union: 7 rows per block, some 60 blocks
+        monkeypatch.setattr(discrete, "_BLOCK_ELEMS", 3000)
+        assert jousselme_distance(m1, m2) == pytest.approx(whole, abs=1e-15)
+
+    def test_self_distance_is_exactly_zero(self, pair):
+        for m in pair:
+            assert m.mass(()) > 0.0
+            assert jousselme_distance(m, m) == 0.0
+
+
 class TestInclusionDegrees:
     def test_nested_family_fully_included(self):
         m1 = DiscreteMassFunction(("a", "b"), {("a",): 0.5, ("a", "b"): 0.5})
@@ -270,6 +310,26 @@ class TestParseBba:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError, match="oops"):
             parse_bba("a:oops")
+
+    def test_rejects_empty_label(self):
+        with pytest.raises(ValueError) as err:
+            parse_bba("a:0.5\n# c\na||b:0.5")
+        assert str(err.value) == "line 3: empty label in 'a||b:0.5'"
+
+    def test_rejects_label_outside_explicit_frame(self):
+        with pytest.raises(ValueError) as err:
+            parse_bba("a:0.5\nz:0.5", frame=("a", "b"))
+        assert str(err.value) == "label 'z' is not in the frame ('a', 'b')"
+
+    def test_reports_errors_ahead_of_an_unknown_label_first(self):
+        with pytest.raises(ValueError, match=re.escape("mass for ('a',) must be finite and >= 0, got -0.5")):
+            parse_bba("a:-0.5\nz:1.5", frame=("a", "b"))
+        with pytest.raises(ValueError, match=re.escape("frame labels must be unique: ('a', 'a')")):
+            parse_bba("z:1.0", frame=("a", "a"))
+
+    def test_bad_mass_names_the_sorted_labels(self):
+        with pytest.raises(ValueError, match=re.escape("mass for ('a', 'b') must be finite and >= 0, got nan")):
+            parse_bba("b|a:nan\na:1.0", frame=("b", "a"))
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):

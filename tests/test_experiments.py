@@ -398,6 +398,23 @@ class TestCli:
         assert rc == 0
         assert "d_inc_1in2 = 1" in capsys.readouterr().out
 
+    def test_discrete_conf_matches_the_library(self, tmp_path, capsys):
+        # the report derives sigma_inc and conflict from one evaluation of
+        # each kernel; it must print what the library functions return
+        from cbf.discrete import conflict, d_inc, jousselme_distance, parse_bba, sigma_inc
+
+        texts = ("a:0.3\nb|c:0.2\na|b|c:0.4\nd:0.1\n", "b:0.25\na|c:0.35\nc|d:0.4\n")
+        for name, text in zip(("m1.bba", "m2.bba"), texts):
+            (tmp_path / name).write_text(text)
+        rc = main(["discrete", "conf", "--m1", str(tmp_path / "m1.bba"), "--m2", str(tmp_path / "m2.bba")])
+        assert rc == 0
+        m1, m2 = (parse_bba(text, ("a", "b", "c", "d")) for text in texts)
+        assert 0.0 < conflict(m1, m2) < jousselme_distance(m1, m2)
+        assert capsys.readouterr().out == (
+            f"d_inc_1in2 = {d_inc(m1, m2):.6g}\nd_inc_2in1 = {d_inc(m2, m1):.6g}\n"
+            f"sigma_inc = {sigma_inc(m1, m2):.6g}\njousselme = {jousselme_distance(m1, m2):.6g}\n"
+            f"conflict = {conflict(m1, m2):.6g}\n")
+
     def test_discrete_conf_missing_file(self, capsys):
         rc = main(["discrete", "conf", "--m1", "/nonexistent.bba",
                    "--m2", "/nonexistent2.bba"])
