@@ -27,8 +27,8 @@ moments, Owen's T for the one bivariate normal term).  On cells thin
 against the second operand the two sides' tails would cancel; there the
 z2 integral is taken on six Gauss-Legendre lines across the cell, each
 again closed-form along z1.  Strict inclusion
-is a single side per panel: nested focals make
-{z2 : I1(z1) subset I2(z2)} the segment [L(z1), Z2].  Only
+is the same walk kept to the nested cells, where the overlap is all of I1
+and the partial integrand is the strict indicator.  Only
 ``scalar_product`` keeps a rule, n x n Gauss-Legendre nodes on every met
 cell, because the Jaccard degree is a ratio of linear pieces.
 
@@ -135,7 +135,12 @@ def _weights(f: ConsonantBBD, z, w):
     return w / f.scale * f.shape.density(z / f.scale)
 
 
-def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool = True):
+def _columns(rows, width: int):
+    """The columns of a sequence of equal-length float tuples, as rows of one array."""
+    return np.fromiter(chain.from_iterable(rows), float).reshape(-1, width).T
+
+
+def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
     """Kink lines and outer breaks of a pair degree on [0, Z1] x [0, Z2].
 
     An endpoint s1*z1 of I1 meets an endpoint s2*z2 + off of I2 on the line
@@ -147,17 +152,10 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool = True):
     is skipped where the operand it grades has no mass below it in floats.
     The grading serves a quadrature rule only; ``graded=False`` leaves it out.
 
-    Returns the lines (p, q) for z2 = p*z1 + q that enter (0, Z2), as an
-    (L, 2) array, and the sorted z1 breaks: 0, Z1, the vertical crossings,
-    the grading breaks and every z1 where two lines cross each other, 0 or
-    Z2.
+    Returns the sorted (p, q) tuples of the lines z2 = p*z1 + q that enter
+    (0, Z2), and the sorted z1 breaks: 0, Z1, the vertical crossings, the
+    grading breaks and every z1 where two lines cross each other, 0 or Z2.
     """
-    lines, outer = _kink_lists(f1, f2, off, graded)
-    return np.array(lines, dtype=float).reshape(-1, 2), np.array(outer)
-
-
-def _kink_lists(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
-    """``_kinks`` as lists: (p, q) tuples and the sorted breaks."""
     z1_max, z2_max = f1.support_bound, f2.support_bound
     lines, breaks = set(), {0.0, z1_max}
     for s1 in (f1.shape.lo_slope, 1.0):
@@ -193,60 +191,65 @@ def _panel_nodes(lo, width, n: int):
     return lo[:, None] + width[:, None] * x, width[:, None] * w
 
 
-def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool = True):
+def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
     """The cells of the outer panels of ``_kinks`` where the focals meet.
 
     No kink line crosses another, 0 or Z2 inside an outer panel, so its
     inner panels are cells with bounds z2 = p*z1 + q, read at the panel
     centre, and an order of a1, b1, a2, b2 that the cell centre gives.
     Disjoint cells are dropped: every degree carries an overlap factor.
-    Returns the outer breaks and, per cell, its panel, its lower and upper
-    (p, q) and the (alpha, beta, c1) of its overlap alpha*z1 + beta + c1*z2.
+    Returns the outer breaks and one tuple (panel, p_lo, q_lo, p_hi, q_hi,
+    alpha, beta, c1) per cell: its panel, its lower and upper bounds and
+    its overlap alpha*z1 + beta + c1*z2.
     """
-    outer, rows = _cell_rows(f1, f2, off, graded)
-    cells = np.array(rows, dtype=float).reshape(-1, 8)
-    return np.array(outer), cells[:, 0].astype(int), cells[:, 1:3], cells[:, 3:5], cells[:, 5:]
-
-
-def _cell_rows(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
-    """``_cells`` as lists: the outer breaks and one tuple of floats per cell."""
-    lines, breaks = _kink_lists(f1, f2, off, graded)
+    lines, breaks = _kinks(f1, f2, off, graded)
     z2_max, lo1, lo2 = f2.support_bound, f1.shape.lo_slope, f2.shape.lo_slope
-    # Z2 first and 0 last: ties sort by position, so a cell at 0 or Z2 is
-    # bounded by them and not by a line clipped there
-    bounds = [(0.0, z2_max), *lines, (0.0, 0.0)]
     cells = []
     for i, z1 in enumerate(0.5 * (z0 + z1) for z0, z1 in zip(breaks, breaks[1:])):
-        at = sorted([(min(max(p * z1 + q, 0.0), z2_max), j) for j, (p, q) in enumerate(bounds)])
-        for (v, j), (v_next, j_next) in zip(at, at[1:]):
+        a1 = lo1 * z1
+        # (value, p, q) of the bounds: 0, the lines strictly inside (0, Z2) in
+        # order, Z2; a line at or beyond 0 or Z2 only bounds empty cells there
+        at = [(0.0, 0.0, 0.0), *sorted([(v, p, q) for p, q in lines if 0.0 < (v := p * z1 + q) < z2_max]),
+              (z2_max, 0.0, z2_max)]
+        for (v, pl, ql), (v_next, ph, qh) in zip(at, at[1:]):
+            if v == v_next:  # an empty cell between lines that meet here
+                continue
             z2 = 0.5 * (v + v_next)
-            a1, a2 = lo1 * z1, lo2 * z2 + off
-            if v < v_next and z1 > a2 and z2 + off > a1:
+            a2 = lo2 * z2 + off
+            if z1 > a2 and z2 + off > a1:
                 b1_in, a1_in = z1 <= z2 + off, a2 <= a1  # overlap = min(b1, b2) - max(a1, a2)
-                coef = b1_in - lo1 * a1_in, off * (a1_in - b1_in), (not b1_in) - lo2 * (not a1_in)
-                cells.append((i, *bounds[j], *bounds[j_next], *coef))
+                cells.append((i, pl, ql, ph, qh, b1_in - lo1 * a1_in, off * (a1_in - b1_in),
+                              (not b1_in) - lo2 * (not a1_in)))
     return breaks, cells
 
 
 def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: QuadratureConfig):
-    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each met cell."""
+    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each met cell.
+
+    The (cell, z1 node) rows, n z2 nodes each, are taken in blocks of at
+    most ``_BLOCK_ELEMS`` node pairs, so memory stays bounded at any n.
+    """
     off = _offset(f1, f2)
-    outer, panel, lo, hi, _ = _cells(f1, f2, off)
-    s2, lo1, lo2 = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
+    outer, rows = _cells(f1, f2, off, graded=True)
+    panel, lo_p, lo_q, hi_p, hi_q, *_ = _columns(rows, 8)
+    s2, lo1, lo2, panel = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope, panel.astype(int)
     # (p, q) columns of the lower bound and width of each cell
-    (lo_p, lo_q), (d_p, d_q) = lo.T[..., None], (hi - lo).T[..., None]
-    starts, widths = outer[:-1], np.diff(outer)
+    lo_p, lo_q, d_p, d_q = (c[:, None] for c in (lo_p, lo_q, hi_p - lo_p, hi_q - lo_q))
+    starts, widths = np.array(outer[:-1]), np.diff(outer)
 
     def estimate(n):
         z1, w1 = _panel_nodes(starts, widths, n)
         x, w = nodes_and_weights(n, 0.0, 1.0)
         b1, g1 = z1[panel], _weights(f1, z1, w1)[panel]
         span = d_p * b1 + d_q
-        z2 = (lo_p * b1 + lo_q)[..., None] + span[..., None] * x
-        b1 = b1[..., None]
-        degrees = delta(lo1 * b1, b1, lo2 * z2 + off, z2 + off)
-        # inner weights (span / s2) * w, with w contracted last
-        return float(np.vdot(g1 * span / s2, (degrees * f2.shape.density(z2 / s2)) @ w))
+        # one row per (cell, z1 node); inner weights (span / s2) * w, w contracted last
+        low, g1, span, b1 = (lo_p * b1 + lo_q).ravel(), (g1 * span / s2).ravel(), span.ravel(), b1.ravel()
+        step, total = max(1, _BLOCK_ELEMS // n), 0.0
+        for k in range(0, b1.size, step):
+            z2, b = low[k:k + step, None] + span[k:k + step, None] * x, b1[k:k + step, None]
+            degrees = delta(lo1 * b, b, lo2 * z2 + off, z2 + off)
+            total += float(np.vdot(g1[k:k + step], (degrees * f2.shape.density(z2 / s2)) @ w))
+        return total
 
     return _refine(estimate, cfg.points_per_axis, cfg)
 
@@ -372,11 +375,6 @@ def _along(pair, poly, t0, t1, a, b, tref):
     return np.sum(np.array([-1.0, 1.0, 1.0, -1.0]).reshape(d.shape) * kern * total, axis=0)
 
 
-def _columns(rows, width: int):
-    """The columns of a sequence of equal-length float tuples, as rows of one array."""
-    return np.fromiter(chain.from_iterable(rows), float).reshape(-1, width).T
-
-
 def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, sign):
     """Constants of one side of ``_sides`` for two normal operands, in floats.
 
@@ -436,58 +434,28 @@ def _sides(pair, t, sides) -> float:
     return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b, 0.0))))
 
 
-def _inclusion(f1, f2, kind: str, value: float) -> InclusionResult:
-    if not math.isfinite(value):
-        raise ValueError(f"closed-form {kind} inclusion of {f1.label} in {f2.label} is {value}")
-    return InclusionResult(_unit(value), (f1.label, f2.label), kind, QuadratureMeta(0, math.nan))
+def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> InclusionResult:
+    """Strict or partial inclusion of f1 in f2 from one walk of ``_cells``.
 
-
-def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Degree to which f1 is strictly included in f2, in closed form.
-
-    The integral of m1(z1) [T2(L(z1)) - T2(Z2)] dz1 with T2 the tail mass of
-    f2, Z2 its support bound (the mass beyond it is dropped, as in every
-    pair measure) and L(z1) the smallest z2 whose focal contains I1(z1).
-    On each z1 panel of ``_kinks`` L is one kink line or 0, so the panel
-    adds the difference of two ``_sides``.  ``cfg`` is accepted for a
-    uniform signature; no rule is involved.
-    """
-    off = _offset(f1, f2)
-    _, breaks = _kink_lists(f1, f2, off, graded=False)
-    s1, s2, lo1, lo2, z2_max = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope, f2.support_bound
-    # I1 sits in I2(z2) iff lo2*z2 + off <= lo1*z1 and z1 <= z2 + off, so z2 >= L = p z1 + q
-    sides, ends, beyond = [], [], (0.0, z2_max / s2, 1.0, 0.0, 0.0, 1.0, 0.0, -1.0)
-    for z0, z1 in zip(breaks, breaks[1:]):
-        mid = 0.5 * (z0 + z1)
-        p, q = 1.0, -off
-        if lo2 and lo1 / lo2 * mid - off / lo2 > mid - off:
-            p, q = lo1 / lo2, -off / lo2
-        low = p * mid + q
-        if low <= 0.0:
-            p = q = 0.0
-        if low < z2_max and (lo2 or off <= lo1 * mid) and z0 / s1 < z1 / s1 and abs(p * s1 / s2) <= _STEEP:
-            sides += [(p * s1 / s2, q / s2, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0), beyond]
-            ends += [(max(z0 / s1, 1e-300), z1 / s1)] * 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _inclusion(f1, f2, "strict", _sides((f1.shape.kernel, f2.shape.kernel), _columns(ends, 2), sides))
-
-
-def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Expected fraction of I1 covered by I2, in closed form.
-
-    On a met cell of ``_cells`` the overlap is lambda = alpha z1 + beta + c1 z2,
-    so the inner integral of m2 lambda / |I1| is a difference between its
-    sides z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, and each side adds
-    one ``_sides``.  On thin cells the two sides cancel; there g2 is smooth
+    On a met cell the overlap is lambda = alpha z1 + beta + c1 z2, so the
+    inner integral of m2 lambda / |I1| is a difference between its sides
+    z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, and each side adds one
+    ``_sides``.  On thin cells the two sides cancel; there g2 is smooth
     across the cell and 6 Gauss-Legendre lines between the sides carry it.
-    ``cfg`` is accepted for a uniform signature; no outer rule is involved.
+    Strict inclusion keeps only the nested cells, (alpha, beta, c1) =
+    (1 - lo1, 0, 0): there the overlap is all of I1, so lambda / |I1| is
+    the strict indicator, 1.
     """
     off = _offset(f1, f2)
-    z, rows = _cell_rows(f1, f2, off, graded=False)
+    z, rows = _cells(f1, f2, off, graded=False)
     s1, s2, n1, pair = f1.scale, f2.scale, 1.0 - f1.shape.lo_slope, (f1.shape.kernel, f2.shape.kernel)
     sides, ends, thin, shared = [], [], [], None
+    t = [b / s1 for b in z]  # the panel ends in f1's unit
+    nested = (n1, 0.0, 0.0) if kind == "strict" else None
     for i, pl, ql, ph, qh, alpha, beta, c1 in rows:
-        t0, t1, gamma, al, ah = z[i] / s1, z[i + 1] / s1, c1 * s2 / s1 / n1, pl * s1 / s2, ph * s1 / s2
+        if nested and (alpha, beta, c1) != nested:
+            continue
+        t0, t1, gamma, al, ah = t[i], t[i + 1], c1 * s2 / s1 / n1, pl * s1 / s2, ph * s1 / s2
         if not (t0 < t1 and abs(al) <= _STEEP and abs(ah) <= _STEEP):
             continue
         # per side: a, b and lambda / (s1 n1) = kappa t + lam0
@@ -517,7 +485,30 @@ def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None
             if pair[1] == "phi":  # g2 = 2 u^2 phi(u)
                 poly = {(i, 2): 2.0 * coef for (i, _), coef in poly.items()}
             value += float(np.sum(_along(pair, poly, t0, t1, a + theta * da, b + theta * db, t0)))
-    return _inclusion(f1, f2, "partial", value)
+    if not math.isfinite(value):
+        raise ValueError(f"closed-form {kind} inclusion of {f1.label} in {f2.label} is {value}")
+    return InclusionResult(_unit(value), (f1.label, f2.label), kind, QuadratureMeta(0, math.nan))
+
+
+def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
+    """Degree to which f1 is strictly included in f2, in closed form.
+
+    The integral of m1 m2 over the nested cells of ``_cells``, where the
+    overlap is all of I1 and so I1 sits in I2: the walk of ``inc_partial``
+    kept to those cells (see ``_closed_form``).  The mass of f2 beyond its
+    support bound Z2 is dropped, as in every pair measure.  ``cfg`` is
+    accepted for a uniform signature; no rule is involved.
+    """
+    return _closed_form(f1, f2, "strict")
+
+
+def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
+    """Expected fraction of I1 covered by I2, in closed form.
+
+    Every met cell of ``_cells`` adds its share (see ``_closed_form``).
+    ``cfg`` is accepted for a uniform signature; no outer rule is involved.
+    """
+    return _closed_form(f1, f2, "partial")
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:

@@ -15,6 +15,7 @@ quadrature, not a replacement for it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +62,11 @@ class QuadratureConfig:
     refine_max_doublings: int = 4
 
     def __post_init__(self):
+        for name in ("points_per_axis", "refine_max_doublings"):
+            try:  # numpy integers pass, floats such as 16.5 do not
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.points_per_axis < 16:
             raise ValueError(f"points_per_axis must be >= 16, got {self.points_per_axis}")
         check_truncation_k(self.truncation_k)

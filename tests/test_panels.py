@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,24 +173,29 @@ def test_cell_map_sorts_every_point_by_how_the_focals_meet(family):
     # random points of every outer panel lie in exactly one kept cell where
     # the focals meet and in none where they are disjoint; on its kept cell
     # the overlap of a point is the cell's alpha*z1 + beta + c1*z2 up to the
-    # rounding of terms of size |off| + z1 + z2
+    # rounding of terms of size |off| + z1 + z2, and the cell is nested,
+    # (alpha, beta, c1) == (1 - lo1, 0, 0) exactly, where I1 sits in I2
     rng = np.random.default_rng(5)
     for f1, f2 in itertools.product(family, repeat=2):
         off = f2.location - f1.location
-        outer, panel, lo, hi, coef = _cells(f1, f2, off)
+        outer, rows = _cells(f1, f2, off, graded=True)
+        panel, lo_p, lo_q, hi_p, hi_q, *coef = np.array(rows).reshape(-1, 8).T[..., None]
+        nested = (coef[0] == 1.0 - f1.shape.lo_slope) & (coef[1] == 0.0) & (coef[2] == 0.0)
         for i in range(len(outer) - 1):
             z1 = rng.uniform(outer[i], outer[i + 1], 256)
             z2 = rng.uniform(0.0, f2.support_bound, 256)
-            mine = panel == i
-            kept = (lo[mine, :1] * z1 + lo[mine, 1:] < z2) & (z2 < hi[mine, :1] * z1 + hi[mine, 1:])
+            mine = panel[:, 0] == i
+            kept = (lo_p[mine] * z1 + lo_q[mine] < z2) & (z2 < hi_p[mine] * z1 + hi_q[mine])
             a1, a2 = f1.shape.lo_slope * z1, f2.shape.lo_slope * z2 + off
             meet = overlap(a1, z1, a2, z2 + off)
             where = (f1.label, f2.label, i)
             np.testing.assert_array_equal(kept.sum(axis=0), meet > 0.0, err_msg=str(where))
-            alpha, beta, c1 = coef[mine].T[..., None]
+            alpha, beta, c1 = (c[mine] for c in coef)
             gap = np.abs(alpha * z1 + beta + c1 * z2 - meet)[kept]
             np.testing.assert_array_less(gap, 8e-16 * (abs(off) + z1 + z2)[kept.nonzero()[1]],
                                          err_msg=str(where))
+            np.testing.assert_array_equal((nested[mine] & kept).any(axis=0),
+                                          delta_inc_strict(a1, z1, a2, z2 + off) == 1.0, err_msg=str(where))
 
 
 def _workload_pairs():
@@ -207,12 +213,10 @@ def test_grading_skips_change_no_workload_pair(monkeypatch):
     # breaks and lines are skipped only where the graded operand has no
     # float mass below them; no pair the benchmark runs has such a spot
     pairs = _workload_pairs()
-    kinks = [_kinks(f1, f2, f2.location - f1.location) for f1, f2 in pairs]
+    kinks = [_kinks(f1, f2, f2.location - f1.location, graded=True) for f1, f2 in pairs]
     monkeypatch.setattr(ConsonantBBD, "tail_mass", lambda self, t: 0.0)
-    for (f1, f2), (lines, outer) in zip(pairs, kinks):
-        unskipped = _kinks(f1, f2, f2.location - f1.location)
-        np.testing.assert_array_equal(lines, unskipped[0], err_msg=f"{f1.label} {f2.label}")
-        np.testing.assert_array_equal(outer, unskipped[1], err_msg=f"{f1.label} {f2.label}")
+    for (f1, f2), skipped in zip(pairs, kinks):
+        assert skipped == _kinks(f1, f2, f2.location - f1.location, graded=True), (f1.label, f2.label)
 
 
 def test_grading_stops_where_the_wider_operand_has_no_mass():
@@ -220,23 +224,23 @@ def test_grading_stops_where_the_wider_operand_has_no_mass():
     # steps inside the float mass of the wider operand remain
     tiny, huge = consonant_from_normal(0.0, 1e-300), consonant_from_normal(0.0, 1e300)
     for f1, f2 in ((tiny, huge), (huge, tiny)):
-        lines, outer = _kinks(f1, f2, 0.0)
+        lines, outer = _kinks(f1, f2, 0.0, graded=True)
         assert len(lines) + len(outer) < 20
 
 
 def test_kinks_of_offset_normals():
     # equal supports 8, offset 1: lines z2 = z1 + 1, z2 = 1 - z1, z2 = z1 - 1
     # and outer breaks at the offset and at Z2 - offset
-    lines, outer = _kinks(N01, consonant_from_normal(1.0, 1.0), 1.0)
-    assert sorted(map(tuple, lines.tolist())) == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
-    assert outer.tolist() == [0.0, 1.0, 7.0, 8.0]
+    lines, outer = _kinks(N01, consonant_from_normal(1.0, 1.0), 1.0, graded=True)
+    assert lines == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+    assert outer == [0.0, 1.0, 7.0, 8.0]
 
 
 def test_kinks_of_normal_in_exponential_are_vertical():
     # I2 = [0, z2] has a fixed lower end, so a1 = 3 - z1 meets it at z1 = 3
     # whatever z2 is
-    _, outer = _kinks(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
-    assert 3.0 in outer.tolist()
+    _, outer = _kinks(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0, graded=True)
+    assert 3.0 in outer
 
 
 def test_refinement_stops_after_one_doubling_on_smooth_panels():
@@ -245,6 +249,22 @@ def test_refinement_stops_after_one_doubling_on_smooth_panels():
     value, points, est_error = _pair_expectation(N01, N01, jaccard_delta, CFG)
     assert points == 2 * CFG.points_per_axis
     assert est_error <= CFG.target_rel_tol * value
+
+
+def test_scalar_product_rule_runs_in_bounded_blocks(monkeypatch):
+    # 8 cells x 128 x 128 node pairs hold about 7 MB per pass in one block;
+    # blocks of 4096 node pairs hold well under 2 MB and sum to the same value
+    f2, cfg = consonant_from_normal(0.5, 0.7), QuadratureConfig(points_per_axis=128, refine_max_doublings=0)
+    whole = scalar_product(N01, f2, cfg)
+    monkeypatch.setattr(cbf.measures, "_BLOCK_ELEMS", 4096)
+    tracemalloc.start()
+    try:
+        blocked = scalar_product(N01, f2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
+    assert peak < 2_000_000
 
 
 def test_inverse_cdf_table_matches_scipy_cumulative_trapezoid():

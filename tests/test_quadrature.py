@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbf.consonant import consonant_from_normal
+from cbf.measures import scalar_product
 from cbf.quadrature import (
     QuadratureConfig,
     _refine,
@@ -30,10 +31,17 @@ class TestConfigValidation:
         {"target_rel_tol": 0.0},
         {"refine_max_doublings": -1},
         {"truncation_k": 1000.5},
+        {"points_per_axis": 16.5},
+        {"refine_max_doublings": 1.5},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             QuadratureConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        f = consonant_from_normal(0.0, 1.0)
+        cfg = QuadratureConfig(points_per_axis=np.int64(32), refine_max_doublings=np.int32(1))
+        assert scalar_product(f, f, cfg) == scalar_product(f, f, QuadratureConfig(32, refine_max_doublings=1))
 
 
 class TestRefine:
