@@ -486,3 +486,14 @@ def test_desk_sweeps_reproduce_the_committed_surfaces(tmp_path, monkeypatch, cap
     for name in ("strict_1in2", "partial_1in2", "partial_2in1"):
         expected = (root / "tests" / "data" / f"desk_{name}.csv").read_bytes()
         assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+
+
+def test_reproduce_tables_matches_the_committed_tables(tmp_path, monkeypatch, capsys):
+    # tests/data/reference_tables.csv pins scripts/reproduce_tables.py --format csv
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script, out = root / "scripts" / "reproduce_tables.py", tmp_path / "tables.csv"
+    monkeypatch.setattr(sys, "argv", [str(script), "--format", "csv", "--out", str(out)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    assert stop.value.code == 0
+    assert out.read_bytes() == (root / "tests" / "data" / "reference_tables.csv").read_bytes()
