@@ -75,8 +75,8 @@ __all__ = [
     "inc_partial_generic",
 ]
 
-# Cap on elements per block in the generic double sums.
-_BLOCK_ELEMS = 1 << 22
+# Cap on elements per block in the pair rule and the generic double sums.
+_BLOCK_ELEMS = 1 << 18
 # Gauss-Legendre nodes along a generic nesting curve: one panel, no kinks
 # known, so the resolution is fixed rather than tied to the panel rule.
 # 512 is where the curve oracle's strict inclusion happens to be accurate:
@@ -293,8 +293,7 @@ _STEEP = 1e20
 # Gauss-Legendre nodes across a thin cell: g2 is smooth over its u-width of
 # at most 2 t / _THIN, where 6 nodes are exact to rounding.
 _THIN_NODES = 6
-_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF, _SQRT_HALF_PI, _SQRT_2PI = math.sqrt(0.5), math.sqrt(0.5 * math.pi), math.sqrt(2.0 * math.pi)
 
 
 def _moments(c, sigma, n):
@@ -396,32 +395,38 @@ def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, sign):
             4.0 * lin1, 4.0 / _SQRT_2PI * lin1, 4.0 / _SQRT_2PI * lin0)
 
 
-def _sides(pair, t, sides) -> float:
+def _sides(pair, ends, sides) -> float:
     """Signed sum over sides of the integrals of k1(t) [(kappa t + beta) T0(u) + gamma S(u)].
 
     ``sides`` holds (a, b, kappa, beta, gamma, lin1, lin0, sign) per side
-    u = a t + b and the two rows of ``t`` its panel's ends.  T0 is the tail of
-    f2's shape and S(u) the integral over x > u of (x - u) g2(x):
-    (1 + u) e^-u and (2 + u) e^-u for Gamma(2), 2 u phi(u) + 2 Q(u) and
-    4 phi(u) - 2 u Q(u) for Maxwell.  Their Q(u) terms,
-    2 (lin1 t + lin0) Q(u), are integrated by parts; with k1 = 2 t phi that
-    leaves the bivariate normal probability
+    u = a t + b and ``ends`` its panel's ends (t0, t1).  T0 is the tail of
+    f2's shape and S(u) the integral over x > u of (x - u) g2(x): (1 + u) e^-u
+    and (2 + u) e^-u for Gamma(2), 2 u phi(u) + 2 Q(u) and 4 phi(u) - 2 u Q(u)
+    for Maxwell.  Their Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by
+    parts; with k1 = 2 t phi that leaves the bivariate normal probability
     integral phi(t) Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) + Phi(t) / 2
     with Owen's T, whose limit t -> 0 is taken at t = 1e-300 by the callers.
+    Two normals run on Python floats with one ``owens_t`` call: on their ~14
+    (side, end) entries numpy's per-call cost would outweigh the arithmetic.
+    The Owen's T terms join Q(u) (1/2 - Q(t)) per end before the weight w4,
+    else tiny strict inclusions lose digits (anchored in tests/test_panels.py).
     """
     if pair == ("phi", "phi"):
-        consts = _columns(starmap(_normal_side, sides), 12)
-        # both ends of every side in one flat row: equal shapes spare numpy its broadcasting
-        a, b, c, m, bc, big_a, b0, b1, b2, w4, q1, q0 = np.concatenate((consts, consts), axis=1)
-        t, n = t.ravel(), len(sides)
-        u, ns = np.maximum(a * t + b, 0.0), (m - t) * c  # ns = -s
-        qu = ndtr(-u)
+        terms, args = [], []
+        for (a, b, c, m, bc, big_a, b0, b1, b2, w4, q1, q0), te in zip(starmap(_normal_side, sides), ends):
+            for t in te:
+                u = max(a * t + b, 0.0)
+                ns, qu = (m - t) * c, 0.5 * math.erfc(u * _SQRT_HALF)  # ns = -s
+                terms.append((w4, qu * (0.5 - 0.5 * math.erfc(t * _SQRT_HALF)),
+                              math.exp(-0.5 * t * t) * qu * (q1 * t + q0), 0.5 * math.erfc(-ns * _SQRT_HALF) * big_a,
+                              math.exp(-0.5 * ns * ns) * (b0 - ns * (b1 - ns * b2))))
+                args += bc, t + a * u, b, u, t, u  # T(bc, (t + a u) / b), T(u, t / u)
+        h, num, den = np.array(args).reshape(-1, 3).T  # numpy divides: b or u = 0 give inf or nan
+        owen = owens_t(h, num / den).tolist()
         # T(t, u / t) + Phi(t) / 2 = 1/2 + Q(u) (1/2 - Q(t)) - T(u, t / u) keeps far tails small
-        w = owens_t(bc, (t + a * u) / b) - owens_t(u, t / u) + qu * (0.5 - ndtr(-t))
-        f = (w4 * w - np.exp(-0.5 * t * t) * qu * (q1 * t + q0) - ndtr(ns) * big_a
-             - np.exp(-0.5 * ns * ns) * (b0 - ns * (b1 - ns * b2)))
-        return float(f[n:].sum() - f[:n].sum())
-    a, b, kappa, beta, gamma, lin1, lin0, sign = _columns(sides, 8)
+        f = [w4 * (t1 - t2 + r) - x - y - z for (w4, r, x, y, z), t1, t2 in zip(terms, owen[::2], owen[1::2])]
+        return sum(f[1::2]) - sum(f[::2])
+    t, (a, b, kappa, beta, gamma, lin1, lin0, sign) = _columns(ends, 2), _columns(sides, 8)
     if pair[1] == "exp":
         poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
     else:
@@ -475,7 +480,7 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> InclusionResu
             thin.append((t0, t1, al, ql / s2, ah - al, (qh - ql) / s2, kl, kl * t0 + ll, width / s2,
                          c1 * width / s1 / n1, c1 * (ph - pl) / n1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = _sides(pair, _columns(ends, 2), sides)
+        value = _sides(pair, ends, sides)
         if thin:  # the 6 lines between the sides of each thin cell, stacked in rows
             t0, t1, a, b, da, db, kl, e0, d0, g0, gda = _columns(thin, 11)
             theta, w = (x[:, None] for x in _unit_nodes(_THIN_NODES))

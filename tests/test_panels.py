@@ -267,6 +267,30 @@ def test_scalar_product_rule_runs_in_bounded_blocks(monkeypatch):
     assert peak < 2_000_000
 
 
+def test_scalar_product_blocks_bound_memory_at_the_default_size():
+    # 8 cells x 512 x 512 node pairs: the default blocks of 2^18 node pairs
+    # peak near 15 MB; blocks of 2^22 held about 118 MB
+    cfg = QuadratureConfig(points_per_axis=512, refine_max_doublings=0)
+    tracemalloc.start()
+    try:
+        scalar_product(N01, consonant_from_normal(0.5, 0.7), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
+
+
+# 40-digit values (mpmath, dps=40) of the integral over 0 < z1 < Z2 - off of
+# g(z1) [T((z1 + off) / s2) - T(8)], g the Maxwell density and T its tail:
+# strict inclusions far below the rounding of the terms they are summed from
+@pytest.mark.parametrize("mu, sigma, exact", [
+    (1.5, 0.25, 7.907842146329238e-12),
+    (3.5, 0.5, 6.5985731600866627e-14),
+])
+def test_tiny_strict_inclusions_keep_their_digits(mu, sigma, exact):
+    assert abs(inc_strict(N01, consonant_from_normal(mu, sigma)).value - exact) < 1e-17
+
+
 def test_inverse_cdf_table_matches_scipy_cumulative_trapezoid():
     grid = np.linspace(0.0, N01.support_bound, 8193)
     cdf = cumulative_trapezoid(N01.density(grid), grid, initial=0.0)
