@@ -7,14 +7,12 @@ matrices with their row averages.
 
 Usage:
     python scripts/reproduce_tables.py [--format {markdown,csv}] [--out PATH]
-                                       [--grid N]
 """
 
 import argparse
 import pathlib
 
 from cbf.experiments import MEASURES, Scenario, render_tables, run_tables
-from cbf.quadrature import QuadratureConfig
 
 REFERENCE_DISTRIBUTIONS = (
     "normal:0,1",
@@ -28,15 +26,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     parser.add_argument("--out", default=None, help="write the tables to this file")
-    parser.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis,
-                        help="Gauss-Legendre nodes per panel (default %(default)s)")
     args = parser.parse_args()
 
-    scenario = Scenario(
-        distributions=REFERENCE_DISTRIBUTIONS,
-        measures=MEASURES,
-        quadrature=QuadratureConfig(points_per_axis=args.grid),
-    )
+    scenario = Scenario(distributions=REFERENCE_DISTRIBUTIONS, measures=MEASURES)
     text = render_tables(run_tables(scenario), args.format)
     if args.out is None:
         print(text)

@@ -6,8 +6,8 @@ The package covers two settings with one vocabulary:
   measures are exact sums over focal sets;
 * continuous consonant belief densities induced by normal or exponential
   pignistic densities (``cbf.consonant`` / ``cbf.measures``), where the
-  measures are expectations of interval overlap degrees evaluated by
-  deterministic quadrature.
+  measures are expectations of interval overlap degrees, in closed form for
+  both inclusions and by Gauss-Legendre quadrature for the scalar product.
 
 ``cbf.experiments`` reproduces the reference tables and parameter sweeps;
 the ``cbf`` console script exposes them from the shell.

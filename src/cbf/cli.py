@@ -3,7 +3,6 @@
 Subcommands:
 
 * ``cbf tables``    pairwise measure tables for a list of distributions
-* ``cbf distance``  shorthand for a distance-only table
 * ``cbf sweep``     (mu2, sigma2) grid sweep of one measure against a fixed distribution
 * ``cbf discrete conf``  discrete conflict report for two .bba files
 
@@ -56,17 +55,10 @@ def _add_quadrature_flags(parser: argparse.ArgumentParser):
                             "the inclusions are closed-form (default %(default)s)")
     group.add_argument("--trunc-k", type=float, default=QuadratureConfig.truncation_k, metavar="K",
                        help="domain truncation in scale units (default %(default)s)")
-    group.add_argument("--tol", type=float, default=QuadratureConfig.target_rel_tol, metavar="T",
-                       help="relative refinement tolerance of the scalar product and distance "
-                            "(default %(default)s)")
 
 
 def _config_from_args(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        points_per_axis=args.grid,
-        truncation_k=args.trunc_k,
-        target_rel_tol=args.tol,
-    )
+    return QuadratureConfig(points_per_axis=args.grid, truncation_k=args.trunc_k)
 
 
 def _emit(text: str, out_path: str | None):
@@ -137,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--out", default=None, help="write output to this file")
     _add_quadrature_flags(p_tables)
     p_tables.set_defaults(func=_cmd_tables)
-
-    p_dist = sub.add_parser("distance", help="pairwise distance table")
-    p_dist.add_argument("--dists", nargs="+", required=True, metavar="SPEC")
-    p_dist.add_argument("--format", choices=FORMATS, default="markdown")
-    p_dist.add_argument("--out", default=None)
-    _add_quadrature_flags(p_dist)
-    p_dist.set_defaults(func=_cmd_tables, measures=("distance",))
 
     p_sweep = sub.add_parser("sweep", help="grid sweep against a fixed distribution")
     p_sweep.add_argument("--fixed", required=True, metavar="SPEC")

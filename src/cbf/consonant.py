@@ -22,8 +22,8 @@ normal float up to where the longest focal, (1 - lo_slope) * truncation_k
 anchors on it reproducing the source pdf.  ``to_generic`` exposes the same
 density as a ``GenericBBD``, the bare curve z -> (focal(z), m(z)) that the
 generic cross-check measures read.  ``tail_mass`` is the closed-form
-upper tail of m, which is what turns strict-inclusion integrals into 1D
-integrals (the nesting makes {z2 : I1 subset I2(z2)} an upper ray).
+upper tail of m; only the grading checks of ``cbf.measures._kinks`` and
+the tests read it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_PIGNISTIC_POINTS = 512  # Gauss-Legendre nodes of pignistic_density
 
 
 def _phi(u):
@@ -183,7 +184,7 @@ def to_generic(c: ConsonantBBD) -> GenericBBD:
     return GenericBBD(c.focal_bounds, c.density, c.support_bound, c.label)
 
 
-def pignistic_density(c: ConsonantBBD, x, points: int = 512):
+def pignistic_density(c: ConsonantBBD, x):
     """Pignistic transform of ``c`` evaluated at x.
 
     betf(x) = integral over z of density(z) / length(focal(z)) for all z
@@ -198,7 +199,7 @@ def pignistic_density(c: ConsonantBBD, x, points: int = 512):
     u_min = np.where(d >= 0.0, d, d / lo if lo else np.inf)
     width = np.maximum(c.support_bound / c.scale - u_min, 0.0)
     u_min_safe = np.where(np.isfinite(u_min), u_min, 0.0)
-    t, wt = nodes_and_weights(points, 0.0, 1.0)
+    t, wt = nodes_and_weights(_PIGNISTIC_POINTS, 0.0, 1.0)
     u = u_min_safe[..., None] + width[..., None] * t
     vals = width * np.sum(wt * c.shape.pignistic(u), axis=-1) / c.scale
     return _as_scalar_or_array(vals)

@@ -223,7 +223,7 @@ def parse_bba(text: str, frame: Iterable[str] | None = None) -> DiscreteMassFunc
     return DiscreteMassFunction.__new__(DiscreteMassFunction)._build(frame, masses)
 
 
-def load_bba(path, frame: Iterable[str] | None = None) -> DiscreteMassFunction:
+def load_bba(path) -> DiscreteMassFunction:
     """Read a mass assignment file (see ``parse_bba`` for the format)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_bba(fh.read(), frame)
+        return parse_bba(fh.read())

@@ -70,7 +70,6 @@ class SweepSpec:
     direction: str = "1in2"
 
     def __post_init__(self):
-        parse_distribution(self.fixed)
         for name, rng in (("mu2", self.mu2), ("sigma2", self.sigma2)):
             if not all(math.isfinite(v) for v in rng):
                 raise ValueError(f"{name} range bounds must be finite, got {rng}")
@@ -102,8 +101,13 @@ class Scenario:
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
+        k = self.quadrature.truncation_k  # the truncation every operand is built with
         for spec in self.distributions:
-            parse_distribution(spec)
+            parse_distribution(spec, k)
+        if self.sweep is not None:  # the fixed operand and the extreme swept scales
+            parse_distribution(self.sweep.fixed, k)
+            for sigma2 in grid_values(self.sweep.sigma2)[[0, -1]]:
+                consonant_from_normal(0.0, sigma2, k)
         if not self.measures:
             raise ValueError("need at least one measure")
         for meas in self.measures:

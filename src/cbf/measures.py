@@ -541,14 +541,14 @@ def inc_avg_partial(i: int, fs, cfg: QuadratureConfig | None = None) -> float:
     return _inc_avg(inc_partial, i, fs, cfg)
 
 
-def nesting_pair_sampler(f1: ConsonantBBD, f2: ConsonantBBD, n_grid: int = 8193):
+def nesting_pair_sampler(f1: ConsonantBBD, f2: ConsonantBBD):
     """Independent sampler of (z1, z2) for ``mc_estimate``.
 
     Each marginal is drawn by inverse CDF from the tabulated nesting
     density, truncated at the operand's support bound.
     """
-    inv1 = inverse_cdf_table(f1.density, f1.support_bound, n_grid)
-    inv2 = inverse_cdf_table(f2.density, f2.support_bound, n_grid)
+    inv1 = inverse_cdf_table(f1.density, f1.support_bound)
+    inv2 = inverse_cdf_table(f2.density, f2.support_bound)
 
     def sampler(rng, n):
         return inv1(rng.random(n)), inv2(rng.random(n))

@@ -60,8 +60,9 @@ class TestConstructors:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 1000.5, 1e4])
     def test_rejects_truncation_beyond_panel_resolution(self, bad):
-        # 16-node panels cannot resolve a density spread over more than
-        # 1000 scale units: at k = 1e4 self-inclusion came out 0, not 1/2
+        # the scalar product's default rule cannot resolve a density spread
+        # over more than 1000 scale units: at k = 1e4 its N(0,1) self anchor
+        # 2/pi comes out 1.4e-38
         for build in (lambda k: consonant_from_normal(0.0, 1.0, k),
                       lambda k: consonant_from_exponential(1.0, k)):
             with pytest.raises(ValueError, match="truncation_k"):

@@ -12,6 +12,7 @@ import pytest
 
 import cbf.experiments
 from cbf.cli import build_parser, main
+from cbf.consonant import consonant_from_normal
 from cbf.experiments import (
     DIRECTIONS,
     MEASURES,
@@ -23,6 +24,7 @@ from cbf.experiments import (
     run_tables,
     sweep_csv,
 )
+from cbf.measures import inc_strict
 from cbf.quadrature import QuadratureConfig
 
 LIGHT = QuadratureConfig(points_per_axis=16, refine_max_doublings=0)
@@ -41,6 +43,22 @@ class TestScenarioValidation:
     def test_rejects_bad_distribution_early(self):
         with pytest.raises(ValueError, match="cauchy"):
             Scenario(distributions=("cauchy:0,1",))
+
+    def test_checks_operands_at_its_own_truncation(self):
+        # sigma = 1e306 fits the default k = 8 but its focal overflows at k = 1000
+        with pytest.raises(ValueError, match="truncation_k = 1000"):
+            Scenario(distributions=("normal:0,1e306", "normal:0,1"),
+                     quadrature=QuadratureConfig(truncation_k=1000.0))
+        with pytest.raises(ValueError, match="truncation_k = 1000"):
+            Scenario(sweep=SweepSpec(fixed="normal:0,1e306", mu2=(0, 0, 1), sigma2=(1, 1, 1)),
+                     quadrature=QuadratureConfig(truncation_k=1000.0))
+
+    @pytest.mark.parametrize("sigma2, bad", [((1e307, 2e307, 1e307), "2e+307"),
+                                             ((1e-310, 1, 1), "1e-310")])
+    def test_sweep_checks_its_extreme_scales(self, sigma2, bad):
+        # rejected up front rather than partway through the grid
+        with pytest.raises(ValueError, match=f"sigma = {re.escape(bad)} gives scale"):
+            Scenario(sweep=SweepSpec(fixed="normal:0,1", mu2=(0, 0, 1), sigma2=sigma2))
 
     def test_sweep_rejects_zero_step(self):
         with pytest.raises(ValueError, match="step"):
@@ -321,11 +339,9 @@ class TestCli:
         assert rows[0] == ["measure", "f_i", "f_j", "value"]
         assert {r[0] for r in rows[1:]} == {"incstr", "incpar"}
 
-    def test_distance_command(self, capsys):
-        rc = main(["distance", "--dists", "normal:0,1", "normal:4,1",
-                   "--grid", "128"])
-        assert rc == 0
-        assert "### distance" in capsys.readouterr().out
+    def test_distance_is_a_measure_not_a_subcommand(self):
+        with pytest.raises(SystemExit):
+            main(["distance", "--dists", "normal:0,1", "normal:4,1"])
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -444,6 +460,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: sigma = 1e-310 gives scale" in captured.err
+
+    def test_operands_are_checked_at_the_given_truncation(self, capsys):
+        # at truncation_k = 1 the focal [-2e307, 2e307] is finite; the value
+        # depends only on the scale ratio
+        rc = main(["tables", "--dists", "normal:0,2e307", "normal:0,1e307",
+                   "--trunc-k", "1", "--measures", "incstr", "--format", "csv"])
+        assert rc == 0
+        small = inc_strict(consonant_from_normal(0.0, 2.0, 1.0), consonant_from_normal(0.0, 1.0, 1.0))
+        assert f'incstr,"normal:0,2e+307","normal:0,1e+307",{small.value:.6g}\n' in capsys.readouterr().out
 
     def test_sigma_whose_focal_overflows_is_reported(self, capsys):
         # at truncation_k = 8 the focal [-8 sigma, 8 sigma] is 3.2e308 long

@@ -31,7 +31,7 @@ from cbf.measures import (
     inc_strict,
     scalar_product,
 )
-from cbf.quadrature import QuadratureConfig, inverse_cdf_table
+from cbf.quadrature import _REFINE_REL_TOL, QuadratureConfig, inverse_cdf_table
 
 CFG = QuadratureConfig()
 ANCHOR_TOL = 1e-10
@@ -248,7 +248,7 @@ def test_refinement_stops_after_one_doubling_on_smooth_panels():
     # a bound on the coarser rule
     value, points, est_error = _pair_expectation(N01, N01, jaccard_delta, CFG)
     assert points == 2 * CFG.points_per_axis
-    assert est_error <= CFG.target_rel_tol * value
+    assert est_error <= _REFINE_REL_TOL * value
 
 
 def test_scalar_product_rule_runs_in_bounded_blocks(monkeypatch):
@@ -303,8 +303,7 @@ def test_cli_quadrature_flags_default_to_the_config():
     args = build_parser().parse_args(["tables", "--dists", "normal:0,1", "exp:2"])
     assert args.grid == QuadratureConfig().points_per_axis
     assert args.trunc_k == QuadratureConfig().truncation_k
-    assert args.tol == QuadratureConfig().target_rel_tol
-    for gone in (["--rule", "midpoint"], ["--seed", "1"]):
+    for gone in (["--rule", "midpoint"], ["--seed", "1"], ["--tol", "1e-6"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--dists", "normal:0,1", *gone])
 

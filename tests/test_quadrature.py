@@ -25,10 +25,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"points_per_axis": 8},
         {"truncation_k": math.inf},
-        {"target_rel_tol": math.nan},
+        {"truncation_k": math.nan},
         {"truncation_k": 0.0},
         {"truncation_k": -1.0},
-        {"target_rel_tol": 0.0},
+        {"points_per_axis": 15},
         {"refine_max_doublings": -1},
         {"truncation_k": 1000.5},
         {"points_per_axis": 16.5},
@@ -37,6 +37,10 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             QuadratureConfig(**kwargs)
+
+    def test_refinement_tolerance_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            QuadratureConfig(target_rel_tol=1e-6)
 
     def test_accepts_numpy_integers(self):
         f = consonant_from_normal(0.0, 1.0)
