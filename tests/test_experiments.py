@@ -522,3 +522,14 @@ def test_reproduce_tables_matches_the_committed_tables(tmp_path, monkeypatch, ca
         runpy.run_path(str(script), run_name="__main__")
     assert stop.value.code == 0
     assert out.read_bytes() == (root / "tests" / "data" / "reference_tables.csv").read_bytes()
+
+
+def test_stress_tables_match_the_committed_tables(tmp_path, capsys):
+    # tests/data/stress_tables.csv pins the scalar products and distances of
+    # scale-separated operands, an exponential among them
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = tmp_path / "stress.csv"
+    rc = main(["tables", "--dists", "exp:2", "normal:0,0.001", "normal:0.5,1", "normal:0,1",
+               "--measures", "scalar,distance", "--format", "csv", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (root / "tests" / "data" / "stress_tables.csv").read_bytes()

@@ -3,8 +3,9 @@ scalar product and the closed-form inclusions.
 
 Anchors are closed forms; the other references are independent of the
 closed forms and of the panel splitter (the n x n rule with the checked
-degrees, scipy's adaptive quadrature with hand-placed breakpoints, or the
-same measure integrated in the other order).
+degrees, scipy's adaptive quadrature with hand-placed breakpoints or over
+the endpoint crossings of ``oracles.inclusion_by_crossings``, or the same
+measure integrated in the other order).
 """
 
 import importlib.util
@@ -32,6 +33,7 @@ from cbf.measures import (
     scalar_product,
 )
 from cbf.quadrature import _REFINE_REL_TOL, QuadratureConfig, inverse_cdf_table
+from oracles import inclusion_by_crossings
 
 CFG = QuadratureConfig()
 ANCHOR_TOL = 1e-10
@@ -131,8 +133,7 @@ def test_scale_separated_pairs_agree_in_both_integration_orders(a, b):
     # the other operand on the outer axis, so agreement checks the grading
     fa, fb = STRESS_FAMILY[a], STRESS_FAMILY[b]
     assert abs(_scalar(fa, fb) - _scalar(fb, fa)) < 1e-12
-    reversed_rule, _, _ = _pair_expectation(fb, fa, delta_inc_partial_rev, CFG)
-    assert abs(_partial(fa, fb) - reversed_rule) < 1e-12
+    assert abs(_partial(fa, fb) - inclusion_by_crossings(fa, fb, "partial", outer=1)) < 1e-12
 
 
 @pytest.mark.parametrize("f1,f2", [
@@ -336,31 +337,26 @@ def _cross_check_family(k, seed=11):
     return pairs
 
 
-FINE = QuadratureConfig(points_per_axis=128, refine_max_doublings=1)
-
-
-def _rule_gap(k):
-    # the n x n rule itself moves by up to 3e-13 between 512 and 1024 nodes
-    # per panel at k = 40 (N(1.16,0.147) in N(-205,147)), where 30-digit
-    # quadrature puts the closed forms within 1e-16
-    return 1e-13 if k == 8.0 else 1e-12
+# The reference integrates over the crossings of the focal endpoints, apart
+# from the cell map (tests/oracles.py); it agrees with the closed forms
+# within 4e-15 on these pairs at k = 8 and 40 alike.
+REFERENCE_GAP = 1e-14
 
 
 @pytest.mark.parametrize("k", [8.0, 40.0])
 def test_closed_form_partial_matches_the_two_d_rule(k):
-    # inc_partial is closed-form; the n x n rule with the checked degree is
-    # independent of it
+    # inc_partial is closed-form; a 2-D integral of the degree is independent of it
     for f1, f2 in _cross_check_family(k):
-        rule, _, _ = _pair_expectation(f1, f2, delta_inc_partial, FINE)
-        assert abs(inc_partial(f1, f2).value - rule) <= _rule_gap(k), (f1.label, f2.label)
+        rule = inclusion_by_crossings(f1, f2, "partial")
+        assert abs(inc_partial(f1, f2).value - rule) <= REFERENCE_GAP, (f1.label, f2.label)
 
 
 @pytest.mark.parametrize("k", [8.0, 40.0])
 def test_closed_form_strict_matches_the_two_d_rule(k):
-    # the checked strict indicator is constant on each cell of the rule
+    # the strict indicator is constant between the crossings the reference splits at
     for f1, f2 in _cross_check_family(k):
-        rule, _, _ = _pair_expectation(f1, f2, delta_inc_strict, FINE)
-        assert abs(inc_strict(f1, f2).value - rule) <= _rule_gap(k), (f1.label, f2.label)
+        rule = inclusion_by_crossings(f1, f2, "strict")
+        assert abs(inc_strict(f1, f2).value - rule) <= REFERENCE_GAP, (f1.label, f2.label)
 
 
 def _far_scale_family(seed=13):
@@ -380,17 +376,16 @@ def test_closed_forms_keep_their_digits_at_far_scale_ratios():
     # narrow cells far from the wider operand's centre once cost the partial
     # closed form up to 4e-10 at a ratio of 1e8
     for f1, f2 in _far_scale_family():
-        for closed, delta in ((inc_partial, delta_inc_partial), (inc_strict, delta_inc_strict)):
-            rule, _, _ = _pair_expectation(f1, f2, delta, FINE)
-            assert abs(closed(f1, f2).value - rule) <= 1e-12, (f1.label, f2.label, closed.__name__)
+        for closed, kind in ((inc_partial, "partial"), (inc_strict, "strict")):
+            rule = inclusion_by_crossings(f1, f2, kind)
+            assert abs(closed(f1, f2).value - rule) <= REFERENCE_GAP, (f1.label, f2.label, kind)
 
 
 def test_closed_form_partial_matches_the_reversed_rule():
-    # at the default config the n x n rule of the other operand order, with
-    # the reversed checked degree, agrees
+    # the reference with f2 on the outer axis and f1 on the inner one agrees
     for f1, f2 in _cross_check_family(CFG.truncation_k):
-        rule, _, _ = _pair_expectation(f2, f1, delta_inc_partial_rev, CFG)
-        assert abs(inc_partial(f1, f2, CFG).value - rule) <= 1e-12, (f1.label, f2.label)
+        rule = inclusion_by_crossings(f1, f2, "partial", outer=1)
+        assert abs(inc_partial(f1, f2, CFG).value - rule) <= REFERENCE_GAP, (f1.label, f2.label)
 
 
 def _desk_pairs():
