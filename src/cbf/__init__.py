@@ -6,8 +6,9 @@ The package covers two settings with one vocabulary:
   measures are exact sums over focal sets;
 * continuous consonant belief densities induced by normal or exponential
   pignistic densities (``cbf.consonant`` / ``cbf.measures``), where the
-  measures are expectations of interval overlap degrees, in closed form for
-  both inclusions and by Gauss-Legendre quadrature for the scalar product.
+  measures are expectations of interval overlap degrees over one map of
+  cells, in closed form for both inclusions and for the scalar product but
+  for a Gauss-Legendre rule on the cells where the focals straddle.
 
 ``cbf.experiments`` reproduces the reference tables and parameter sweeps;
 the ``cbf`` console script exposes them from the shell.

@@ -51,8 +51,8 @@ def _parse_measures(text: str) -> tuple[str, ...]:
 def _add_quadrature_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("quadrature")
     group.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis, metavar="N",
-                       help="Gauss-Legendre nodes per panel of the scalar product and distance; "
-                            "the inclusions are closed-form (default %(default)s)")
+                       help="Gauss-Legendre nodes per piece and line of the scalar product's rule on "
+                            "straddling cells; all else is closed-form (default %(default)s)")
     group.add_argument("--trunc-k", type=float, default=QuadratureConfig.truncation_k, metavar="K",
                        help="domain truncation in scale units (default %(default)s)")
 

@@ -22,8 +22,7 @@ normal float up to where the longest focal, (1 - lo_slope) * truncation_k
 anchors on it reproducing the source pdf.  ``to_generic`` exposes the same
 density as a ``GenericBBD``, the bare curve z -> (focal(z), m(z)) that the
 generic cross-check measures read.  ``tail_mass`` is the closed-form
-upper tail of m; only the grading checks of ``cbf.measures._kinks`` and
-the tests read it.
+upper tail of m; only the tests read it.
 """
 
 from __future__ import annotations

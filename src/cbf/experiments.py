@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consonant import consonant_from_normal, parse_distribution
-from .measures import distance, gram_distance, inc_partial, inc_strict, scalar_product
+from .measures import _offset, distance, gram_distance, inc_partial, inc_strict, scalar_product
 from .quadrature import QuadratureConfig
 
 __all__ = [
@@ -104,10 +104,12 @@ class Scenario:
         k = self.quadrature.truncation_k  # the truncation every operand is built with
         for spec in self.distributions:
             parse_distribution(spec, k)
-        if self.sweep is not None:  # the fixed operand and the extreme swept scales
-            parse_distribution(self.sweep.fixed, k)
-            for sigma2 in grid_values(self.sweep.sigma2)[[0, -1]]:
-                consonant_from_normal(0.0, sigma2, k)
+        if self.sweep is not None:  # the fixed operand, the extreme swept scales and offsets
+            fixed, sigma2 = parse_distribution(self.sweep.fixed, k), grid_values(self.sweep.sigma2)[[0, -1]]
+            for s in sigma2:
+                consonant_from_normal(0.0, s, k)
+            for mu2 in grid_values(self.sweep.mu2)[[0, -1]]:  # the widest swept operand at each end
+                _offset(fixed, consonant_from_normal(mu2, sigma2[-1], k))
         if not self.measures:
             raise ValueError("need at least one measure")
         for meas in self.measures:

@@ -26,15 +26,19 @@ difference of antiderivatives at the panel ends (Gaussian and exponential
 moments, Owen's T for the one bivariate normal term).  On cells thin
 against the second operand the two sides' tails would cancel; there the
 z2 integral is taken on six Gauss-Legendre lines across the cell, each
-again closed-form along z1.  Strict inclusion
-is the same walk kept to the nested cells, where the overlap is all of I1
-and the partial integrand is the strict indicator.  Only
-``scalar_product`` keeps a rule, n x n Gauss-Legendre nodes on every met
-cell, because the Jaccard degree is a ratio of linear pieces.
+again closed-form along z1.  Strict inclusion is the same walk kept to
+the nested cells, where the overlap is all of I1 and the partial integrand
+is the strict indicator.  The scalar product's Jaccard degree is a ratio of
+two linear pieces on each cell, overlap / hull.  Where one focal holds the
+other it is |I2| / |I1| or |I1| / |I2|, and the cell is closed-form as in
+partial inclusion.  Where they straddle, the degree is smooth in the hull
+and along its level lines, and one Gauss-Legendre rule in those two
+directions takes the cell: the only rule any measure runs, refined by
+``_refine``.
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
-unchecked unit-scale kernels (the shapes and ``cbf.intervals.overlap``).
+unchecked unit-scale kernels.
 
 The Monte Carlo and generic-representation paths below rebuild the same
 quantities from raw interval operations and serve as cross-checks.
@@ -43,7 +47,7 @@ quantities from raw interval operations and serve as cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, starmap
 from math import comb
 from typing import NamedTuple
@@ -54,7 +58,7 @@ from scipy.special import erfcx, ndtr, owens_t
 from .consonant import ConsonantBBD, GenericBBD, _phi
 # delta_inc_partial_rev is unused here but stays a name of this module: the
 # benchmark tracer (perfbench/tracer.py) wraps it by name
-from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta, overlap
+from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta
 from .quadrature import QuadratureConfig, _refine, _unit_nodes, inverse_cdf_table, nodes_and_weights
 
 __all__ = [
@@ -75,21 +79,31 @@ __all__ = [
     "inc_partial_generic",
 ]
 
-# Cap on elements per block in the pair rule and the generic double sums.
+# Cap on elements per block in the generic double sums.
 _BLOCK_ELEMS = 1 << 18
+# Cap on points per block of the straddling-cell rule, which holds about ten
+# float64 temporaries per point: a block peaks near 5 MB.
+_RULE_BLOCK = 1 << 16
+# Largest ratio between the ends of a piece of the straddling-cell rule.
+_HULL_RATIO = 8.0
+# Scale units past which the Maxwell and Gamma(2) kernels of the scalar
+# product hold no mass in floats (x^2 phi(x) and x exp(-x) below 1e-18): its
+# walk stops there, so that the rule's nodes stay where the mass is.
+_REACH = {"phi": 10.0, "exp": 45.0}
 # Gauss-Legendre nodes along a generic nesting curve: one panel, no kinks
 # known, so the resolution is fixed rather than tied to the panel rule.
 # 512 is where the curve oracle's strict inclusion happens to be accurate:
 # against a dense reference it is off by 2.4e-4 at 256 nodes, 2.5e-7 at 512
 # and 6.5e-5 at 1024, so other values break its 1e-5 cross-checks.
 _CURVE_POINTS = 512
-# Ratio between successive panel breaks graded toward the (0, 0) corner.
-_GRADING = 8.0
 
 
 class QuadratureMeta(NamedTuple):
     points_per_axis: int
     est_error: float
+
+
+_NO_RULE = QuadratureMeta(0, math.nan)
 
 
 @dataclass(frozen=True)
@@ -100,8 +114,8 @@ class InclusionResult:
     direction        (label of included operand, label of including operand)
     kind             "strict" or "partial"
     quadrature_meta  (0, nan): the closed forms use no nodes and form no
-                     error estimate; they agree with the n x n rule within
-                     1e-13 (see the README numerical notes)
+                     error estimate; they agree with an independent 2-D
+                     quadrature within 1e-14 (see the README numerical notes)
     """
 
     value: float
@@ -124,37 +138,20 @@ def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
     return off
 
 
-# Unchecked Jaccard degree: the hull >= |I1| > 0 at interior nodes.  |I2| rounds
-# to 0 once |off| dwarfs z2, so inc_partial_reversed keeps the checked degree.
-def _jaccard(a1, b1, a2, b2):
-    return overlap(a1, b1, a2, b2) / (np.maximum(b1, b2) - np.minimum(a1, a2))
-
-
-def _weights(f: ConsonantBBD, z, w):
-    """Quadrature weights times the nesting density at nodes z > 0."""
-    return w / f.scale * f.shape.density(z / f.scale)
-
-
 def _columns(rows, width: int):
     """The columns of a sequence of equal-length float tuples, as rows of one array."""
     return np.fromiter(chain.from_iterable(rows), float).reshape(-1, width).T
 
 
-def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
+def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     """Kink lines and outer breaks of a pair degree on [0, Z1] x [0, Z2].
 
     An endpoint s1*z1 of I1 meets an endpoint s2*z2 + off of I2 on the line
-    z2 = (s1*z1 - off) / s2, or at z1 = off / s1 when s2 is 0.  Near the
-    corner (0, 0) a degree varies on the scale of the shorter support, so
-    when the supports differ the panels are also graded geometrically
-    toward it: outer breaks at z1 = 8**j * Z2 below Z1, and lines
-    z2 = 8**k * z1 while 8**k < 2 * Z2 / Z1 (j, k >= 1).  A break or line
-    is skipped where the operand it grades has no mass below it in floats.
-    The grading serves a quadrature rule only; ``graded=False`` leaves it out.
+    z2 = (s1*z1 - off) / s2, or at z1 = off / s1 when s2 is 0.
 
     Returns the sorted (p, q) tuples of the lines z2 = p*z1 + q that enter
-    (0, Z2), and the sorted z1 breaks: 0, Z1, the vertical crossings, the
-    grading breaks and every z1 where two lines cross each other, 0 or Z2.
+    (0, Z2), and the sorted z1 breaks: 0, Z1, the vertical crossings and
+    every z1 where two lines cross each other, 0 or Z2.
     """
     z1_max, z2_max = f1.support_bound, f2.support_bound
     lines, breaks = set(), {0.0, z1_max}
@@ -167,16 +164,6 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
                     lines.add((p, q))
             elif s1:
                 breaks.add(off / s1)
-    grade = _GRADING * z2_max if graded else math.inf
-    while grade < z1_max:
-        if f1.tail_mass(grade) < 1.0:
-            breaks.add(grade)
-        grade *= _GRADING
-    grade = _GRADING if graded else math.inf
-    while grade * z1_max < 2.0 * z2_max:
-        if f2.tail_mass(grade * z1_max) < 1.0:
-            lines.add((grade, 0.0))
-        grade *= _GRADING
     lines = sorted(lines)
     for i, (p, q) in enumerate(lines):
         if p:
@@ -185,13 +172,7 @@ def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
     return lines, sorted(b for b in breaks if 0.0 <= b <= z1_max)
 
 
-def _panel_nodes(lo, width, n: int):
-    """n Gauss-Legendre nodes and weights on each panel [lo, lo + width], one row each."""
-    x, w = nodes_and_weights(n, 0.0, 1.0)
-    return lo[:, None] + width[:, None] * x, width[:, None] * w
-
-
-def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
+def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
     """The cells of the outer panels of ``_kinks`` where the focals meet.
 
     No kink line crosses another, 0 or Z2 inside an outer panel, so its
@@ -202,7 +183,7 @@ def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
     alpha, beta, c1) per cell: its panel, its lower and upper bounds and
     its overlap alpha*z1 + beta + c1*z2.
     """
-    lines, breaks = _kinks(f1, f2, off, graded)
+    lines, breaks = _kinks(f1, f2, off)
     z2_max, lo1, lo2 = f2.support_bound, f1.shape.lo_slope, f2.shape.lo_slope
     cells = []
     for i, z1 in enumerate(0.5 * (z0 + z1) for z0, z1 in zip(breaks, breaks[1:])):
@@ -223,42 +204,13 @@ def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float, graded: bool):
     return breaks, cells
 
 
-def _pair_expectation(f1: ConsonantBBD, f2: ConsonantBBD, delta, cfg: QuadratureConfig):
-    """E[delta(I1, I2)] with an n x n Gauss-Legendre rule on each met cell.
-
-    The (cell, z1 node) rows, n z2 nodes each, are taken in blocks of at
-    most ``_BLOCK_ELEMS`` node pairs, so memory stays bounded at any n.
-    """
-    off = _offset(f1, f2)
-    outer, rows = _cells(f1, f2, off, graded=True)
-    panel, lo_p, lo_q, hi_p, hi_q, *_ = _columns(rows, 8)
-    s2, lo1, lo2, panel = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope, panel.astype(int)
-    # (p, q) columns of the lower bound and width of each cell
-    lo_p, lo_q, d_p, d_q = (c[:, None] for c in (lo_p, lo_q, hi_p - lo_p, hi_q - lo_q))
-    starts, widths = np.array(outer[:-1]), np.diff(outer)
-
-    def estimate(n):
-        z1, w1 = _panel_nodes(starts, widths, n)
-        x, w = nodes_and_weights(n, 0.0, 1.0)
-        b1, g1 = z1[panel], _weights(f1, z1, w1)[panel]
-        span = d_p * b1 + d_q
-        # one row per (cell, z1 node); inner weights (span / s2) * w, w contracted last
-        low, g1, span, b1 = (lo_p * b1 + lo_q).ravel(), (g1 * span / s2).ravel(), span.ravel(), b1.ravel()
-        step, total = max(1, _BLOCK_ELEMS // n), 0.0
-        for k in range(0, b1.size, step):
-            z2, b = low[k:k + step, None] + span[k:k + step, None] * x, b1[k:k + step, None]
-            degrees = delta(lo1 * b, b, lo2 * z2 + off, z2 + off)
-            total += float(np.vdot(g1[k:k + step], (degrees * f2.shape.density(z2 / s2)) @ w))
-        return total
-
-    return _refine(estimate, cfg.points_per_axis, cfg)
-
-
 def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
-    """Expected Jaccard overlap degree between the two focal families."""
-    cfg = cfg or QuadratureConfig()
-    value, _, _ = _pair_expectation(f1, f2, _jaccard, cfg)
-    return value
+    """Expected Jaccard overlap degree between the two focal families.
+
+    Closed-form on the nested cells of ``_cells`` and a Gauss-Legendre rule
+    on the straddling ones (see ``_closed_form``).
+    """
+    return _closed_form(f1, f2, "scalar", cfg or QuadratureConfig())
 
 
 def gram_distance(n1, n2, s):
@@ -374,16 +326,16 @@ def _along(pair, poly, t0, t1, a, b, tref):
     return np.sum(np.array([-1.0, 1.0, 1.0, -1.0]).reshape(d.shape) * kern * total, axis=0)
 
 
-def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, sign):
+def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, tail, sign):
     """Constants of one side of ``_sides`` for two normal operands, in floats.
 
-    Beyond the Q(u) terms the integrand is (e3 t^3 + e2 t^2 + e1 t + e0)
+    Beyond the Q(u) terms the integrand is 4 (e3 t^3 + e2 t^2 + e1 t + e0)
     phi(t) phi(u) = phi(b / c) phi(s) times that cubic, with c = hypot(1, a)
     and s = c (t - m), m = -a b / c^2.  Re-centred at m it integrates to
     -[Q(s) A + phi(s) (B0 + B1 s + B2 s^2)], A and B carrying phi(b / c) / c.
     The weights carry the side's sign.
     """
-    e0, e1, e2, e3 = a * lin0, beta * b + 2.0 * gamma - a * lin1, kappa * b + beta * a, kappa * a
+    e0, e1, e2, e3 = a * lin0, beta * b + 2.0 * gamma - a * lin1, kappa * b + beta * a, kappa * a + tail
     ic2 = 1.0 / (1.0 + a * a)
     ic = math.sqrt(ic2)
     m, bc = -a * b * ic2, b * ic
@@ -396,13 +348,15 @@ def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, sign):
 
 
 def _sides(pair, ends, sides) -> float:
-    """Signed sum over sides of the integrals of k1(t) [(kappa t + beta) T0(u) + gamma S(u)].
+    """Signed sum over sides of the integrals of
+    k1(t) [(kappa t + beta) T0(u) + gamma S(u) + tail t^2 K(u)].
 
-    ``sides`` holds (a, b, kappa, beta, gamma, lin1, lin0, sign) per side
-    u = a t + b and ``ends`` its panel's ends (t0, t1).  T0 is the tail of
-    f2's shape and S(u) the integral over x > u of (x - u) g2(x): (1 + u) e^-u
-    and (2 + u) e^-u for Gamma(2), 2 u phi(u) + 2 Q(u) and 4 phi(u) - 2 u Q(u)
-    for Maxwell.  Their Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by
+    ``sides`` holds (a, b, kappa, beta, gamma, lin1, lin0, tail, sign) per
+    side u = a t + b and ``ends`` its panel's ends (t0, t1).  T0 is the tail
+    of f2's shape, S(u) the integral over x > u of (x - u) g2(x) and K(u) the
+    integral over x > u of g2(x) / x: (1 + u) e^-u, (2 + u) e^-u and e^-u for
+    Gamma(2), 2 u phi(u) + 2 Q(u), 4 phi(u) - 2 u Q(u) and 2 phi(u) for
+    Maxwell.  Their Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by
     parts; with k1 = 2 t phi that leaves the bivariate normal probability
     integral phi(t) Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) + Phi(t) / 2
     with Owen's T, whose limit t -> 0 is taken at t = 1e-300 by the callers.
@@ -426,11 +380,15 @@ def _sides(pair, ends, sides) -> float:
         # T(t, u / t) + Phi(t) / 2 = 1/2 + Q(u) (1/2 - Q(t)) - T(u, t / u) keeps far tails small
         f = [w4 * (t1 - t2 + r) - x - y - z for (w4, r, x, y, z), t1, t2 in zip(terms, owen[::2], owen[1::2])]
         return sum(f[1::2]) - sum(f[::2])
-    t, (a, b, kappa, beta, gamma, lin1, lin0, sign) = _columns(ends, 2), _columns(sides, 8)
+    if not sides:
+        return 0.0
+    t, (a, b, kappa, beta, gamma, lin1, lin0, tail, sign) = _columns(ends, 2), _columns(sides, 9)
     if pair[1] == "exp":
         poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
     else:
         poly = {(1, 1): 2.0 * kappa, (0, 1): 2.0 * beta, (0, 0): 4.0 * gamma}
+    if tail.any():
+        poly[2, 0] = tail if pair[1] == "exp" else 2.0 * tail
     value = 0.0
     if pair[1] == "phi":  # k1 = exp(-t)
         f = -2.0 * np.exp(-t) * ndtr(-(a * t + b)) * (lin1 * (t + 1.0) + lin0)
@@ -439,8 +397,80 @@ def _sides(pair, ends, sides) -> float:
     return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b, 0.0))))
 
 
-def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> InclusionResult:
-    """Strict or partial inclusion of f1 in f2 from one walk of ``_cells``.
+def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
+    """The rule over the straddling cells, as a function of its nodes per piece.
+
+    On such a cell the overlap alpha z1 + beta + c1 z2 and the hull
+    h = gamma z1 - beta + c2 z2 are both linear (they sum to |I1| + |I2|),
+    so the Jaccard degree is smooth along each level line of h and the
+    cell is integrated in h and along those lines.  Each line is taken
+    along the unit variable in which it is at most as steep as 1, where the
+    kernels of both operands vary on a unit scale; within a piece between
+    the cell's corner values of h each end of a line stays on one side of
+    the cell and moves linearly in h.  n Gauss-Legendre nodes along each
+    line and n across the hull values of each piece carry m1 m2 overlap and
+    1 / h.  ``cells`` holds (z0, z1, p_lo, q_lo, p_hi, q_hi, alpha, beta, c1)
+    per cell.
+    """
+    s, kernels = (f1.scale, f2.scale), (f1.shape.kernel, f2.shape.kernel)
+    n1, n2, log_ratio = 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope, math.log(_HULL_RATIO)
+    parts = ([], [])
+    for z0, z1, pl, ql, ph, qh, alpha, beta, c1 in cells:
+        hull, over = (n1 - alpha, n2 - c1), (alpha, c1)
+        x = int(abs(hull[0]) * s[0] > abs(hull[1]) * s[1])
+        y, hy, sx, sy = 1 - x, hull[1 - x], s[x], s[1 - x]
+        slope = -hull[x] / hy
+        # the sides e1 z1 + e2 z2 <= f, each a bound (f - e_y (h + beta) / hy) / k on z_x
+        sides = []
+        for e1, e2, f in ((-1.0, 0.0, -z0), (1.0, 0.0, z1), (pl, -1.0, -ql), (-ph, 1.0, qh)):
+            ex, ey = (e1, e2) if x == 0 else (e2, e1)
+            k = ex + ey * slope
+            if k:  # a side parallel to the lines bounds no part of them
+                sides.append((k, (f - ey * beta / hy) / k, -ey / (hy * k)))
+        corners = sorted(hull[0] * z - beta + hull[1] * (p * z + q) for z in (z0, z1) for p, q in ((pl, ql), (ph, qh)))
+        for h0, h1 in zip(corners, corners[1:]):
+            if not h1 > h0:
+                continue
+            mid = 0.5 * (h0 + h1)
+            lo = max((side for side in sides if side[0] < 0.0), key=lambda side: side[1] + side[2] * mid)
+            hi = min((side for side in sides if side[0] > 0.0), key=lambda side: side[1] + side[2] * mid)
+            # 1 / h has its pole at h = 0: parts spanning a ratio of at most _HULL_RATIO
+            m = max(1, math.ceil(math.log(h1 / h0) / log_ratio - 1e-9)) if h0 > 0.0 else 1
+            cuts = [h0 * (h1 / h0) ** (j / m) for j in range(m)] + [h1] if m > 1 else [h0, h1]
+            # the overlap over |hull_y s_y| in the unit variables, ox x + o0 + oy y
+            scale = 1.0 / abs(hy * sy)
+            parts[x].extend((lo_h, hi_h - lo_h, lo[1] / sx, lo[2] / sx, hi[1] / sx, hi[2] / sx, beta / (hy * sy),
+                             1.0 / (hy * sy), slope * sx / sy, scale * over[x] * sx, scale * beta,
+                             scale * over[y] * sy) for lo_h, hi_h in zip(cuts, cuts[1:]))
+    groups = [((kernels[x], kernels[1 - x]), [c[:, None, None] for c in _columns(rows, 12)])
+              for x, rows in enumerate(parts) if rows]
+
+    def rule(n):
+        """The sum at n nodes per piece, in blocks of at most _RULE_BLOCK points."""
+        nodes, weights = nodes_and_weights(n, 0.0, 1.0)
+        total = 0.0
+        for (px, py), (h0, dh, ul, vl, uh, vh, b0, b1, a, ox, o0, oy) in groups:
+            # g_x(x) g_y(y) = c x^jx y^jy exp(-ex(x) - ey(y)): Maxwell 2 u^2 phi(u), Gamma(2) u e^-u
+            jx, jy = 1 + (px == "phi"), 1 + (py == "phi")
+            c = (2.0 / _SQRT_2PI) ** (px == "phi") * (2.0 / _SQRT_2PI) ** (py == "phi")
+            step = max(1, _RULE_BLOCK // (h0.size * n))
+            for j in range(0, n, step):
+                h = h0 + dh * nodes[j:j + step, None]
+                t0 = ul + vl * h
+                width = np.maximum(uh + vh * h, t0) - t0
+                t = t0 + width * nodes
+                u = a * t + b0 + b1 * h
+                f = np.exp(-(0.5 * t if jx == 2 else 1.0) * t - (0.5 * u if jy == 2 else 1.0) * u)
+                f *= t**jx * u**jy * (ox * t + o0 + oy * u)
+                total += c * float(np.sum(weights[j:j + step, None] * dh / h * width * (f @ weights)[..., None]))
+        return total
+
+    return rule
+
+
+def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureConfig | None = None) -> float:
+    """Strict or partial inclusion of f1 in f2, or their scalar product, from
+    one walk of ``_cells``.
 
     On a met cell the overlap is lambda = alpha z1 + beta + c1 z2, so the
     inner integral of m2 lambda / |I1| is a difference between its sides
@@ -450,29 +480,54 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> InclusionResu
     Strict inclusion keeps only the nested cells, (alpha, beta, c1) =
     (1 - lo1, 0, 0): there the overlap is all of I1, so lambda / |I1| is
     the strict indicator, 1.
+
+    The Jaccard degree of the scalar product is lambda / hull.  Where I2
+    sits in I1 the hull is |I1|, so those cells add as in partial
+    inclusion.  Where I1 sits in I2 it is n1 z1 / (n2 z2), whose z2
+    integral is the kernel tail K of f2 between the sides, so each side
+    adds one ``_sides`` with tail = n1 s1 / (n2 s2); when that exceeds
+    _THIN the cell is at most k / _THIN of f1's unit wide and its sides
+    cancel, so it joins the straddling cells.  Those take the rule of
+    ``_straddling``, refined by ``_refine`` from ``cfg.points_per_axis``
+    nodes per piece.
     """
     off = _offset(f1, f2)
-    z, rows = _cells(f1, f2, off, graded=False)
-    s1, s2, n1, pair = f1.scale, f2.scale, 1.0 - f1.shape.lo_slope, (f1.shape.kernel, f2.shape.kernel)
-    sides, ends, thin, shared = [], [], [], None
+    if kind == "scalar":
+        f1, f2 = (replace(f, support_bound=min(f.support_bound, _REACH[f.shape.kernel] * f.scale)) for f in (f1, f2))
+    z, rows = _cells(f1, f2, off)
+    s1, s2, n1, n2 = f1.scale, f2.scale, 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope
+    pair, wide = (f1.shape.kernel, f2.shape.kernel), n1 * s1 / (n2 * s2)
+    sides, ends, thin, shared, straddling = [], [], [], None, []
     t = [b / s1 for b in z]  # the panel ends in f1's unit
-    nested = (n1, 0.0, 0.0) if kind == "strict" else None
     for i, pl, ql, ph, qh, alpha, beta, c1 in rows:
-        if nested and (alpha, beta, c1) != nested:
+        t0, t1, al, ah = t[i], t[i + 1], pl * s1 / s2, ph * s1 / s2
+        # a panel ending below 1e-300, where the sides start, holds no mass in floats
+        if not (max(t0, 1e-300) < t1 and abs(al) <= _STEEP and abs(ah) <= _STEEP):
             continue
-        t0, t1, gamma, al, ah = t[i], t[i + 1], c1 * s2 / s1 / n1, pl * s1 / s2, ph * s1 / s2
-        if not (t0 < t1 and abs(al) <= _STEEP and abs(ah) <= _STEEP):
+        tail = 0.0
+        if (alpha, beta, c1) == (n1, 0.0, 0.0):  # nested: I1 sits in I2
+            if kind == "scalar":  # the Jaccard degree n1 z1 / (n2 z2): tail = n1 s1 / (n2 s2)
+                if wide > _THIN:  # at most k / _THIN of f1's unit wide, the sides cancel: take the rule
+                    straddling.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1))
+                    continue
+                alpha, tail = 0.0, wide
+        elif kind == "strict":
+            continue
+        elif kind == "scalar" and (alpha, beta, c1) != (0.0, 0.0, n2):  # straddling: neither holds the other
+            straddling.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1))
             continue
         # per side: a, b and lambda / (s1 n1) = kappa t + lam0
+        gamma = c1 * s2 / s1 / n1
         kl, ll, lin1, lin0 = (alpha + c1 * pl) / n1, (beta + c1 * ql) / s1 / n1, alpha / n1, beta / s1 / n1
         if abs(gamma) <= _THIN:
             if shared == (i, pl, ql):  # the last side is this line as the upper side of the cell below
-                _, _, k, l, g, m1, m0, _ = sides[-1]
-                sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, lin1 - m1, lin0 - m0, 1.0)
+                _, _, k, l, g, m1, m0, tl, _ = sides[-1]
+                sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, lin1 - m1, lin0 - m0, tail - tl, 1.0)
             else:
-                sides.append((al, ql / s2, kl, ll, gamma, lin1, lin0, 1.0))
+                sides.append((al, ql / s2, kl, ll, gamma, lin1, lin0, tail, 1.0))
                 ends.append((max(t0, 1e-300), t1))
-            sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, lin1, lin0, -1.0))
+            sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, lin1, lin0, tail,
+                          -1.0))
             ends.append(ends[-1])
             shared = (i, ph, qh)
         else:  # cell width(t) = d0 + da (t - t0) in units of s2; gamma width = g0 + gda (t - t0)
@@ -490,9 +545,12 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> InclusionResu
             if pair[1] == "phi":  # g2 = 2 u^2 phi(u)
                 poly = {(i, 2): 2.0 * coef for (i, _), coef in poly.items()}
             value += float(np.sum(_along(pair, poly, t0, t1, a + theta * da, b + theta * db, t0)))
+        if straddling:
+            rule = _straddling(f1, f2, straddling)
+            value, _, _ = _refine(lambda n: value + rule(n), cfg.points_per_axis, cfg)
     if not math.isfinite(value):
-        raise ValueError(f"closed-form {kind} inclusion of {f1.label} in {f2.label} is {value}")
-    return InclusionResult(_unit(value), (f1.label, f2.label), kind, QuadratureMeta(0, math.nan))
+        raise ValueError(f"closed-form {kind} of {f1.label} and {f2.label}: estimate is {value}")
+    return value
 
 
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
@@ -504,7 +562,7 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
     support bound Z2 is dropped, as in every pair measure.  ``cfg`` is
     accepted for a uniform signature; no rule is involved.
     """
-    return _closed_form(f1, f2, "strict")
+    return InclusionResult(_unit(_closed_form(f1, f2, "strict")), (f1.label, f2.label), "strict", _NO_RULE)
 
 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
@@ -513,7 +571,7 @@ def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None
     Every met cell of ``_cells`` adds its share (see ``_closed_form``).
     ``cfg`` is accepted for a uniform signature; no outer rule is involved.
     """
-    return _closed_form(f1, f2, "partial")
+    return InclusionResult(_unit(_closed_form(f1, f2, "partial")), (f1.label, f2.label), "partial", _NO_RULE)
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:

@@ -1,11 +1,13 @@
 """Gauss-Legendre nodes, the refinement loop and a Monte Carlo cross-check.
 
 Both inclusions are closed-form but for six fixed lines on thin cells.
-The scalar product and distance, the pignistic round trip and the generic
-cross-check use Gauss-Legendre rules on panels of a truncated domain, bit
-for bit reproducible per configuration, with breaks at the degrees' kinks.
-``_refine`` doubles the nodes per panel until two estimates agree to 1e-4
-relative or the budget is spent; the last change is the error.
+The scalar product and distance are closed-form where one focal holds the
+other and take a Gauss-Legendre rule in the hull and along its level lines
+where the focals straddle; the pignistic round trip and the generic
+cross-check use Gauss-Legendre rules on panels of a truncated domain.  All
+are bit for bit reproducible per configuration.  ``_refine`` doubles the nodes per piece
+until two estimates agree to 1e-4 relative or the budget is spent; the last
+change is the error.
 
 ``mc_estimate`` provides a seeded Monte Carlo estimate of E[ratio] under a
 product sampler.  It is the slow second opinion used to validate the
@@ -33,9 +35,11 @@ __all__ = [
 _REFINE_REL_TOL = 1e-4  # _refine stops once successive estimates agree to this
 _CDF_GRID = 8193  # grid nodes of inverse_cdf_table
 
-# Largest truncation, in scale units, that the scalar product's rule still
-# resolves: its N(0,1) self anchor 2/pi is off by 1.9e-10 at k = 1000, 3.7e-5 at
-# 3000 and 0.64 at 10000; the inclusions' self anchors are exact at all three.
+# Largest truncation, in scale units.  With it lifted, every self anchor
+# (2/pi of the N(0,1) scalar product among them) is within 1.2e-16 at k =
+# 1000, 3000 and 10000, and N(0,1) with N(0.5,0.7) moves by under 1e-15 from
+# k = 40 to 10000; no rule needs the limit, which bounds every support at
+# 1000 scales, far past any float mass.
 MAX_TRUNCATION_K = 1000.0
 
 
@@ -49,10 +53,12 @@ class QuadratureConfig:
     """Resolution and truncation policy of the consonant measures.
 
     ``truncation_k`` reaches every measure through the operands; the other
-    two fields govern only the n x n rule of ``scalar_product`` and
-    ``distance``, because both inclusions are closed-form.
+    two fields govern only the rule of ``scalar_product`` and ``distance``
+    on the cells where the focals straddle, because everything else is
+    closed-form.
 
-    points_per_axis     Gauss-Legendre nodes per panel (>= 16)
+    points_per_axis     Gauss-Legendre nodes per piece and per line of that
+                        rule (>= 16)
     truncation_k        half-width of integration domains in scale units,
                         in (0, 1000]
     refine_max_doublings  doubling budget for refinement (0 disables it)

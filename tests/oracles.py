@@ -1,7 +1,9 @@
-"""Naive frozenset-based reference implementations for the discrete tests.
+"""Reference implementations for the tests.
 
-Everything here enumerates subsets directly and never touches bitmasks, so
-it is an independent check of the packed implementation.
+The discrete ones are naive and frozenset-based: they enumerate subsets
+directly and never touch bitmasks, so they check the packed implementation
+independently.  ``inclusion_by_crossings`` integrates a consonant inclusion
+over the endpoint crossings, apart from the cell map of ``cbf.measures``.
 """
 
 import itertools
@@ -147,7 +149,6 @@ def inclusion_by_crossings(f1, f2, kind, outer=0):
     events = sorted({*events, *(x for x in fixed if 0.0 < x < fo.support_bound)})
     x, w = np.polynomial.legendre.leggauss(_INNER_NODES)
     x, w = 0.5 * (x + 1.0), 0.5 * w
-
     # fixed cuts every 4 scale units keep each piece within reach of the rule
     grid = {4.0 * j * fi.scale for j in range(1, math.ceil(zi_max / fi.scale / 4.0))}
 

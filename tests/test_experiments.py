@@ -53,6 +53,13 @@ class TestScenarioValidation:
             Scenario(sweep=SweepSpec(fixed="normal:0,1e306", mu2=(0, 0, 1), sigma2=(1, 1, 1)),
                      quadrature=QuadratureConfig(truncation_k=1000.0))
 
+    @pytest.mark.parametrize("mu2", [(0.0, 1e308, 1e308), (1e308, 1e308, 1.0)])
+    def test_sweep_checks_its_extreme_offsets(self, mu2):
+        # the offset to the fixed operand overflows at the last (or only) mu2:
+        # rejected up front rather than after the cells before it
+        with pytest.raises(ValueError, match="location offset between normal:-1e\\+308,1 and normal:1e\\+308,1"):
+            Scenario(sweep=SweepSpec(fixed="normal:-1e308,1", mu2=mu2, sigma2=(1, 1, 1), measure="incstr"))
+
     @pytest.mark.parametrize("sigma2, bad", [((1e307, 2e307, 1e307), "2e+307"),
                                              ((1e-310, 1, 1), "1e-310")])
     def test_sweep_checks_its_extreme_scales(self, sigma2, bad):
@@ -469,6 +476,15 @@ class TestCli:
         assert rc == 0
         small = inc_strict(consonant_from_normal(0.0, 2.0, 1.0), consonant_from_normal(0.0, 1.0, 1.0))
         assert f'incstr,"normal:0,2e+307","normal:0,1e+307",{small.value:.6g}\n' in capsys.readouterr().out
+
+    def test_sweep_offset_that_overflows_is_reported_before_any_cell(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cbf.experiments, "inc_strict", lambda *args: calls.append(args))
+        rc = main(["sweep", "--fixed", "normal:-1e308,1", "--mu2", "0:1e308:1e308", "--sigma2", "1:1:1",
+                   "--measure", "incstr"])
+        assert rc == 2
+        assert calls == []
+        assert "error: location offset between normal:-1e+308,1 and normal:1e+308,1" in capsys.readouterr().err
 
     def test_sigma_whose_focal_overflows_is_reported(self, capsys):
         # at truncation_k = 8 the focal [-8 sigma, 8 sigma] is 3.2e308 long

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbf.measures
 from cbf.consonant import (
     consonant_from_exponential,
     consonant_from_normal,
@@ -372,6 +372,17 @@ class TestExtremePairs:
             assert measure(F1, far, CFG).value == 0.0
         assert scalar_product(far, F1, CFG) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("off", [1e-307, 2.2250738585072014e-308, 1e-310])
+    def test_offset_below_the_panel_floor(self, off):
+        # the first panel [0, off / 1] ends below 1e-300, where the sides
+        # start; it holds no mass, and reading it backwards once gave a
+        # partial inclusion of 0.0
+        for measure in (lambda f, g: inc_strict(f, g, CFG).value, lambda f, g: inc_partial(f, g, CFG).value,
+                        lambda f, g: scalar_product(f, g, CFG)):
+            assert measure(F1, consonant_from_normal(off, 0.25)) == pytest.approx(
+                measure(F1, consonant_from_normal(0.0, 0.25)), abs=1e-15)
+
     def test_reversed_partial_where_the_offset_dwarfs_the_second_focal(self):
         # |I2| rounds to 0 once the offset is added; the point convention of
         # the checked degree still gives P(I2 inside I1) = tail of f1 at 1e17
@@ -382,17 +393,14 @@ class TestExtremePairs:
 
 
 class TestNonFiniteEstimates:
-    # an operand whose nesting density is inf for z >= 0; the scalar-product
-    # rule must raise instead of clamping the non-finite estimate into
-    # [0, 1] (the closed-form inclusions never evaluate the density).  The
-    # constructors reject scales that could produce this, so the operand is
-    # built by hand.
-    INF = dataclasses.replace(
-        F1, shape=dataclasses.replace(F1.shape, density=lambda u: np.where(u >= 0.0, np.inf, 0.0))
-    )
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a scalar-product rule whose sum is not finite (forced here through its
+    # nodes; the constructors keep real operands from producing one) must
+    # raise instead of being clamped into [0, 1]
     @pytest.mark.parametrize("measure", [scalar_product])
-    def test_measure_raises(self, measure):
+    def test_measure_raises(self, measure, monkeypatch):
+        def overflowing(n, lo, hi):
+            return np.linspace(lo, hi, n), np.full(n, np.inf)
+
+        monkeypatch.setattr(cbf.measures, "nodes_and_weights", overflowing)
         with pytest.raises(ValueError, match="estimate is (inf|nan)"):
-            measure(self.INF, self.INF, CFG)
+            measure(F1, F4, CFG)

@@ -1,11 +1,11 @@
-"""The cell map behind every consonant pair measure: the panel rule of the
-scalar product and the closed-form inclusions.
+"""The cell map behind every consonant pair measure: the closed-form
+inclusions and the scalar product's rule on the same cells.
 
 Anchors are closed forms; the other references are independent of the
-closed forms and of the panel splitter (the n x n rule with the checked
-degrees, scipy's adaptive quadrature with hand-placed breakpoints or over
-the endpoint crossings of ``oracles.inclusion_by_crossings``, or the same
-measure integrated in the other order).
+closed forms and of the panel splitter (scipy's adaptive quadrature with
+hand-placed breakpoints or over the endpoint crossings of
+``oracles.inclusion_by_crossings``, or the same measure integrated in the
+other order).
 """
 
 import importlib.util
@@ -20,12 +20,11 @@ from scipy.integrate import cumulative_trapezoid, quad
 
 import cbf.measures
 from cbf.cli import build_parser
-from cbf.consonant import ConsonantBBD, consonant_from_exponential, consonant_from_normal, parse_distribution
-from cbf.intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta, overlap
+from cbf.consonant import consonant_from_exponential, consonant_from_normal, parse_distribution
+from cbf.intervals import delta_inc_strict, overlap
 from cbf.measures import (
     _cells,
     _kinks,
-    _pair_expectation,
     distance,
     inc_partial,
     inc_partial_reversed,
@@ -130,7 +129,8 @@ def test_partial_inclusion_against_nested_adaptive_quadrature():
 @pytest.mark.parametrize("a,b", list(itertools.combinations(range(3), 2)))
 def test_scale_separated_pairs_agree_in_both_integration_orders(a, b):
     # sigma ratios of 1e3 between the stress operands: each ordering puts
-    # the other operand on the outer axis, so agreement checks the grading
+    # the other operand on the outer axis, so agreement checks the rule on
+    # the straddling cells with its level lines along either operand
     fa, fb = STRESS_FAMILY[a], STRESS_FAMILY[b]
     assert abs(_scalar(fa, fb) - _scalar(fb, fa)) < 1e-12
     assert abs(_partial(fa, fb) - inclusion_by_crossings(fa, fb, "partial", outer=1)) < 1e-12
@@ -142,12 +142,9 @@ def test_scale_separated_pairs_agree_in_both_integration_orders(a, b):
     (STRESS_FAMILY[1], STRESS_FAMILY[0]),
 ])
 def test_pair_rule_integrates_the_product_density(f1, f2):
-    # a constant degree leaves the product mass of the region where the
-    # focals meet (disjoint cells are dropped), however the kink lines cut
-    # the rectangle; for each z1 that region is the ray z2 > L(z1)
-    def one(a1, b1, a2, b2):
-        return np.ones(np.broadcast_shapes(np.shape(a1), np.shape(a2)))
-
+    # the met cells of the walk hold the product mass of the region where
+    # the focals meet (disjoint cells are dropped), however the kink lines
+    # cut the rectangle; for each z1 that region is the ray z2 > L(z1)
     off, lo1, lo2 = f2.location - f1.location, f1.shape.lo_slope, f2.shape.lo_slope
     z1_max, z2_max = f1.support_bound, f2.support_bound
 
@@ -164,8 +161,11 @@ def test_pair_rule_integrates_the_product_density(f1, f2):
     ref, _ = quad(lambda z1: f1.density(z1) * inner(z1), 0.0, z1_max,
                   points=[z for z in kinks if 0.0 < z < z1_max] or None,
                   epsabs=1e-15, epsrel=1e-13, limit=200)
-    value, _, _ = _pair_expectation(f1, f2, one, CFG)
-    assert abs(value - ref) < 1e-13
+    breaks, rows = _cells(f1, f2, off)
+    cells = sum(quad(lambda z1: f1.density(z1) * (f2.tail_mass(pl * z1 + ql) - f2.tail_mass(ph * z1 + qh)),
+                     breaks[i], breaks[i + 1], epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                for i, pl, ql, ph, qh, *_ in rows)
+    assert abs(cells - ref) < 1e-13
 
 
 @pytest.mark.parametrize("family", [REFERENCE_FAMILY, STRESS_FAMILY, RANDOM_FAMILY],
@@ -179,7 +179,7 @@ def test_cell_map_sorts_every_point_by_how_the_focals_meet(family):
     rng = np.random.default_rng(5)
     for f1, f2 in itertools.product(family, repeat=2):
         off = f2.location - f1.location
-        outer, rows = _cells(f1, f2, off, graded=True)
+        outer, rows = _cells(f1, f2, off)
         panel, lo_p, lo_q, hi_p, hi_q, *coef = np.array(rows).reshape(-1, 8).T[..., None]
         nested = (coef[0] == 1.0 - f1.shape.lo_slope) & (coef[1] == 0.0) & (coef[2] == 0.0)
         for i in range(len(outer) - 1):
@@ -199,40 +199,10 @@ def test_cell_map_sorts_every_point_by_how_the_focals_meet(family):
                                           delta_inc_strict(a1, z1, a2, z2 + off) == 1.0, err_msg=str(where))
 
 
-def _workload_pairs():
-    # the operand pairs of the benchmark's tables and sweep workloads; the
-    # measures are translation invariant, so the shift c of those is 0
-    tables = [consonant_from_normal(mu, s) for mu in (0.0, 4.0) for s in (1.0, 0.5)]
-    fixed = consonant_from_normal(0.0, 1.0)
-    moving = [consonant_from_normal(mu, s) for mu in np.arange(0.0, 5.25, 0.5)
-              for s in np.arange(0.25, 5.125, 0.25)]
-    return [*itertools.product(tables, repeat=2), *itertools.product(STRESS_FAMILY, repeat=2),
-            *((fixed, g) for g in moving), *((g, fixed) for g in moving)]
-
-
-def test_grading_skips_change_no_workload_pair(monkeypatch):
-    # breaks and lines are skipped only where the graded operand has no
-    # float mass below them; no pair the benchmark runs has such a spot
-    pairs = _workload_pairs()
-    kinks = [_kinks(f1, f2, f2.location - f1.location, graded=True) for f1, f2 in pairs]
-    monkeypatch.setattr(ConsonantBBD, "tail_mass", lambda self, t: 0.0)
-    for (f1, f2), skipped in zip(pairs, kinks):
-        assert skipped == _kinks(f1, f2, f2.location - f1.location, graded=True), (f1.label, f2.label)
-
-
-def test_grading_stops_where_the_wider_operand_has_no_mass():
-    # a scale ratio of 1e600 once gave about 665 panels; only the grading
-    # steps inside the float mass of the wider operand remain
-    tiny, huge = consonant_from_normal(0.0, 1e-300), consonant_from_normal(0.0, 1e300)
-    for f1, f2 in ((tiny, huge), (huge, tiny)):
-        lines, outer = _kinks(f1, f2, 0.0, graded=True)
-        assert len(lines) + len(outer) < 20
-
-
 def test_kinks_of_offset_normals():
     # equal supports 8, offset 1: lines z2 = z1 + 1, z2 = 1 - z1, z2 = z1 - 1
     # and outer breaks at the offset and at Z2 - offset
-    lines, outer = _kinks(N01, consonant_from_normal(1.0, 1.0), 1.0, graded=True)
+    lines, outer = _kinks(N01, consonant_from_normal(1.0, 1.0), 1.0)
     assert lines == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
     assert outer == [0.0, 1.0, 7.0, 8.0]
 
@@ -240,24 +210,28 @@ def test_kinks_of_offset_normals():
 def test_kinks_of_normal_in_exponential_are_vertical():
     # I2 = [0, z2] has a fixed lower end, so a1 = 3 - z1 meets it at z1 = 3
     # whatever z2 is
-    _, outer = _kinks(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0, graded=True)
+    _, outer = _kinks(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
     assert 3.0 in outer
 
 
-def test_refinement_stops_after_one_doubling_on_smooth_panels():
-    # the scalar-product rule: est_error is the change over that doubling,
-    # a bound on the coarser rule
-    value, points, est_error = _pair_expectation(N01, N01, jaccard_delta, CFG)
+def test_refinement_stops_after_one_doubling_on_smooth_panels(monkeypatch):
+    # the scalar product's rule: est_error is the change over that
+    # doubling, a bound on the coarser rule
+    real, seen = cbf.measures._refine, []
+    monkeypatch.setattr(cbf.measures, "_refine", lambda *args: seen.append(real(*args)) or seen[-1])
+    scalar_product(N01, consonant_from_normal(0.5, 0.7), CFG)
+    [(value, points, est_error)] = seen
     assert points == 2 * CFG.points_per_axis
     assert est_error <= _REFINE_REL_TOL * value
 
 
 def test_scalar_product_rule_runs_in_bounded_blocks(monkeypatch):
-    # 8 cells x 128 x 128 node pairs hold about 7 MB per pass in one block;
-    # blocks of 4096 node pairs hold well under 2 MB and sum to the same value
-    f2, cfg = consonant_from_normal(0.5, 0.7), QuadratureConfig(points_per_axis=128, refine_max_doublings=0)
+    # the straddling cells' pieces x 512 x 512 nodes would peak near 75 MB
+    # in one block; blocks of 64 points peak near 0.2 MB and sum to the same
+    # value
+    f2, cfg = consonant_from_normal(0.5, 0.7), QuadratureConfig(points_per_axis=512, refine_max_doublings=0)
     whole = scalar_product(N01, f2, cfg)
-    monkeypatch.setattr(cbf.measures, "_BLOCK_ELEMS", 4096)
+    monkeypatch.setattr(cbf.measures, "_RULE_BLOCK", 64)
     tracemalloc.start()
     try:
         blocked = scalar_product(N01, f2, cfg)
@@ -265,7 +239,7 @@ def test_scalar_product_rule_runs_in_bounded_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
-    assert peak < 2_000_000
+    assert peak < 500_000
 
 
 def test_scalar_product_blocks_bound_memory_at_the_default_size():
@@ -307,17 +281,6 @@ def test_cli_quadrature_flags_default_to_the_config():
     for gone in (["--rule", "midpoint"], ["--seed", "1"], ["--tol", "1e-6"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--dists", "normal:0,1", *gone])
-
-
-def test_unchecked_kernels_match_the_public_checked_degrees():
-    # the measures validate each pair once and then run unchecked kernels;
-    # the checked degrees of cbf.intervals on the same panels agree
-    for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
-        # the reversed partial degree is inc_partial of the swapped pair, in closed form
-        for delta, lean, tol in ((delta_inc_partial_rev, inc_partial(f2, f1, CFG).value, 1e-13),
-                                 (jaccard_delta, _scalar(f1, f2), 1e-15)):
-            value, _, _ = _pair_expectation(f1, f2, delta, CFG)
-            assert abs(value - lean) <= tol, (f1.label, f2.label, delta.__name__)
 
 
 def _cross_check_family(k, seed=11):
@@ -415,24 +378,56 @@ def test_inclusions_ask_for_no_nodes(monkeypatch):
             assert meta.points_per_axis == 0 and math.isnan(meta.est_error)
 
 
-@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(refine_max_doublings=0)],
+@pytest.mark.parametrize("cfg,asked", [(CFG, [16, 32]), (QuadratureConfig(refine_max_doublings=0), [16])],
                          ids=["default", "no-refinement"])
-@pytest.mark.parametrize("measure", [scalar_product])
-def test_two_d_measures_ask_for_nodes_twice_per_pass(monkeypatch, cfg, measure):
-    # perfbench counts the scalar-product rule's refinement passes as its
-    # nodes_and_weights calls / 2
-    real, asked = cbf.measures.nodes_and_weights, []
+def test_scalar_rule_asks_for_nodes_once_per_pass(monkeypatch, cfg, asked):
+    # the rule asks for its nodes once per pass, and smooth pairs stop after
+    # one doubling
+    real, seen = cbf.measures.nodes_and_weights, []
 
     def counting(n, lo, hi):
-        asked.append(n)
+        seen.append(n)
         return real(n, lo, hi)
 
     monkeypatch.setattr(cbf.measures, "nodes_and_weights", counting)
-    result = measure(N01, N4H, cfg)
-    passes = [cfg.points_per_axis * 2**k for k in range(len(asked) // 2)]
-    assert asked == [n for n in passes for _ in range(2)]
-    assert 1 <= len(passes) <= cfg.refine_max_doublings + 1
-    assert 0.0 < result < 1.0
+    assert 0.0 < scalar_product(N01, N4H, cfg) < 1.0
+    assert seen == asked
+    seen.clear()
+    scalar_product(N01, consonant_from_normal(0.0, 0.5), cfg)  # concentric: nested cells only
+    assert seen == []
+
+
+def _order_gap_family(seed=1, count=100):
+    # both families in both roles, scales (sigma or 1 / rate) 1e-3 to 1e3;
+    # in half the pairs the normals sit at the exponentials' location 0, in
+    # the other half up to 10 of their scales from it
+    rng = np.random.default_rng(seed)
+
+    def make(exponential, s, shifted):
+        if exponential:
+            return consonant_from_exponential(1.0 / s)
+        return consonant_from_normal(shifted * rng.uniform(-10.0, 10.0) * s, s)
+
+    return [(make(i % 4 >= 2, 10.0 ** rng.uniform(-3.0, 3.0), i % 8 < 4),
+             make(i % 2, 10.0 ** rng.uniform(-3.0, 3.0), i % 8 < 4)) for i in range(count)]
+
+
+@pytest.mark.parametrize("k", [40.0, 1000.0])
+def test_scalar_product_holds_at_deep_truncation(k):
+    # past 10 scales a normal holds no mass in floats, so the stress pairs'
+    # values stop moving with k, in either operand order
+    for spec1, spec2 in itertools.combinations(("exp:2", "normal:0,0.001", "normal:0.5,1"), 2):
+        f1, f2 = parse_distribution(spec1, k), parse_distribution(spec2, k)
+        shallow = _scalar(parse_distribution(spec1, 100.0), parse_distribution(spec2, 100.0))
+        assert abs(_scalar(f1, f2) - shallow) <= 1e-15, (spec1, spec2)
+        assert abs(_scalar(f2, f1) - shallow) <= 1e-15, (spec2, spec1)
+
+
+def test_scalar_product_operand_order_gap():
+    # each order walks its own cells: the nested ones trade places and the
+    # straddling ones run their level lines along the other operand
+    for f1, f2 in _order_gap_family():
+        assert abs(_scalar(f1, f2) - _scalar(f2, f1)) <= 1e-13, (f1.label, f2.label)
 
 
 def test_names_the_benchmark_tracer_wraps_still_resolve():
