@@ -7,8 +7,8 @@ The package covers two settings with one vocabulary:
 * continuous consonant belief densities induced by normal or exponential
   pignistic densities (``cbf.consonant`` / ``cbf.measures``), where the
   measures are expectations of interval overlap degrees over one map of
-  cells, in closed form for both inclusions and for the scalar product but
-  for a Gauss-Legendre rule on the cells where the focals straddle.
+  cells, in closed form but for one Gauss-Legendre rule on the cells where
+  the focals straddle or the closed form's two sides would cancel.
 
 ``cbf.experiments`` reproduces the reference tables and parameter sweeps;
 the ``cbf`` console script exposes them from the shell.

@@ -3,7 +3,7 @@
 A focal interval is an endpoint pair (lower, upper) with lower <= upper.
 
 ``overlap`` is the unchecked intersection length, for callers that have
-validated their endpoints once (the consonant pair rules in ``cbf.measures``).
+validated their endpoints once, such as the degree functions below.
 The degree functions compare two intervals (xi, yi) and (xj, yj) given as
 separate endpoint arguments, so they vectorise over numpy arrays:
 

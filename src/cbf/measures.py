@@ -19,21 +19,18 @@ z1 axis is cut where those lines cross each other or the edges of the
 rectangle; the lines then cut each outer panel into cells, on which the
 endpoint order is fixed.  This cell map is built once per pair.  Cells
 where the focals are disjoint are dropped.  On the others the overlap is
-one linear piece in z2, so both inclusions are closed-form on every cell:
-the inner z2 integral is a difference of the second operand's tails
-between the cell's sides, and the outer z1 integral of each side is a
-difference of antiderivatives at the panel ends (Gaussian and exponential
-moments, Owen's T for the one bivariate normal term).  On cells thin
-against the second operand the two sides' tails would cancel; there the
-z2 integral is taken on six Gauss-Legendre lines across the cell, each
-again closed-form along z1.  Strict inclusion is the same walk kept to
-the nested cells, where the overlap is all of I1 and the partial integrand
-is the strict indicator.  The scalar product's Jaccard degree is a ratio of
-two linear pieces on each cell, overlap / hull.  Where one focal holds the
-other it is |I2| / |I1| or |I1| / |I2|, and the cell is closed-form as in
-partial inclusion.  Where they straddle, the degree is smooth in the hull
-and along its level lines, and one Gauss-Legendre rule in those two
-directions takes the cell: the only rule any measure runs, refined by
+one linear piece in z2, so both inclusions are closed-form on a cell: the
+inner z2 integral is a difference of the second operand's tails between
+the cell's sides, and the outer z1 integral of each side is a difference
+of antiderivatives at the panel ends (Gaussian and exponential moments,
+Owen's T for the one bivariate normal term).  Strict inclusion is the same
+walk kept to the nested cells, where the overlap is all of I1 and the
+partial integrand is the strict indicator.  The scalar product's Jaccard
+degree, overlap / hull, is closed-form as in partial inclusion where one
+focal holds the other.  On the other cells, where the focals straddle or
+the two sides' tails would cancel (cells thin against the other operand),
+one Gauss-Legendre rule in the degree's linear denominator and along its
+level lines takes the cell: the only rule any measure runs, refined by
 ``_refine``.
 
 Each pair is validated once: the constructors make locations, scales and
@@ -59,7 +56,7 @@ from .consonant import ConsonantBBD, GenericBBD, _phi
 # delta_inc_partial_rev is unused here but stays a name of this module: the
 # benchmark tracer (perfbench/tracer.py) wraps it by name
 from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta
-from .quadrature import QuadratureConfig, _refine, _unit_nodes, inverse_cdf_table, nodes_and_weights
+from .quadrature import QuadratureConfig, _refine, inverse_cdf_table, nodes_and_weights
 
 __all__ = [
     "QuadratureMeta",
@@ -79,16 +76,15 @@ __all__ = [
     "inc_partial_generic",
 ]
 
-# Cap on elements per block in the generic double sums.
-_BLOCK_ELEMS = 1 << 18
-# Cap on points per block of the straddling-cell rule, which holds about ten
-# float64 temporaries per point: a block peaks near 5 MB.
+# Cap on points per block of the rule of ``_straddling``, which holds about
+# ten float64 temporaries per point: a block peaks near 5 MB.
 _RULE_BLOCK = 1 << 16
-# Largest ratio between the ends of a piece of the straddling-cell rule.
+# Largest ratio between the denominator's values at the ends of a piece of
+# that rule.
 _HULL_RATIO = 8.0
-# Scale units past which the Maxwell and Gamma(2) kernels of the scalar
-# product hold no mass in floats (x^2 phi(x) and x exp(-x) below 1e-18): its
-# walk stops there, so that the rule's nodes stay where the mass is.
+# Scale units past which the Maxwell and Gamma(2) kernels hold no mass in
+# floats (x^2 phi(x) and x exp(-x) below 1e-18): every measure's walk stops
+# there, so that the rule's nodes stay where the mass is.
 _REACH = {"phi": 10.0, "exp": 45.0}
 # Gauss-Legendre nodes along a generic nesting curve: one panel, no kinks
 # known, so the resolution is fixed rather than tied to the panel rule.
@@ -113,9 +109,11 @@ class InclusionResult:
     value            degree in [0, 1]
     direction        (label of included operand, label of including operand)
     kind             "strict" or "partial"
-    quadrature_meta  (0, nan): the closed forms use no nodes and form no
-                     error estimate; they agree with an independent 2-D
-                     quadrature within 1e-14 (see the README numerical notes)
+    quadrature_meta  (points per piece, last change) of the rule's
+                     refinement where cells thin against f2 took it, else
+                     (0, nan): no nodes, no error estimate.  Either way the
+                     value agrees with an independent 2-D quadrature within
+                     1e-14 (see the README numerical notes)
     """
 
     value: float
@@ -208,9 +206,9 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
     """Expected Jaccard overlap degree between the two focal families.
 
     Closed-form on the nested cells of ``_cells`` and a Gauss-Legendre rule
-    on the straddling ones (see ``_closed_form``).
+    on the straddling and thin ones (see ``_closed_form``).
     """
-    return _closed_form(f1, f2, "scalar", cfg or QuadratureConfig())
+    return _closed_form(f1, f2, "scalar", cfg or QuadratureConfig())[0]
 
 
 def gram_distance(n1, n2, s):
@@ -237,14 +235,13 @@ def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = 
 # shapes (phi or exp) or, from the normal tails, times Q(u) = 1 - Phi(u).
 
 # Cells whose partial-inclusion multiplier c1 s2 / ((1 - lo1) s1) exceeds this
-# are thin against f2: the two sides' tails nearly cancel there.
+# are thin against f2: the two sides' tails nearly cancel there, so the rule
+# of ``_straddling`` takes them.
 _THIN = 16.0
-# A side steeper than this spans at most k / _STEEP of f1's unit axis, so its
-# cell holds no mass in floats and is dropped.
+# A side steeper than this spans at most k / _STEEP of f1's unit axis, and a
+# ruled cell narrower than s2 / _STEEP in z2 at most k / _STEEP of f2's, so
+# such a cell holds no mass in floats and is dropped.
 _STEEP = 1e20
-# Gauss-Legendre nodes across a thin cell: g2 is smooth over its u-width of
-# at most 2 t / _THIN, where 6 nodes are exact to rounding.
-_THIN_NODES = 6
 _SQRT_HALF, _SQRT_HALF_PI, _SQRT_2PI = math.sqrt(0.5), math.sqrt(0.5 * math.pi), math.sqrt(2.0 * math.pi)
 
 
@@ -280,15 +277,14 @@ def _moments(c, sigma, n):
 # Kernel pairs: (k1(t) k2(u), c, sigma) along u = a t + b, where
 # c = -(log k1 k2)' and sigma = c' is constant.
 _DECAY = {
-    ("phi", "phi"): lambda t, u, a: (_phi(t) * _phi(u), t + a * u, 1.0 + a * a),
     ("phi", "exp"): lambda t, u, a: (_phi(t) * np.exp(-u), t + a, 1.0),
     ("exp", "phi"): lambda t, u, a: (np.exp(-t) * _phi(u), 1.0 + a * u, a * a),
     ("exp", "exp"): lambda t, u, a: (np.exp(-t - u), 1.0 + a + 0.0 * t, 0.0),
 }
 
 
-def _along(pair, poly, t0, t1, a, b, tref):
-    """Integral over [t0, t1] of k1(t) k2(u) sum poly[i, j] (t - tref)^i u^j, u = a t + b.
+def _along(pair, poly, t0, t1, a, b):
+    """Integral over [t0, t1] of k1(t) k2(u) sum poly[i, j] t^i u^j, u = a t + b.
 
     The factor 2 t of k1 = 2 t phi(t) joins the polynomial.  The kernel
     product k left is log-concave along the line, so the interval is split
@@ -296,12 +292,8 @@ def _along(pair, poly, t0, t1, a, b, tref):
     in the direction d away from the mode, where nothing cancels:
     k integral over y > 0 of P(t + d y, u + d a y) exp(-d c y - sigma y^2 / 2).
     """
-    if pair[0] == "phi":  # 2 t = 2 (t - tref) + 2 tref
-        grown = {}
-        for (i, j), coef in poly.items():
-            grown[i + 1, j] = grown.get((i + 1, j), 0.0) + 2.0 * coef
-            grown[i, j] = grown.get((i, j), 0.0) + 2.0 * tref * coef
-        poly = grown
+    if pair[0] == "phi":
+        poly = {(i + 1, j): 2.0 * coef for (i, j), coef in poly.items()}
     _, c, sigma = _DECAY[pair](t0, a * t0 + b, a)
     mode = np.clip(t0 - c / sigma, t0, t1)
     t = np.stack(np.broadcast_arrays(t0, mode, mode, t1))
@@ -314,7 +306,7 @@ def _along(pair, poly, t0, t1, a, b, tref):
     mu = _moments(c, sigma, n)
     tp, up, dt, du = [1.0], [1.0], [1.0], [1.0]
     for _ in range(n):
-        tp.append(tp[-1] * (t - tref))
+        tp.append(tp[-1] * t)
         up.append(up[-1] * u)
         dt.append(dt[-1] * d)
         du.append(du[-1] * d * a)
@@ -394,40 +386,41 @@ def _sides(pair, ends, sides) -> float:
         f = -2.0 * np.exp(-t) * ndtr(-(a * t + b)) * (lin1 * (t + 1.0) + lin0)
         poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
         value = f[1] - f[0]
-    return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b, 0.0))))
+    return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b))))
 
 
 def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
-    """The rule over the straddling cells, as a function of its nodes per piece.
+    """The rule over the cells the closed forms cannot take, as a function
+    of its nodes per piece.
 
-    On such a cell the overlap alpha z1 + beta + c1 z2 and the hull
-    h = gamma z1 - beta + c2 z2 are both linear (they sum to |I1| + |I2|),
-    so the Jaccard degree is smooth along each level line of h and the
-    cell is integrated in h and along those lines.  Each line is taken
-    along the unit variable in which it is at most as steep as 1, where the
-    kernels of both operands vary on a unit scale; within a piece between
-    the cell's corner values of h each end of a line stays on one side of
-    the cell and moves linearly in h.  n Gauss-Legendre nodes along each
-    line and n across the hull values of each piece carry m1 m2 overlap and
-    1 / h.  ``cells`` holds (z0, z1, p_lo, q_lo, p_hi, q_hi, alpha, beta, c1)
-    per cell.
+    On a cell the overlap alpha z1 + beta + c1 z2 and the denominator
+    h = d1 z1 + d2 z2 + d0 of the degree are both linear: the hull for the
+    scalar product, |I1| for the inclusions.  So the degree is smooth along
+    each level line of h and the cell is integrated in h and along those
+    lines.  Each line is taken along the unit variable in which it is at
+    most as steep as 1, where the kernels of both operands vary on a unit
+    scale; within a piece between the cell's corner values of h each end of
+    a line stays on one side of the cell and moves linearly in h.  n
+    Gauss-Legendre nodes across the h values of each piece and n along each
+    line carry m1 m2 overlap and 1 / h.  ``cells`` holds (z0, z1, p_lo,
+    q_lo, p_hi, q_hi, alpha, beta, c1, d1, d2, d0) per cell.
     """
     s, kernels = (f1.scale, f2.scale), (f1.shape.kernel, f2.shape.kernel)
-    n1, n2, log_ratio = 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope, math.log(_HULL_RATIO)
+    log_ratio = math.log(_HULL_RATIO)
     parts = ([], [])
-    for z0, z1, pl, ql, ph, qh, alpha, beta, c1 in cells:
-        hull, over = (n1 - alpha, n2 - c1), (alpha, c1)
-        x = int(abs(hull[0]) * s[0] > abs(hull[1]) * s[1])
-        y, hy, sx, sy = 1 - x, hull[1 - x], s[x], s[1 - x]
-        slope = -hull[x] / hy
-        # the sides e1 z1 + e2 z2 <= f, each a bound (f - e_y (h + beta) / hy) / k on z_x
+    for z0, z1, pl, ql, ph, qh, alpha, beta, c1, d1, d2, d0 in cells:
+        den, over = (d1, d2), (alpha, c1)
+        x = int(abs(den[0]) * s[0] > abs(den[1]) * s[1])
+        y, hy, sx, sy = 1 - x, den[1 - x], s[x], s[1 - x]
+        slope = -den[x] / hy
+        # the sides e1 z1 + e2 z2 <= f, each a bound (f + e_y d0 / hy - e_y h / hy) / k on z_x
         sides = []
         for e1, e2, f in ((-1.0, 0.0, -z0), (1.0, 0.0, z1), (pl, -1.0, -ql), (-ph, 1.0, qh)):
             ex, ey = (e1, e2) if x == 0 else (e2, e1)
             k = ex + ey * slope
             if k:  # a side parallel to the lines bounds no part of them
-                sides.append((k, (f - ey * beta / hy) / k, -ey / (hy * k)))
-        corners = sorted(hull[0] * z - beta + hull[1] * (p * z + q) for z in (z0, z1) for p, q in ((pl, ql), (ph, qh)))
+                sides.append((k, (f + ey * d0 / hy) / k, -ey / (hy * k)))
+        corners = sorted(d1 * z + d0 + d2 * (p * z + q) for z in (z0, z1) for p, q in ((pl, ql), (ph, qh)))
         for h0, h1 in zip(corners, corners[1:]):
             if not h1 > h0:
                 continue
@@ -437,9 +430,9 @@ def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
             # 1 / h has its pole at h = 0: parts spanning a ratio of at most _HULL_RATIO
             m = max(1, math.ceil(math.log(h1 / h0) / log_ratio - 1e-9)) if h0 > 0.0 else 1
             cuts = [h0 * (h1 / h0) ** (j / m) for j in range(m)] + [h1] if m > 1 else [h0, h1]
-            # the overlap over |hull_y s_y| in the unit variables, ox x + o0 + oy y
+            # the overlap over |hy s_y| in the unit variables, ox x + o0 + oy y
             scale = 1.0 / abs(hy * sy)
-            parts[x].extend((lo_h, hi_h - lo_h, lo[1] / sx, lo[2] / sx, hi[1] / sx, hi[2] / sx, beta / (hy * sy),
+            parts[x].extend((lo_h, hi_h - lo_h, lo[1] / sx, lo[2] / sx, hi[1] / sx, hi[2] / sx, -d0 / (hy * sy),
                              1.0 / (hy * sy), slope * sx / sy, scale * over[x] * sx, scale * beta,
                              scale * over[y] * sy) for lo_h, hi_h in zip(cuts, cuts[1:]))
     groups = [((kernels[x], kernels[1 - x]), [c[:, None, None] for c in _columns(rows, 12)])
@@ -447,6 +440,9 @@ def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
 
     def rule(n):
         """The sum at n nodes per piece, in blocks of at most _RULE_BLOCK points."""
+        # one request per axis and pass, across h and along the lines: the
+        # benchmark tracer (perfbench/tracer.py) counts passes as requests / 2
+        h_nodes, h_weights = nodes_and_weights(n, 0.0, 1.0)
         nodes, weights = nodes_and_weights(n, 0.0, 1.0)
         total = 0.0
         for (px, py), (h0, dh, ul, vl, uh, vh, b0, b1, a, ox, o0, oy) in groups:
@@ -455,102 +451,96 @@ def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
             c = (2.0 / _SQRT_2PI) ** (px == "phi") * (2.0 / _SQRT_2PI) ** (py == "phi")
             step = max(1, _RULE_BLOCK // (h0.size * n))
             for j in range(0, n, step):
-                h = h0 + dh * nodes[j:j + step, None]
+                h = h0 + dh * h_nodes[j:j + step, None]
                 t0 = ul + vl * h
                 width = np.maximum(uh + vh * h, t0) - t0
                 t = t0 + width * nodes
                 u = a * t + b0 + b1 * h
                 f = np.exp(-(0.5 * t if jx == 2 else 1.0) * t - (0.5 * u if jy == 2 else 1.0) * u)
                 f *= t**jx * u**jy * (ox * t + o0 + oy * u)
-                total += c * float(np.sum(weights[j:j + step, None] * dh / h * width * (f @ weights)[..., None]))
+                total += c * float(np.sum(h_weights[j:j + step, None] * dh / h * width * (f @ weights)[..., None]))
         return total
 
     return rule
 
 
-def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureConfig | None = None) -> float:
+def _within_reach(f: ConsonantBBD) -> ConsonantBBD:
+    reach = _REACH[f.shape.kernel] * f.scale
+    return f if f.support_bound <= reach else replace(f, support_bound=reach)
+
+
+def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureConfig):
     """Strict or partial inclusion of f1 in f2, or their scalar product, from
-    one walk of ``_cells``.
+    one walk of ``_cells``, and the ``QuadratureMeta`` of its rule.
 
     On a met cell the overlap is lambda = alpha z1 + beta + c1 z2, so the
     inner integral of m2 lambda / |I1| is a difference between its sides
     z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, and each side adds one
-    ``_sides``.  On thin cells the two sides cancel; there g2 is smooth
-    across the cell and 6 Gauss-Legendre lines between the sides carry it.
-    Strict inclusion keeps only the nested cells, (alpha, beta, c1) =
-    (1 - lo1, 0, 0): there the overlap is all of I1, so lambda / |I1| is
-    the strict indicator, 1.
+    ``_sides``.  Strict inclusion keeps only the nested cells, (alpha,
+    beta, c1) = (1 - lo1, 0, 0): there the overlap is all of I1, so
+    lambda / |I1| is the strict indicator, 1.
 
     The Jaccard degree of the scalar product is lambda / hull.  Where I2
     sits in I1 the hull is |I1|, so those cells add as in partial
     inclusion.  Where I1 sits in I2 it is n1 z1 / (n2 z2), whose z2
     integral is the kernel tail K of f2 between the sides, so each side
-    adds one ``_sides`` with tail = n1 s1 / (n2 s2); when that exceeds
-    _THIN the cell is at most k / _THIN of f1's unit wide and its sides
-    cancel, so it joins the straddling cells.  Those take the rule of
-    ``_straddling``, refined by ``_refine`` from ``cfg.points_per_axis``
-    nodes per piece.
+    adds one ``_sides`` with tail = n1 s1 / (n2 s2).
+
+    The rule of ``_straddling``, refined by ``_refine`` from
+    ``cfg.points_per_axis`` nodes per piece, takes the rest: the cells
+    where the focals straddle, and those whose sides would cancel, where
+    gamma = c1 s2 / (n1 s1) or the tail exceed _THIN.  Nested cells have
+    c1 = 0, so strict inclusion never runs it.
     """
     off = _offset(f1, f2)
-    if kind == "scalar":
-        f1, f2 = (replace(f, support_bound=min(f.support_bound, _REACH[f.shape.kernel] * f.scale)) for f in (f1, f2))
+    f1, f2 = _within_reach(f1), _within_reach(f2)
     z, rows = _cells(f1, f2, off)
     s1, s2, n1, n2 = f1.scale, f2.scale, 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope
     pair, wide = (f1.shape.kernel, f2.shape.kernel), n1 * s1 / (n2 * s2)
-    sides, ends, thin, shared, straddling = [], [], [], None, []
+    sides, ends, shared, ruled = [], [], None, []
     t = [b / s1 for b in z]  # the panel ends in f1's unit
     for i, pl, ql, ph, qh, alpha, beta, c1 in rows:
         t0, t1, al, ah = t[i], t[i + 1], pl * s1 / s2, ph * s1 / s2
         # a panel ending below 1e-300, where the sides start, holds no mass in floats
         if not (max(t0, 1e-300) < t1 and abs(al) <= _STEEP and abs(ah) <= _STEEP):
             continue
-        tail = 0.0
-        if (alpha, beta, c1) == (n1, 0.0, 0.0):  # nested: I1 sits in I2
-            if kind == "scalar":  # the Jaccard degree n1 z1 / (n2 z2): tail = n1 s1 / (n2 s2)
-                if wide > _THIN:  # at most k / _THIN of f1's unit wide, the sides cancel: take the rule
-                    straddling.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1))
-                    continue
-                alpha, tail = 0.0, wide
-        elif kind == "strict":
+        nested = (alpha, beta, c1) == (n1, 0.0, 0.0)  # I1 sits in I2
+        if kind == "strict" and not nested:
             continue
-        elif kind == "scalar" and (alpha, beta, c1) != (0.0, 0.0, n2):  # straddling: neither holds the other
-            straddling.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1))
-            continue
-        # per side: a, b and lambda / (s1 n1) = kappa t + lam0
         gamma = c1 * s2 / s1 / n1
+        # the rule takes the scalar product's straddling cells, where neither
+        # focal holds the other, and every cell whose sides would cancel
+        if (kind == "scalar" and (wide > _THIN if nested else (alpha, beta, c1) != (0.0, 0.0, n2))
+                or abs(gamma) > _THIN):
+            if max((ph - pl) * x + qh - ql for x in (z[i], z[i + 1])) >= s2 / _STEEP:
+                den = (n1 - alpha, n2 - c1, -beta) if kind == "scalar" else (n1, 0.0, 0.0)  # hull or |I1|
+                ruled.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1, *den))
+            continue
+        tail = 0.0
+        if kind == "scalar" and nested:  # the Jaccard degree n1 z1 / (n2 z2): tail = n1 s1 / (n2 s2)
+            alpha, tail = 0.0, wide
+        # per side: a, b and lambda / (s1 n1) = kappa t + lam0
         kl, ll, lin1, lin0 = (alpha + c1 * pl) / n1, (beta + c1 * ql) / s1 / n1, alpha / n1, beta / s1 / n1
-        if abs(gamma) <= _THIN:
-            if shared == (i, pl, ql):  # the last side is this line as the upper side of the cell below
-                _, _, k, l, g, m1, m0, tl, _ = sides[-1]
-                sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, lin1 - m1, lin0 - m0, tail - tl, 1.0)
-            else:
-                sides.append((al, ql / s2, kl, ll, gamma, lin1, lin0, tail, 1.0))
-                ends.append((max(t0, 1e-300), t1))
-            sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, lin1, lin0, tail,
-                          -1.0))
-            ends.append(ends[-1])
-            shared = (i, ph, qh)
-        else:  # cell width(t) = d0 + da (t - t0) in units of s2; gamma width = g0 + gda (t - t0)
-            width = (ph - pl) * z[i] + qh - ql
-            thin.append((t0, t1, al, ql / s2, ah - al, (qh - ql) / s2, kl, kl * t0 + ll, width / s2,
-                         c1 * width / s1 / n1, c1 * (ph - pl) / n1))
+        if shared == (i, pl, ql):  # the last side is this line as the upper side of the cell below
+            _, _, k, l, g, m1, m0, tl, _ = sides[-1]
+            sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, lin1 - m1, lin0 - m0, tail - tl, 1.0)
+        else:
+            sides.append((al, ql / s2, kl, ll, gamma, lin1, lin0, tail, 1.0))
+            ends.append((max(t0, 1e-300), t1))
+        sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, lin1, lin0, tail,
+                      -1.0))
+        ends.append(ends[-1])
+        shared = (i, ph, qh)
+    meta = _NO_RULE
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = _sides(pair, ends, sides)
-        if thin:  # the 6 lines between the sides of each thin cell, stacked in rows
-            t0, t1, a, b, da, db, kl, e0, d0, g0, gda = _columns(thin, 11)
-            theta, w = (x[:, None] for x in _unit_nodes(_THIN_NODES))
-            # k1(t) w width(t) (lambda_lower / (s1 n1) + theta gamma width(t)) g2(u_theta)
-            lam, lam_t = e0 + theta * g0, kl + theta * gda
-            poly = {(0, 1): w * d0 * lam, (1, 1): w * (da * lam + d0 * lam_t), (2, 1): w * da * lam_t}
-            if pair[1] == "phi":  # g2 = 2 u^2 phi(u)
-                poly = {(i, 2): 2.0 * coef for (i, _), coef in poly.items()}
-            value += float(np.sum(_along(pair, poly, t0, t1, a + theta * da, b + theta * db, t0)))
-        if straddling:
-            rule = _straddling(f1, f2, straddling)
-            value, _, _ = _refine(lambda n: value + rule(n), cfg.points_per_axis, cfg)
+        value = closed = _sides(pair, ends, sides)
+        if ruled:
+            rule = _straddling(f1, f2, ruled)
+            value, points, err = _refine(lambda n: closed + rule(n), cfg.points_per_axis, cfg)
+            meta = QuadratureMeta(points, err)
     if not math.isfinite(value):
         raise ValueError(f"closed-form {kind} of {f1.label} and {f2.label}: estimate is {value}")
-    return value
+    return value, meta
 
 
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
@@ -559,19 +549,22 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
     The integral of m1 m2 over the nested cells of ``_cells``, where the
     overlap is all of I1 and so I1 sits in I2: the walk of ``inc_partial``
     kept to those cells (see ``_closed_form``).  The mass of f2 beyond its
-    support bound Z2 is dropped, as in every pair measure.  ``cfg`` is
-    accepted for a uniform signature; no rule is involved.
+    support bound Z2 is dropped, as in every pair measure.  No nested cell
+    is thin, so no rule runs; ``cfg`` is accepted for a uniform signature.
     """
-    return InclusionResult(_unit(_closed_form(f1, f2, "strict")), (f1.label, f2.label), "strict", _NO_RULE)
+    value, meta = _closed_form(f1, f2, "strict", cfg or QuadratureConfig())
+    return InclusionResult(_unit(value), (f1.label, f2.label), "strict", meta)
 
 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Expected fraction of I1 covered by I2, in closed form.
+    """Expected fraction of I1 covered by I2.
 
-    Every met cell of ``_cells`` adds its share (see ``_closed_form``).
-    ``cfg`` is accepted for a uniform signature; no outer rule is involved.
+    Every met cell of ``_cells`` adds its share (see ``_closed_form``): in
+    closed form, or by the rule of ``_straddling`` from ``cfg`` on cells
+    thin against f2, whose ``quadrature_meta`` the result then carries.
     """
-    return InclusionResult(_unit(_closed_form(f1, f2, "partial")), (f1.label, f2.label), "partial", _NO_RULE)
+    value, meta = _closed_form(f1, f2, "partial", cfg or QuadratureConfig())
+    return InclusionResult(_unit(value), (f1.label, f2.label), "partial", meta)
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
@@ -637,13 +630,7 @@ def generic_mass(g: GenericBBD) -> float:
 def _generic_expectation(g1: GenericBBD, g2: GenericBBD, delta) -> float:
     lo1, hi1, w1 = _focal_atoms(g1)
     lo2, hi2, w2 = _focal_atoms(g2)
-    block = max(1, _BLOCK_ELEMS // max(1, lo2.size))
-    total = 0.0
-    for start in range(0, lo1.size, block):
-        sl = slice(start, start + block)
-        degrees = delta(lo1[sl, None], hi1[sl, None], lo2[None, :], hi2[None, :])
-        total += float(w1[sl] @ degrees @ w2)
-    return total
+    return float(w1 @ delta(lo1[:, None], hi1[:, None], lo2[None, :], hi2[None, :]) @ w2)
 
 
 def scalar_product_generic(g1: GenericBBD, g2: GenericBBD, cfg: QuadratureConfig | None = None) -> float:

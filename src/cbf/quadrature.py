@@ -1,11 +1,10 @@
 """Gauss-Legendre nodes, the refinement loop and a Monte Carlo cross-check.
 
-Both inclusions are closed-form but for six fixed lines on thin cells.
-The scalar product and distance are closed-form where one focal holds the
-other and take a Gauss-Legendre rule in the hull and along its level lines
-where the focals straddle; the pignistic round trip and the generic
-cross-check use Gauss-Legendre rules on panels of a truncated domain.  All
-are bit for bit reproducible per configuration.  ``_refine`` doubles the nodes per piece
+The consonant pair measures are closed-form but for one Gauss-Legendre
+rule on the cells where the focals straddle or the closed form's sides
+would cancel; the pignistic round trip and the generic cross-check use
+Gauss-Legendre rules on panels of a truncated domain.  All are bit for bit
+reproducible per configuration.  ``_refine`` doubles the nodes per piece
 until two estimates agree to 1e-4 relative or the budget is spent; the last
 change is the error.
 
@@ -53,9 +52,8 @@ class QuadratureConfig:
     """Resolution and truncation policy of the consonant measures.
 
     ``truncation_k`` reaches every measure through the operands; the other
-    two fields govern only the rule of ``scalar_product`` and ``distance``
-    on the cells where the focals straddle, because everything else is
-    closed-form.
+    two fields govern only the one rule of the pair measures, on the cells
+    the closed forms cannot take (see ``cbf.measures``).
 
     points_per_axis     Gauss-Legendre nodes per piece and per line of that
                         rule (>= 16)

@@ -366,23 +366,41 @@ def test_strict_never_exceeds_partial_on_the_desk_sweep():
 
 
 def test_inclusions_ask_for_no_nodes(monkeypatch):
-    # both inclusions are closed-form: no rule, no refinement
+    # every strict inclusion is closed-form, and so is a partial one unless
+    # a cell is thin against the including operand, which needs that operand
+    # over 8 times wider (gamma = c1 s2 / (n1 s1) with c1 <= 2, n1 >= 1)
     def forbidden(*args, **kwargs):
         raise AssertionError("an inclusion asked for quadrature nodes")
 
     monkeypatch.setattr(cbf.measures, "nodes_and_weights", forbidden)
     monkeypatch.setattr(cbf.measures, "_refine", forbidden)
     for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
-        for measure in (inc_strict, inc_partial, inc_partial_reversed):
-            meta = measure(f1, f2, CFG).quadrature_meta
-            assert meta.points_per_axis == 0 and math.isnan(meta.est_error)
+        metas = [inc_strict(f1, f2, CFG).quadrature_meta]
+        if f2.scale <= 8.0 * f1.scale:
+            metas.append(inc_partial(f1, f2, CFG).quadrature_meta)
+        if f1.scale <= 8.0 * f2.scale:
+            metas.append(inc_partial_reversed(f1, f2, CFG).quadrature_meta)
+        for meta in metas:
+            assert meta.points_per_axis == 0 and math.isnan(meta.est_error), (f1.label, f2.label)
 
 
-@pytest.mark.parametrize("cfg,asked", [(CFG, [16, 32]), (QuadratureConfig(refine_max_doublings=0), [16])],
+def test_inclusions_with_thin_cells_report_the_rule():
+    # the cells of N(0,0.001) thin against N(0.5,1) take the scalar
+    # product's rule, which settles after one doubling
+    narrow, wide = STRESS_FAMILY[1], STRESS_FAMILY[2]
+    result = inc_partial(narrow, wide, CFG)
+    meta = result.quadrature_meta
+    assert meta.points_per_axis == 32 and meta.est_error <= _REFINE_REL_TOL * result.value
+    assert inc_partial_reversed(wide, narrow, CFG) == result
+    meta = inc_partial(narrow, wide, QuadratureConfig(refine_max_doublings=0)).quadrature_meta
+    assert meta.points_per_axis == 16 and math.isnan(meta.est_error)
+
+
+@pytest.mark.parametrize("cfg,asked", [(CFG, [16, 16, 32, 32]), (QuadratureConfig(refine_max_doublings=0), [16, 16])],
                          ids=["default", "no-refinement"])
-def test_scalar_rule_asks_for_nodes_once_per_pass(monkeypatch, cfg, asked):
-    # the rule asks for its nodes once per pass, and smooth pairs stop after
-    # one doubling
+def test_scalar_rule_asks_for_nodes_once_per_axis_and_pass(monkeypatch, cfg, asked):
+    # the rule asks for its nodes across the hull values, then along the
+    # level lines, in every pass; smooth pairs stop after one doubling
     real, seen = cbf.measures.nodes_and_weights, []
 
     def counting(n, lo, hi):
@@ -421,6 +439,36 @@ def test_scalar_product_holds_at_deep_truncation(k):
         shallow = _scalar(parse_distribution(spec1, 100.0), parse_distribution(spec2, 100.0))
         assert abs(_scalar(f1, f2) - shallow) <= 1e-15, (spec1, spec2)
         assert abs(_scalar(f2, f1) - shallow) <= 1e-15, (spec2, spec1)
+
+
+@pytest.mark.parametrize("spec1,spec2", [("normal:0,0.001", "normal:0.5,1"), ("exp:2", "exp:0.01"),
+                                         ("normal:0,1", "exp:0.01"), ("normal:0,0.001", "exp:2")])
+def test_thin_pairs_hold_at_deep_truncation(spec1, spec2):
+    # the rule on cells thin against f2 keeps its nodes within reach of the
+    # mass, so k = 1000 gives the value of k = 40
+    deep = inc_partial(parse_distribution(spec1, 1000.0), parse_distribution(spec2, 1000.0)).value
+    assert abs(deep - inc_partial(parse_distribution(spec1, 40.0), parse_distribution(spec2, 40.0)).value) <= 1e-15
+
+
+def _gram_family(seed, size=7):
+    # both families, scales (sigma or 1 / rate) from 1e-3 to 1e3, each normal
+    # up to 10 of its own scales from the exponentials' location 0
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size)
+    return [consonant_from_exponential(1.0 / s) if i % 3 == 2
+            else consonant_from_normal(rng.uniform(-10.0, 10.0) * s, s)
+            for i, s in enumerate(scales)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_matrix_is_positive_semidefinite(seed):
+    # the scalar product is an inner product (Bouchard, Jousselme and Dore,
+    # IJAR 2013), so no Gram matrix may have a negative eigenvalue
+    family = _gram_family(seed)
+    scales = sorted(f.scale for f in family)
+    assert scales[-1] > 32.0 * scales[0]  # thin cells among the pairs
+    gram = np.array([[_scalar(f1, f2) for f2 in family] for f1 in family])
+    assert np.linalg.eigvalsh(0.5 * (gram + gram.T)).min() >= -1e-12
 
 
 def test_scalar_product_operand_order_gap():
