@@ -18,11 +18,12 @@ scale ratios and give the same values at every scale from the smallest
 normal float up to where the longest focal, (1 - lo_slope) * truncation_k
 * scale, overflows; the constructors reject scales outside that range.
 
-``pignistic_density`` evaluates the round trip numerically; the test suite
-anchors on it reproducing the source pdf.  ``to_generic`` exposes the same
-density as a ``GenericBBD``, the bare curve z -> (focal(z), m(z)) that the
-generic cross-check measures read.  ``tail_mass`` is the closed-form
-upper tail of m; only the tests read it.
+``pignistic_density`` evaluates the round trip in closed form from the
+shape; the test suite anchors on it reproducing the source pdf.
+``to_generic`` exposes the same density as a ``GenericBBD``, the bare curve
+z -> (focal(z), m(z)) that the generic cross-check measures read.
+``tail_mass`` is the closed-form upper tail of m; the Monte Carlo sampler
+tabulates its CDF from it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .intervals import _as_scalar_or_array
-from .quadrature import check_truncation_k, nodes_and_weights
+from .quadrature import check_truncation_k
 
 __all__ = [
     "ConsonantBBD",
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_PIGNISTIC_POINTS = 512  # Gauss-Legendre nodes of pignistic_density
 
 
 def _phi(u):
@@ -65,9 +65,14 @@ class Shape:
     lo_slope   lower focal endpoint per unit of z (the upper one is +1)
     density    nesting density g(u)
     tail       closed-form upper tail of g from u >= 0 to infinity
-    pignistic  g(u) / length(focal(u)) with the u -> 0 cancellation done
+    pignistic  closed-form upper tail of g(u) / length(focal(u)) from u >= 0
+               to infinity: phi(u) for Maxwell (g / (2 u) = u phi(u)),
+               exp(-u) for Gamma(2) (g / u = exp(-u))
     kernel     the factor of g beside a polynomial, "phi" (the normal density)
                or "exp" (exp(-u)); the closed-form inclusions key on it
+    reach      units of u past which g holds no mass in floats (u^2 phi(u)
+               and u exp(-u) below 1e-18): every pair measure's walk stops
+               there, so that its rule's nodes stay where the mass is
     """
 
     lo_slope: float
@@ -75,6 +80,7 @@ class Shape:
     tail: Callable[[np.ndarray], np.ndarray]
     pignistic: Callable[[np.ndarray], np.ndarray]
     kernel: str
+    reach: float
 
 
 def _maxwell(u):
@@ -82,10 +88,9 @@ def _maxwell(u):
     return 2.0 / _SQRT_2PI * uu * np.exp(-0.5 * uu)
 
 
-_MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + ndtr(-u)),
-                 lambda u: u * _phi(u), "phi")
+_MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + ndtr(-u)), _phi, "phi", 10.0)
 _GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)), lambda u: (1.0 + np.minimum(u, 800.0)) * np.exp(-u),
-                lambda u: np.exp(-np.maximum(u, 0.0)), "exp")
+                lambda u: np.exp(-u), "exp", 45.0)
 
 
 @dataclass(frozen=True)
@@ -191,17 +196,14 @@ def pignistic_density(c: ConsonantBBD, x):
     z >= z_min(x), truncated at ``support_bound``.
     """
     x = np.asarray(x, dtype=float)
-    # in units of the scale: betf(x) = (1/scale) integral of the shape's
-    # pignistic integrand over u >= u_min, so 1/scale^2 never forms
+    # in units of the scale: betf(x) = (P(u_min) - P(K)) / scale with P the
+    # shape's pignistic tail and K = support_bound / scale, so 1/scale^2
+    # never forms
     d = (x - c.location) / c.scale
     lo = c.shape.lo_slope
     u_min = np.where(d >= 0.0, d, d / lo if lo else np.inf)
-    width = np.maximum(c.support_bound / c.scale - u_min, 0.0)
-    u_min_safe = np.where(np.isfinite(u_min), u_min, 0.0)
-    t, wt = nodes_and_weights(_PIGNISTIC_POINTS, 0.0, 1.0)
-    u = u_min_safe[..., None] + width[..., None] * t
-    vals = width * np.sum(wt * c.shape.pignistic(u), axis=-1) / c.scale
-    return _as_scalar_or_array(vals)
+    k, tail = c.support_bound / c.scale, c.shape.pignistic
+    return _as_scalar_or_array((tail(np.minimum(u_min, k)) - tail(k)) / c.scale)
 
 
 # family name -> (constructor, number of parameters, spec form)

@@ -56,7 +56,7 @@ from .consonant import ConsonantBBD, GenericBBD, _phi
 # delta_inc_partial_rev is unused here but stays a name of this module: the
 # benchmark tracer (perfbench/tracer.py) wraps it by name
 from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta
-from .quadrature import QuadratureConfig, _refine, inverse_cdf_table, nodes_and_weights
+from .quadrature import QuadratureConfig, _refine, nodes_and_weights
 
 __all__ = [
     "QuadratureMeta",
@@ -82,10 +82,6 @@ _RULE_BLOCK = 1 << 16
 # Largest ratio between the denominator's values at the ends of a piece of
 # that rule.
 _HULL_RATIO = 8.0
-# Scale units past which the Maxwell and Gamma(2) kernels hold no mass in
-# floats (x^2 phi(x) and x exp(-x) below 1e-18): every measure's walk stops
-# there, so that the rule's nodes stay where the mass is.
-_REACH = {"phi": 10.0, "exp": 45.0}
 # Gauss-Legendre nodes along a generic nesting curve: one panel, no kinks
 # known, so the resolution is fixed rather than tied to the panel rule.
 # 512 is where the curve oracle's strict inclusion happens to be accurate:
@@ -465,7 +461,7 @@ def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
 
 
 def _within_reach(f: ConsonantBBD) -> ConsonantBBD:
-    reach = _REACH[f.shape.kernel] * f.scale
+    reach = f.shape.reach * f.scale
     return f if f.support_bound <= reach else replace(f, support_bound=reach)
 
 
@@ -592,14 +588,23 @@ def inc_avg_partial(i: int, fs, cfg: QuadratureConfig | None = None) -> float:
     return _inc_avg(inc_partial, i, fs, cfg)
 
 
+_CDF_GRID = 8193  # grid nodes of the CDF table of nesting_pair_sampler
+
+
 def nesting_pair_sampler(f1: ConsonantBBD, f2: ConsonantBBD):
     """Independent sampler of (z1, z2) for ``mc_estimate``.
 
-    Each marginal is drawn by inverse CDF from the tabulated nesting
-    density, truncated at the operand's support bound.
+    Each marginal is drawn by inverse CDF from the nesting density truncated
+    at the operand's support bound Z and renormalised: the closed-form CDF
+    1 - ``tail_mass`` is tabulated on a uniform grid over [0, Z] and a
+    uniform q is read at q CDF(Z), interpolating linearly between nodes.
     """
-    inv1 = inverse_cdf_table(f1.density, f1.support_bound)
-    inv2 = inverse_cdf_table(f2.density, f2.support_bound)
+    def inverse(f):
+        z = np.linspace(0.0, f.support_bound, _CDF_GRID)
+        cdf = 1.0 - f.tail_mass(z)
+        return lambda q: np.interp(q * cdf[-1], cdf, z)
+
+    inv1, inv2 = inverse(f1), inverse(f2)
 
     def sampler(rng, n):
         return inv1(rng.random(n)), inv2(rng.random(n))

@@ -2,11 +2,11 @@
 
 The consonant pair measures are closed-form but for one Gauss-Legendre
 rule on the cells where the focals straddle or the closed form's sides
-would cancel; the pignistic round trip and the generic cross-check use
-Gauss-Legendre rules on panels of a truncated domain.  All are bit for bit
-reproducible per configuration.  ``_refine`` doubles the nodes per piece
-until two estimates agree to 1e-4 relative or the budget is spent; the last
-change is the error.
+would cancel; the generic cross-check uses a Gauss-Legendre rule on a
+truncated domain, and the pignistic round trip is closed-form.  All are
+bit for bit reproducible per configuration.  ``_refine`` doubles the nodes
+per piece until two estimates agree to 1e-4 relative or the budget is
+spent; the last change is the error.
 
 ``mc_estimate`` provides a seeded Monte Carlo estimate of E[ratio] under a
 product sampler.  It is the slow second opinion used to validate the
@@ -27,12 +27,10 @@ __all__ = [
     "QuadratureConfig",
     "nodes_and_weights",
     "mc_estimate",
-    "inverse_cdf_table",
 ]
 
 
 _REFINE_REL_TOL = 1e-4  # _refine stops once successive estimates agree to this
-_CDF_GRID = 8193  # grid nodes of inverse_cdf_table
 
 # Largest truncation, in scale units.  With it lifted, every self anchor
 # (2/pi of the N(0,1) scalar product among them) is within 1.2e-16 at k =
@@ -155,30 +153,3 @@ def mc_estimate(sampler, integrand_ratio, n: int, seed: int = 0):
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     return mean, stderr
-
-
-def inverse_cdf_table(density, upper: float):
-    """Tabulated inverse CDF of a 1D density on [0, upper].
-
-    The CDF is built with a cumulative trapezoid on a uniform grid and
-    normalised to end at 1, so draws target the truncated, renormalised
-    density.  Inversion is a searchsorted bisection with linear
-    interpolation between grid nodes.  Returns a callable u -> z.
-    """
-    if not upper > 0:
-        raise ValueError(f"upper bound must be positive, got {upper}")
-    grid = np.linspace(0.0, upper, _CDF_GRID)
-    pdf = np.asarray(density(grid), dtype=float)
-    _check_finite(pdf, "inverse cdf table")
-    if np.any(pdf < 0):
-        raise ValueError("density must be non-negative")
-    cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (pdf[1:] + pdf[:-1]) / 2.0)))
-    total = cdf[-1]
-    if not total > 0:
-        raise ValueError("density integrates to zero on the requested range")
-    cdf = cdf / total
-
-    def inverse(u):
-        return np.interp(u, cdf, grid)
-
-    return inverse

@@ -203,6 +203,16 @@ class TestPignisticRoundTrip:
         err = np.max(np.abs(pignistic_density(f, x) - stats.expon.pdf(x, scale=0.4)))
         assert err < 1e-6
 
+    def test_deep_truncation_round_trip_is_exact(self):
+        # the closed-form transform misses only the tail beyond k = 40:
+        # phi(40) is 0 in floats and e^-40 is 4e-18
+        x = np.linspace(-5.0, 5.0, 1001)
+        f = consonant_from_normal(0.0, 1.0, truncation_k=40.0)
+        assert np.max(np.abs(pignistic_density(f, x) - stats.norm.pdf(x))) < 1e-16
+        e = consonant_from_exponential(1.0, truncation_k=40.0)
+        xe = np.linspace(0.0, 5.0, 1001)
+        assert np.max(np.abs(pignistic_density(e, xe) - stats.expon.pdf(xe))) < 1e-16
+
     def test_pignistic_zero_outside_support(self):
         f = consonant_from_exponential(1.0)
         np.testing.assert_array_equal(pignistic_density(f, np.array([-2.0, -0.01])), 0.0)

@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,6 +307,27 @@ class TestMonteCarloAgreement:
             assert abs(grid_value - mc) <= 3.0 * se + 2e-6
 
 
+class TestNestingPairSampler:
+    EXP2 = consonant_from_exponential(2.0)  # k = 8 cuts 9 e^-8 = 3e-3 of its mass
+
+    def test_maxwell_mean_and_support(self):
+        # consonant-normal nesting density is Maxwell; mean = 2 sigma sqrt(2/pi)
+        z1, z2 = nesting_pair_sampler(F1, self.EXP2)(np.random.default_rng(99), 200_000)
+        assert z1.mean() == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=0.01)
+        assert np.all((z1 >= 0) & (z1 <= F1.support_bound))
+        assert np.all((z2 >= 0) & (z2 <= self.EXP2.support_bound))
+
+    @pytest.mark.parametrize("f", [F1, EXP2], ids=["normal", "exp"])
+    def test_quantiles_match_the_truncated_cdf(self, f):
+        # uniforms q must come back as the q-quantiles of the nesting density
+        # truncated at Z and renormalised
+        q = np.array([0.1, 0.5, 0.9])
+        z1, z2 = nesting_pair_sampler(f, f)(SimpleNamespace(random=lambda n: q), 3)
+        kept = 1.0 - f.tail_mass(f.support_bound)
+        for z in (z1, z2):
+            np.testing.assert_allclose((1.0 - f.tail_mass(z)) / kept, q, rtol=0.0, atol=1e-6)
+
+
 class TestGenericPath:
     def test_curve_generic_matches_fast_paths(self):
         g1, g2 = to_generic(F1), to_generic(F2)
@@ -404,3 +426,11 @@ class TestNonFiniteEstimates:
         monkeypatch.setattr(cbf.measures, "nodes_and_weights", overflowing)
         with pytest.raises(ValueError, match="estimate is (inf|nan)"):
             measure(F1, F4, CFG)
+
+    def test_closed_form_raises(self, monkeypatch):
+        # strict inclusion runs no rule, so a side sum that is not finite
+        # meets the closed form's own check
+        monkeypatch.setattr(cbf.measures, "_sides", lambda *args: math.nan)
+        with pytest.raises(ValueError, match=f"closed-form strict of {re.escape(F1.label)} and "
+                                             f"{re.escape(F4.label)}: estimate is nan"):
+            inc_strict(F1, F4, CFG)

@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import quad
 
 import cbf.measures
 from cbf.cli import build_parser
@@ -31,7 +31,7 @@ from cbf.measures import (
     inc_strict,
     scalar_product,
 )
-from cbf.quadrature import _REFINE_REL_TOL, QuadratureConfig, inverse_cdf_table
+from cbf.quadrature import _REFINE_REL_TOL, QuadratureConfig
 from oracles import inclusion_by_crossings
 
 CFG = QuadratureConfig()
@@ -264,14 +264,6 @@ def test_scalar_product_blocks_bound_memory_at_the_default_size():
 ])
 def test_tiny_strict_inclusions_keep_their_digits(mu, sigma, exact):
     assert abs(inc_strict(N01, consonant_from_normal(mu, sigma)).value - exact) < 1e-17
-
-
-def test_inverse_cdf_table_matches_scipy_cumulative_trapezoid():
-    grid = np.linspace(0.0, N01.support_bound, 8193)
-    cdf = cumulative_trapezoid(N01.density(grid), grid, initial=0.0)
-    inv = inverse_cdf_table(N01.density, N01.support_bound)
-    u = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_array_equal(inv(u), np.interp(u, cdf / cdf[-1], grid))
 
 
 def test_cli_quadrature_flags_default_to_the_config():

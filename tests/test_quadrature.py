@@ -10,7 +10,6 @@ from cbf.measures import scalar_product
 from cbf.quadrature import (
     QuadratureConfig,
     _refine,
-    inverse_cdf_table,
     mc_estimate,
     nodes_and_weights,
 )
@@ -121,34 +120,6 @@ class TestMonteCarlo:
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):
             mc_estimate(self._uniform_pair, lambda a, b: a, 100)
-
-
-class TestInverseCdfTable:
-    def test_maxwell_moments(self):
-        # consonant-normal nesting density is Maxwell; mean = 2 sigma sqrt(2/pi)
-        f = consonant_from_normal(0.0, 1.0)
-        inv = inverse_cdf_table(f.density, f.support_bound)
-        rng = np.random.default_rng(99)
-        z = inv(rng.random(200_000))
-        expected_mean = 2.0 * math.sqrt(2.0 / math.pi)
-        assert z.mean() == pytest.approx(expected_mean, abs=0.01)
-        assert np.all((z >= 0) & (z <= f.support_bound))
-
-    def test_quantiles_match_closed_form_cdf(self):
-        f = consonant_from_normal(0.0, 1.0)
-        inv = inverse_cdf_table(f.density, f.support_bound)
-        for u in (0.1, 0.5, 0.9):
-            z = float(inv(u))
-            # CDF(z) = 1 - tail_mass(z) should give back u
-            assert 1.0 - f.tail_mass(z) == pytest.approx(u, abs=1e-6)
-
-    def test_rejects_negative_density(self):
-        with pytest.raises(ValueError):
-            inverse_cdf_table(lambda z: -np.ones_like(z), 1.0)
-
-    def test_rejects_zero_mass(self):
-        with pytest.raises(ValueError):
-            inverse_cdf_table(lambda z: np.zeros_like(z), 1.0)
 
 
 @given(st.integers(min_value=16, max_value=200))
