@@ -143,7 +143,7 @@ def _consonant(shape, location, scale, truncation_k, label, param) -> ConsonantB
             f"{param} gives scale {scale:g}, outside [{sys.float_info.min:g}, "
             f"{sys.float_info.max / reach:g}] at truncation_k = {truncation_k:g}"
         )
-    return ConsonantBBD(shape, location, scale, truncation_k * scale, label)
+    return ConsonantBBD(shape, location, scale, float(truncation_k) * scale, label)
 
 
 def consonant_from_normal(mu: float, sigma: float, truncation_k: float = 8.0) -> ConsonantBBD:

@@ -13,25 +13,20 @@ same amount reproduces results exactly.  Densities and tails are unit-scale
 shapes stretched by each operand's scale, so scaling both operands by the
 same factor changes no measure beyond rounding.
 
-The degrees are piecewise smooth: their kinks lie on the straight lines
-where a focal endpoint of one operand crosses one of the other.  The outer
-z1 axis is cut where those lines cross each other or the edges of the
-rectangle; the lines then cut each outer panel into cells, on which the
-endpoint order is fixed.  This cell map is built once per pair.  Cells
-where the focals are disjoint are dropped.  On the others the overlap is
-one linear piece in z2, so both inclusions are closed-form on a cell: the
-inner z2 integral is a difference of the second operand's tails between
-the cell's sides, and the outer z1 integral of each side is a difference
-of antiderivatives at the panel ends (Gaussian and exponential moments,
-Owen's T for the one bivariate normal term).  Strict inclusion is the same
-walk kept to the nested cells, where the overlap is all of I1 and the
-partial integrand is the strict indicator.  The scalar product's Jaccard
-degree, overlap / hull, is closed-form as in partial inclusion where one
-focal holds the other.  On the other cells, where the focals straddle or
-the two sides' tails would cancel (cells thin against the other operand),
-one Gauss-Legendre rule in the degree's linear denominator and along its
-level lines takes the cell: the only rule any measure runs, refined by
-``_refine``.
+Both inclusions take no cells.  Under a consonant f2 the commonality of a
+point x is its contour function pi2(x), the mass of the focals holding x:
+strict inclusion is the expectation of pi2 at the endpoint of I1 farther
+from f2's location, partial inclusion that of the mean of pi2 over I1,
+each a sum of one-dimensional closed forms (``_contour``).
+
+The scalar product, and partial inclusion in an f2 over _THIN times wider
+than f1, walk a cell map (``_cells``): the lines where a focal endpoint of
+one operand crosses one of the other cut the rectangle into cells with a
+fixed endpoint order.  Where one focal holds the other the degree is
+closed-form on a cell (``_closed_form``); where the focals straddle or the
+two sides' tails would cancel, one Gauss-Legendre rule in the degree's
+linear denominator and along its level lines takes the cell: the only rule
+any measure runs, refined by ``_refine``.
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -106,10 +101,11 @@ class InclusionResult:
     direction        (label of included operand, label of including operand)
     kind             "strict" or "partial"
     quadrature_meta  (points per piece, last change) of the rule's
-                     refinement where cells thin against f2 took it, else
-                     (0, nan): no nodes, no error estimate.  Either way the
-                     value agrees with an independent 2-D quadrature within
-                     1e-14 (see the README numerical notes)
+                     refinement where cells of the walk of a partial
+                     inclusion in a much wider f2 took it, else (0, nan):
+                     no nodes, no error estimate.  Either way the value
+                     agrees with an independent 2-D quadrature within 1e-14
+                     (see the README numerical notes)
     """
 
     value: float
@@ -348,41 +344,53 @@ def _sides(pair, ends, sides) -> float:
     parts; with k1 = 2 t phi that leaves the bivariate normal probability
     integral phi(t) Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) + Phi(t) / 2
     with Owen's T, whose limit t -> 0 is taken at t = 1e-300 by the callers.
-    Two normals run on Python floats with one ``owens_t`` call: on their ~14
-    (side, end) entries numpy's per-call cost would outweigh the arithmetic.
-    The Owen's T terms join Q(u) (1/2 - Q(t)) per end before the weight w4,
-    else tiny strict inclusions lose digits (anchored in tests/test_panels.py).
+    Two normals run on Python floats with one ``owens_t`` call, and each end
+    reads its Owen's T terms in a form that stays small in far tails, else
+    tiny inclusions lose digits (anchored in tests/test_panels.py).
     """
     if pair == ("phi", "phi"):
-        terms, args = [], []
+        terms, hs, xs = [], [], []
         for (a, b, c, m, bc, big_a, b0, b1, b2, w4, q1, q0), te in zip(starmap(_normal_side, sides), ends):
+            sb, ab, qb = math.copysign(1.0, b), abs(b), 0.5 * math.erfc(abs(bc) * _SQRT_HALF)
             for t in te:
                 u = max(a * t + b, 0.0)
-                ns, qu = (m - t) * c, 0.5 * math.erfc(u * _SQRT_HALF)  # ns = -s
-                terms.append((w4, qu * (0.5 - 0.5 * math.erfc(t * _SQRT_HALF)),
-                              math.exp(-0.5 * t * t) * qu * (q1 * t + q0), 0.5 * math.erfc(-ns * _SQRT_HALF) * big_a,
+                ns, g, qu, qt = (m - t) * c, t + a * u, 0.5 * math.erfc(u * _SQRT_HALF), 0.5 * math.erfc(t * _SQRT_HALF)
+                # T(bc, g / b) less its limit sb Q(|bc|) / 2 at t -> inf, and T(t, u / t) - Q(t) / 2,
+                # are sb [Q(g / c) (1/2 - Q(|bc|)) - T(g / c, |b| / g)] where g > |b| and Q(u) (1/2 -
+                # Q(t)) - T(u, t / u) where u >= t: small in far tails.  b = 0 gives g > 0 (ns = -s)
+                if g > ab:
+                    h1, x1, r, s1 = g / c, ab / g, sb * 0.5 * math.erfc(g / c * _SQRT_HALF) * (0.5 - qb), -sb
+                else:
+                    h1, x1, r, s1 = bc, g / b, -0.5 * sb * qb, 1.0
+                if u >= t:
+                    h2, x2, r, s2 = u, t / u, r + qu * (0.5 - qt), -1.0
+                else:
+                    h2, x2, r, s2 = t, u / t, r - 0.5 * qt, 1.0
+                hs += h1, h2
+                xs += x1, x2
+                terms.append((w4, s1, s2, r, math.exp(-0.5 * t * t) * qu * (q1 * t + q0),
+                              0.5 * math.erfc(-ns * _SQRT_HALF) * big_a,
                               math.exp(-0.5 * ns * ns) * (b0 - ns * (b1 - ns * b2))))
-                args += bc, t + a * u, b, u, t, u  # T(bc, (t + a u) / b), T(u, t / u)
-        h, num, den = np.array(args).reshape(-1, 3).T  # numpy divides: b or u = 0 give inf or nan
-        owen = owens_t(h, num / den).tolist()
-        # T(t, u / t) + Phi(t) / 2 = 1/2 + Q(u) (1/2 - Q(t)) - T(u, t / u) keeps far tails small
-        f = [w4 * (t1 - t2 + r) - x - y - z for (w4, r, x, y, z), t1, t2 in zip(terms, owen[::2], owen[1::2])]
+        owen = owens_t(hs, xs).tolist()
+        f = [w4 * (s1 * t1 + s2 * t2 + r) - x - y - z
+             for (w4, s1, s2, r, x, y, z), t1, t2 in zip(terms, owen[::2], owen[1::2])]
         return sum(f[1::2]) - sum(f[::2])
     if not sides:
         return 0.0
-    t, (a, b, kappa, beta, gamma, lin1, lin0, tail, sign) = _columns(ends, 2), _columns(sides, 9)
-    if pair[1] == "exp":
-        poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
-    else:
-        poly = {(1, 1): 2.0 * kappa, (0, 1): 2.0 * beta, (0, 0): 4.0 * gamma}
-    if tail.any():
-        poly[2, 0] = tail if pair[1] == "exp" else 2.0 * tail
-    value = 0.0
-    if pair[1] == "phi":  # k1 = exp(-t)
-        f = -2.0 * np.exp(-t) * ndtr(-(a * t + b)) * (lin1 * (t + 1.0) + lin0)
-        poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
-        value = f[1] - f[0]
-    return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b))))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # far tails are 0 in floats
+        t, (a, b, kappa, beta, gamma, lin1, lin0, tail, sign) = _columns(ends, 2), _columns(sides, 9)
+        if pair[1] == "exp":
+            poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
+        else:
+            poly = {(1, 1): 2.0 * kappa, (0, 1): 2.0 * beta, (0, 0): 4.0 * gamma}
+        if tail.any():
+            poly[2, 0] = tail if pair[1] == "exp" else 2.0 * tail
+        value = 0.0
+        if pair[1] == "phi":  # k1 = exp(-t)
+            f = -2.0 * np.exp(-t) * ndtr(-(a * t + b)) * (lin1 * (t + 1.0) + lin0)
+            poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
+            value = f[1] - f[0]
+        return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b))))
 
 
 def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
@@ -424,7 +432,7 @@ def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
             lo = max((side for side in sides if side[0] < 0.0), key=lambda side: side[1] + side[2] * mid)
             hi = min((side for side in sides if side[0] > 0.0), key=lambda side: side[1] + side[2] * mid)
             # 1 / h has its pole at h = 0: parts spanning a ratio of at most _HULL_RATIO
-            m = max(1, math.ceil(math.log(h1 / h0) / log_ratio - 1e-9)) if h0 > 0.0 else 1
+            m = max(1, math.ceil(math.log(h1 / h0) / log_ratio - 1e-9)) if 0.0 < h0 and h1 / h0 < math.inf else 1
             cuts = [h0 * (h1 / h0) ** (j / m) for j in range(m)] + [h1] if m > 1 else [h0, h1]
             # the overlap over |hy s_y| in the unit variables, ox x + o0 + oy y
             scale = 1.0 / abs(hy * sy)
@@ -465,18 +473,86 @@ def _within_reach(f: ConsonantBBD) -> ConsonantBBD:
     return f if f.support_bound <= reach else replace(f, support_bound=reach)
 
 
+def _tails(kernel: str, u: float):
+    """(T, P, S) at u >= 0 in floats: mass, pignistic and first-moment tails of a unit shape."""
+    if kernel == "phi":
+        p, q2 = math.exp(-0.5 * u * u) / _SQRT_2PI, math.erfc(u * _SQRT_HALF)
+        return 2.0 * u * p + q2, p, 4.0 * p - u * q2
+    e = math.exp(-u)
+    return (1.0 + u) * e, e, (2.0 + u) * e
+
+
+def _contour(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
+    """Strict or partial inclusion of f1 in f2 from the contour function of f2.
+
+    x lies in I2(z2) once z2 >= zeta(x), |x - mu2| for a normal f2 and
+    x - mu2 >= 0 for an exponential one, so the commonality of x is
+    pi(x) = T2(zeta(x)) - T2(Z2) up to Z2; that of I1 is pi at its endpoint
+    farther from mu2, and by Fubini the covered fraction of I1 averages to
+    (Pi(b1) - Pi(a1)) / |I1|, Pi = integral of pi, -+s2 S(|d| / s2) plus a
+    line in d = x - mu2 by pieces split at d in {-Z2, 0, Z2}.  Each region
+    of an endpoint adds a T0 or an S side to ``_sides``, and each piece of
+    z1 a line times k1, which integrates to f1's tails.
+    """
+    off = _offset(f1, f2)
+    f1, f2 = _within_reach(f1), _within_reach(f2)
+    s1, s2, z1_max, z2_max = f1.scale, f2.scale, f1.support_bound, f2.support_bound
+    lo1, h, strict = f1.shape.lo_slope, -f2.shape.lo_slope, kind == "strict"
+    n1, n2, k1, k2 = 1.0 - lo1, 1.0 + h, f1.shape.kernel, f2.shape.kernel
+    (c, _, s_z), s_0 = _tails(k2, z2_max / s2), _tails(k2, 0.0)[2]
+    slopes, lo2 = (1.0, lo1), -h * z2_max  # b1 and a1 per z1 (signs +1, -1); the least d in f2's focals
+    # where d crosses -Z2, 0 or Z2, and where an exponential f1's endpoints are as far from mu2
+    cuts = {(off + v) / sl for sl in slopes if sl for v in (lo2, 0.0, z2_max)}
+    z = sorted(x for x in {0.0, z1_max, 0.0 if lo1 else 2.0 * off, *cuts} if 0.0 <= x <= z1_max)
+    # per region of d (0: below I2(Z2), 1 and 2: left and right of mu2, 3: above), the
+    # constant of Pi from -inf (lower) and of Pi(inf) - Pi from +inf (upper), whichever stays small
+    total, edge = n2 * (s2 * (s_0 - s_z) - c * z2_max), -s2 * s_z - c * z2_max
+    lower = (0.0, edge, n2 * s2 * s_0 - h * (s2 * s_z + c * z2_max), total)
+    upper = (total, n2 * s2 * s_0 - s2 * s_z - c * z2_max, edge, 0.0)
+    value, runs, sides, ends, tails = 0.0, {}, [], [], [_tails(k1, x / s1) for x in z]
+    for z0, z1, (g0, p0, _), (g1, p1, _) in zip(z, z[1:], tails, tails[1:]):
+        zm = z0 + 0.5 * (z1 - z0)
+        d = (zm - off, lo1 * zm - off)
+        where = [(x >= lo2) + (x >= 0.0) + (x > z2_max) for x in d]
+        keys, lin, const = [], 0.0, 0.0  # pi, or n1 s1 (Pi(b1) - Pi(a1)), less the sides
+        if strict and 0 < where[0] < 3 and 0 < where[1] < 3:
+            e = abs(d[1]) > abs(d[0])
+            keys, const = [(e, where[e], 1.0)], -c
+        elif not strict:
+            for e, (r, sl, sg) in enumerate(zip(where, slopes, (1.0, -1.0))):
+                const += -sg * upper[r] if d[1] >= 0.0 else sg * lower[r]  # I1 right of mu2: upper
+                if r in (1, 2):  # and -c d = c off - c sl z1
+                    keys.append((e, r, sg))
+                    lin, const = lin - sg * c * sl, const + sg * c * off
+        for e, r, sg in keys:
+            if slopes[e]:
+                runs.setdefault((e, r, sg), [z0, z1])[1] = z1
+            else:  # a1 of an exponential f1 stays at mu1, where T0 and S are constant
+                tail, _, first = _tails(k2, abs(d[e]) / s2)
+                const += tail if strict else sg * s2 * (first if r == 1 else -first)
+        # m1 dz1 = k1 t dt and m1 dz1 / |I1| = k1 dt / (n1 s1), with z1 = s1 t
+        value += (g0 - g1) * const if strict else (g0 - g1) * lin / n1 + (p0 - p1) * const / s1
+    for (e, r, sg), (z0, z1) in runs.items():
+        sgn = 1.0 if r == 2 else -1.0  # u = |d| / s2 = sgn (sl s1 t - off) / s2
+        a, b, t0, t1 = sgn * slopes[e] * s1 / s2, -sgn * off / s2, max(z0 / s1, 1e-300), z1 / s1
+        if t0 < t1 and abs(a) <= _STEEP:
+            kappa, g = (1.0, 0.0) if strict else (0.0, -sgn * sg * s2 / s1 / n1)  # T0, or -+s2 S(u) / (n1 s1)
+            sides.append((a, b, kappa, 0.0, g, kappa - g * a, -g * b, 0.0, 1.0))
+            ends.append((t0, t1))
+    value += _sides((k1, k2), ends, sides)
+    if not math.isfinite(value):
+        raise ValueError(f"closed-form {kind} of {f1.label} and {f2.label}: estimate is {value}")
+    return value
+
+
 def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureConfig):
-    """Strict or partial inclusion of f1 in f2, or their scalar product, from
-    one walk of ``_cells``, and the ``QuadratureMeta`` of its rule.
+    """Partial inclusion of f1 in f2, or their scalar product, from one walk
+    of ``_cells``, and the ``QuadratureMeta`` of its rule.
 
     On a met cell the overlap is lambda = alpha z1 + beta + c1 z2, so the
     inner integral of m2 lambda / |I1| is a difference between its sides
-    z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, and each side adds one
-    ``_sides``.  Strict inclusion keeps only the nested cells, (alpha,
-    beta, c1) = (1 - lo1, 0, 0): there the overlap is all of I1, so
-    lambda / |I1| is the strict indicator, 1.
-
-    The Jaccard degree of the scalar product is lambda / hull.  Where I2
+    z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, one ``_sides`` each.  The
+    Jaccard degree of the scalar product is lambda / hull.  Where I2
     sits in I1 the hull is |I1|, so those cells add as in partial
     inclusion.  Where I1 sits in I2 it is n1 z1 / (n2 z2), whose z2
     integral is the kernel tail K of f2 between the sides, so each side
@@ -485,8 +561,7 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureC
     The rule of ``_straddling``, refined by ``_refine`` from
     ``cfg.points_per_axis`` nodes per piece, takes the rest: the cells
     where the focals straddle, and those whose sides would cancel, where
-    gamma = c1 s2 / (n1 s1) or the tail exceed _THIN.  Nested cells have
-    c1 = 0, so strict inclusion never runs it.
+    gamma = c1 s2 / (n1 s1) or the tail exceed _THIN.
     """
     off = _offset(f1, f2)
     f1, f2 = _within_reach(f1), _within_reach(f2)
@@ -501,8 +576,6 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureC
         if not (max(t0, 1e-300) < t1 and abs(al) <= _STEEP and abs(ah) <= _STEEP):
             continue
         nested = (alpha, beta, c1) == (n1, 0.0, 0.0)  # I1 sits in I2
-        if kind == "strict" and not nested:
-            continue
         gamma = c1 * s2 / s1 / n1
         # the rule takes the scalar product's straddling cells, where neither
         # focal holds the other, and every cell whose sides would cancel
@@ -542,23 +615,26 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureC
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Degree to which f1 is strictly included in f2, in closed form.
 
-    The integral of m1 m2 over the nested cells of ``_cells``, where the
-    overlap is all of I1 and so I1 sits in I2: the walk of ``inc_partial``
-    kept to those cells (see ``_closed_form``).  The mass of f2 beyond its
-    support bound Z2 is dropped, as in every pair measure.  No nested cell
-    is thin, so no rule runs; ``cfg`` is accepted for a uniform signature.
+    The expectation over z1 of f2's contour function at the endpoint of
+    I1(z1) farther from f2's location (see ``_contour``).  The mass of f2
+    beyond its support bound Z2 is dropped, as in every pair measure.  No
+    rule runs; ``cfg`` is accepted for a uniform signature.
     """
-    value, meta = _closed_form(f1, f2, "strict", cfg or QuadratureConfig())
-    return InclusionResult(_unit(value), (f1.label, f2.label), "strict", meta)
+    return InclusionResult(_unit(_contour(f1, f2, "strict")), (f1.label, f2.label), "strict", _NO_RULE)
 
 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Expected fraction of I1 covered by I2.
 
-    Every met cell of ``_cells`` adds its share (see ``_closed_form``): in
-    closed form, or by the rule of ``_straddling`` from ``cfg`` on cells
-    thin against f2, whose ``quadrature_meta`` the result then carries.
+    The expectation over z1 of the mean of f2's contour function over I1(z1)
+    (see ``_contour``).  Where n2 s2 exceeds _THIN n1 s1 its S sides would
+    cancel, so the walk of ``_closed_form`` takes the pair: its cells thin
+    against f2 run the rule of ``_straddling`` from ``cfg``, whose
+    ``quadrature_meta`` the result then carries.
     """
+    n1, n2 = 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope
+    if n2 * f2.scale / f1.scale / n1 <= _THIN:  # the walk's gamma c1 s2 / s1 / n1 where I2 sits in I1
+        return InclusionResult(_unit(_contour(f1, f2, "partial")), (f1.label, f2.label), "partial", _NO_RULE)
     value, meta = _closed_form(f1, f2, "partial", cfg or QuadratureConfig())
     return InclusionResult(_unit(value), (f1.label, f2.label), "partial", meta)
 

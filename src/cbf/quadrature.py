@@ -81,8 +81,12 @@ class QuadratureConfig:
 
 @lru_cache(maxsize=64)
 def _unit_nodes(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]; cached read-only arrays."""
-    x, w = roots_legendre(n)
+    """Gauss-Legendre nodes and weights on [0, 1]; cached read-only arrays.
+
+    numpy's weights err less than scipy's and need no ``scipy.linalg``, but its
+    eigenvalue solve grows as n^3, so past 512 nodes scipy's asymptotic ones serve.
+    """
+    x, w = np.polynomial.legendre.leggauss(n) if n <= 512 else roots_legendre(n)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     x.setflags(write=False)

@@ -405,6 +405,17 @@ class TestExtremePairs:
             assert measure(F1, consonant_from_normal(off, 0.25)) == pytest.approx(
                 measure(F1, consonant_from_normal(0.0, 0.25)), abs=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("off", [1e-307, 1e-310, 8.4e-323])
+    def test_subnormal_offset_of_a_much_wider_normal(self, off):
+        # the rule's denominator values start near the offset; their ratio
+        # once overflowed and stopped the walk with an OverflowError
+        e, wide = consonant_from_exponential(1.0), consonant_from_normal(off, 17.0)
+        centred = consonant_from_normal(0.0, 17.0)
+        for measure in (lambda f, g: inc_partial(f, g, CFG).value, lambda f, g: scalar_product(f, g, CFG)):
+            assert measure(e, wide) == pytest.approx(measure(e, centred), abs=1e-15)
+            assert measure(wide, e) == pytest.approx(measure(centred, e), abs=1e-15)
+
     def test_reversed_partial_where_the_offset_dwarfs_the_second_focal(self):
         # |I2| rounds to 0 once the offset is added; the point convention of
         # the checked degree still gives P(I2 inside I1) = tail of f1 at 1e17

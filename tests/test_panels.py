@@ -16,6 +16,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cbf.measures
@@ -23,6 +25,7 @@ from cbf.cli import build_parser
 from cbf.consonant import consonant_from_exponential, consonant_from_normal, parse_distribution
 from cbf.intervals import delta_inc_strict, overlap
 from cbf.measures import (
+    _THIN,
     _cells,
     _kinks,
     distance,
@@ -257,13 +260,26 @@ def test_scalar_product_blocks_bound_memory_at_the_default_size():
 
 # 40-digit values (mpmath, dps=40) of the integral over 0 < z1 < Z2 - off of
 # g(z1) [T((z1 + off) / s2) - T(8)], g the Maxwell density and T its tail:
-# strict inclusions far below the rounding of the terms they are summed from
+# strict inclusions far below the rounding of the terms they are summed from.
+# The cell walk read the last two 1.6e-17 and 2.5e-17 off
 @pytest.mark.parametrize("mu, sigma, exact", [
     (1.5, 0.25, 7.907842146329238e-12),
     (3.5, 0.5, 6.5985731600866627e-14),
+    (0.7, 0.1, 5.3915671998169007e-16),
+    (1.5, 0.2, 5.8445917917530213e-17),
 ])
 def test_tiny_strict_inclusions_keep_their_digits(mu, sigma, exact):
-    assert abs(inc_strict(N01, consonant_from_normal(mu, sigma)).value - exact) < 1e-17
+    assert abs(inc_strict(N01, consonant_from_normal(mu, sigma)).value - exact) < 1e-20
+
+
+# mpmath values (dps=32, the mean of pi2 over I1 and its expectation over z1
+# both by mp.quad split at the kinks) of a partial inclusion of N(4,0.5) in
+# N(0,0.001): focals that mostly pass the narrow operand by.  The cell walk
+# read 3.66e-18 and 1.61e-17, dominated by one steep side's rounding
+@pytest.mark.parametrize("k, exact", [(8.0, 2.45242778849420393e-19), (40.0, 3.22544509772543764e-17)])
+def test_tiny_partial_inclusions_hold_an_absolute_floor(k, exact):
+    value = inc_partial(consonant_from_normal(4.0, 0.5, k), consonant_from_normal(0.0, 0.001, k)).value
+    assert abs(value - exact) <= 1e-20
 
 
 def test_cli_quadrature_flags_default_to_the_config():
@@ -293,8 +309,8 @@ def _cross_check_family(k, seed=11):
 
 
 # The reference integrates over the crossings of the focal endpoints, apart
-# from the cell map (tests/oracles.py); it agrees with the closed forms
-# within 4e-15 on these pairs at k = 8 and 40 alike.
+# from the closed forms (tests/oracles.py); it agrees with them within
+# 6e-15 on these pairs at k = 8 and 40 alike.
 REFERENCE_GAP = 1e-14
 
 
@@ -351,16 +367,75 @@ def _desk_pairs():
 
 
 def test_strict_never_exceeds_partial_on_the_desk_sweep():
-    # nested cells count fully in both measures; the benchmark compares
-    # them without slack
+    # strict inclusion reads f2's contour function at the farther endpoint
+    # of I1 and partial inclusion its mean over I1, from different sums; the
+    # benchmark compares them without slack
     for f1, f2 in _desk_pairs():
         assert inc_strict(f1, f2).value <= inc_partial(f1, f2).value, (f1.label, f2.label)
 
 
+def _pair(normal1, normal2, s1, s2, shift, k=8.0):
+    # a normal f2 sits shift of its scales from f1's location, or a normal f1
+    # that far from an exponential f2's location 0
+    f1 = consonant_from_normal(0.0 if normal2 else shift * s1, s1, k) if normal1 else consonant_from_exponential(1.0 / s1, k)
+    f2 = consonant_from_normal(shift * s2, s2, k) if normal2 else consonant_from_exponential(1.0 / s2, k)
+    return f1, f2
+
+
+# both families in both roles, scale ratios 1e-3 to 1e3 and offsets up to 10 scales
+PAIRS = st.builds(lambda normal1, normal2, s1, ratio, shift, k: _pair(normal1, normal2, s1, s1 * ratio, shift, k),
+                  st.booleans(), st.booleans(), st.floats(0.1, 10.0), st.floats(1e-3, 1e3), st.floats(-10.0, 10.0),
+                  st.sampled_from([8.0, 40.0]))
+
+
+@settings(max_examples=200)
+@given(PAIRS)
+def test_strict_never_exceeds_partial(pair):
+    f1, f2 = pair
+    assert inc_strict(f1, f2).value <= inc_partial(f1, f2).value
+
+
+@given(PAIRS)
+def test_contour_inclusions_take_no_cells_and_no_nodes(pair):
+    # strict inclusion, and partial inclusion below the switch to the walk,
+    # read f2's contour function: no cell map, no rule
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a contour inclusion walked the cells or asked for nodes")
+
+    f1, f2 = pair
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_cells", "nodes_and_weights", "_refine"):
+            patch.setattr(cbf.measures, name, forbidden)
+        metas = [inc_strict(f1, f2).quadrature_meta]
+        if (1.0 - f2.shape.lo_slope) * f2.scale <= _THIN * (1.0 - f1.shape.lo_slope) * f1.scale:
+            metas.append(inc_partial(f1, f2).quadrature_meta)
+    for meta in metas:
+        assert meta.points_per_axis == 0 and math.isnan(meta.est_error)
+
+
+@pytest.mark.parametrize("normal1,normal2", list(itertools.product((True, False), repeat=2)))
+@pytest.mark.parametrize("shift", [0.0, 0.3, 2.5])
+def test_partial_inclusion_is_continuous_across_the_switch_to_the_walk(monkeypatch, normal1, normal2, shift):
+    # n2 s2 = _THIN n1 s1 at s1 = 1: at and just below it the contour closed
+    # form, just above it the walk of the cell map, with the rule on its thin
+    # cells; one float apart the two agree
+    real, walked = cbf.measures._cells, []
+    monkeypatch.setattr(cbf.measures, "_cells", lambda *args: walked.append(args) or real(*args))
+    switch = _THIN * (1.0 + normal1) / (1.0 + normal2)
+    values = {}
+    for s2 in (switch * (1.0 - 1e-9), switch, math.nextafter(switch, math.inf), switch * (1.0 + 1e-9)):
+        f1, f2 = _pair(normal1, normal2, 1.0, s2, shift)
+        walked.clear()
+        values[s2] = inc_partial(f1, f2).value
+        assert bool(walked) == (s2 > switch), (f1.label, f2.label)
+        assert abs(values[s2] - inclusion_by_crossings(f1, f2, "partial")) <= REFERENCE_GAP, (f1.label, f2.label)
+    assert abs(values[switch] - values[math.nextafter(switch, math.inf)]) <= REFERENCE_GAP
+
+
 def test_inclusions_ask_for_no_nodes(monkeypatch):
     # every strict inclusion is closed-form, and so is a partial one unless
-    # a cell is thin against the including operand, which needs that operand
-    # over 8 times wider (gamma = c1 s2 / (n1 s1) with c1 <= 2, n1 >= 1)
+    # the including operand is so much wider that the walk takes it, which
+    # needs it over 8 times wider (n2 s2 > _THIN n1 s1 with n1 >= 1, n2 <= 2)
     def forbidden(*args, **kwargs):
         raise AssertionError("an inclusion asked for quadrature nodes")
 

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbf.consonant import consonant_from_normal
-from cbf.measures import scalar_product
+from cbf.measures import inc_partial, inc_strict, scalar_product
+import cbf
 from cbf.quadrature import (
     QuadratureConfig,
     _refine,
+    _unit_nodes,
     mc_estimate,
     nodes_and_weights,
 )
@@ -45,6 +52,15 @@ class TestConfigValidation:
         f = consonant_from_normal(0.0, 1.0)
         cfg = QuadratureConfig(points_per_axis=np.int64(32), refine_max_doublings=np.int32(1))
         assert scalar_product(f, f, cfg) == scalar_product(f, f, QuadratureConfig(32, refine_max_doublings=1))
+
+    def test_accepts_a_numpy_truncation(self):
+        # a numpy float truncation_k made every support bound a numpy float,
+        # whose comparisons then broke the pair measures' indexing
+        for k in (np.float64(8.0), np.float32(40.0)):
+            pair = consonant_from_normal(0.0, 1.0, k), consonant_from_normal(1.0, 0.7, k)
+            ref = consonant_from_normal(0.0, 1.0, float(k)), consonant_from_normal(1.0, 0.7, float(k))
+            for measure in (lambda f, g: inc_strict(f, g).value, lambda f, g: inc_partial(f, g).value, scalar_product):
+                assert measure(*pair) == measure(*ref)
 
 
 class TestRefine:
@@ -127,3 +143,36 @@ def test_weights_are_positive_where_expected(n):
     _, w = nodes_and_weights(n, 0.0, 1.0)
     assert np.all(w >= 0.0)
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,bound", [(16, 2e-15), (32, 2e-14), (64, 1e-13), (512, 5e-12)])
+def test_unit_nodes_integrate_their_highest_exact_degree(n, bound):
+    # n nodes integrate x^(2n-1) on [0, 1] exactly but for rounding: numpy's
+    # leggauss measured 1.3e-15, 1.4e-14, 5.0e-14 and 2.4e-12 here, scipy's
+    # roots_legendre 3.0e-14, 8.2e-14, 1.4e-13 and 1.1e-11
+    x, w = _unit_nodes(n)
+    assert abs(2 * n * float(w @ x ** (2 * n - 1)) - 1.0) <= bound
+
+
+def test_nodes_past_512_skip_the_eigenvalue_solve():
+    # numpy's leggauss holds an n x n companion matrix: 134 MB at 4096 nodes
+    tracemalloc.start()
+    try:
+        x, w = _unit_nodes.__wrapped__(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert abs(w.sum() - 1.0) < 1e-13 and np.all(np.diff(x) > 0.0)
+
+
+def test_the_rule_imports_no_scipy_linalg():
+    # a scalar product that runs the rule; scipy.linalg is 44 modules and
+    # about 6 MB of resident memory
+    code = ("import sys; from cbf.consonant import consonant_from_normal as N; "
+            "from cbf.measures import scalar_product; scalar_product(N(0, 1), N(4, 0.5)); "
+            "print('scipy.linalg' in sys.modules)")
+    src = str(pathlib.Path(cbf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
