@@ -10,8 +10,8 @@ Produces three CSV surfaces, one per figure-style sweep:
 The default grid is desk-scale (mu2 step 0.5, sigma2 step 0.25) so the whole
 run takes a few seconds; pass --full for the fine grid (0.1 / 0.05).
 
-Both inclusions are closed-form at these scale ratios (no cell is thin
-against the other operand), so no quadrature setting applies.
+Both inclusions are closed-form at every scale ratio, so no quadrature
+setting applies.
 
 Usage:
     python scripts/run_sweeps.py [--out-dir DIR] [--full]

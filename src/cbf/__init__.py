@@ -6,9 +6,9 @@ The package covers two settings with one vocabulary:
   measures are exact sums over focal sets;
 * continuous consonant belief densities induced by normal or exponential
   pignistic densities (``cbf.consonant`` / ``cbf.measures``), where the
-  measures are expectations of interval overlap degrees over one map of
-  cells, in closed form but for one Gauss-Legendre rule on the cells where
-  the focals straddle or the closed form's two sides would cancel.
+  measures are expectations of interval overlap degrees: the inclusions in
+  closed form, the scalar product over one map of cells, in closed form but
+  for one Gauss-Legendre rule where the focals straddle.
 
 ``cbf.experiments`` reproduces the reference tables and parameter sweeps;
 the ``cbf`` console script exposes them from the shell.

@@ -69,10 +69,10 @@ class Shape:
                to infinity: phi(u) for Maxwell (g / (2 u) = u phi(u)),
                exp(-u) for Gamma(2) (g / u = exp(-u))
     kernel     the factor of g beside a polynomial, "phi" (the normal density)
-               or "exp" (exp(-u)); the closed-form inclusions key on it
+               or "exp" (exp(-u)); the closed forms key on it
     reach      units of u past which g holds no mass in floats (u^2 phi(u)
-               and u exp(-u) below 1e-18): every pair measure's walk stops
-               there, so that its rule's nodes stay where the mass is
+               and u exp(-u) below 1e-18): every pair measure stops there,
+               so that the scalar product's rule keeps its nodes on the mass
     """
 
     lo_slope: float

@@ -13,20 +13,18 @@ same amount reproduces results exactly.  Densities and tails are unit-scale
 shapes stretched by each operand's scale, so scaling both operands by the
 same factor changes no measure beyond rounding.
 
-Both inclusions take no cells.  Under a consonant f2 the commonality of a
-point x is its contour function pi2(x), the mass of the focals holding x:
-strict inclusion is the expectation of pi2 at the endpoint of I1 farther
-from f2's location, partial inclusion that of the mean of pi2 over I1,
-each a sum of one-dimensional closed forms (``_contour``).
+Both inclusions are one expectation over f2's nesting variable of a set
+function of f1 at I2: its belief for strict inclusion, its pignistic
+probability for partial inclusion, each a sum of one-dimensional closed
+forms at every scale ratio (``_inclusion``).
 
-The scalar product, and partial inclusion in an f2 over _THIN times wider
-than f1, walk a cell map (``_cells``): the lines where a focal endpoint of
-one operand crosses one of the other cut the rectangle into cells with a
-fixed endpoint order.  Where one focal holds the other the degree is
-closed-form on a cell (``_closed_form``); where the focals straddle or the
-two sides' tails would cancel, one Gauss-Legendre rule in the degree's
-linear denominator and along its level lines takes the cell: the only rule
-any measure runs, refined by ``_refine``.
+The scalar product walks a cell map (``_cells``): the lines where a focal
+endpoint of one operand crosses one of the other cut the rectangle into
+cells with a fixed endpoint order.  Where one focal holds the other the
+degree is closed-form on a cell (``_closed_form``); where the focals
+straddle or the two sides' tails would cancel, one Gauss-Legendre rule in
+the hull and along its level lines takes the cell: the only rule any
+measure runs, refined by ``_refine``.
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -45,7 +43,7 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfcx, ndtr, owens_t
+from scipy.special import erfcx, gammainc, ndtr, owens_t
 
 from .consonant import ConsonantBBD, GenericBBD, _phi
 # delta_inc_partial_rev is unused here but stays a name of this module: the
@@ -74,9 +72,7 @@ __all__ = [
 # Cap on points per block of the rule of ``_straddling``, which holds about
 # ten float64 temporaries per point: a block peaks near 5 MB.
 _RULE_BLOCK = 1 << 16
-# Largest ratio between the denominator's values at the ends of a piece of
-# that rule.
-_HULL_RATIO = 8.0
+_HULL_RATIO = 8.0  # largest ratio of the hull's values at the ends of a piece of that rule
 # Gauss-Legendre nodes along a generic nesting curve: one panel, no kinks
 # known, so the resolution is fixed rather than tied to the panel rule.
 # 512 is where the curve oracle's strict inclusion happens to be accurate:
@@ -100,10 +96,7 @@ class InclusionResult:
     value            degree in [0, 1]
     direction        (label of included operand, label of including operand)
     kind             "strict" or "partial"
-    quadrature_meta  (points per piece, last change) of the rule's
-                     refinement where cells of the walk of a partial
-                     inclusion in a much wider f2 took it, else (0, nan):
-                     no nodes, no error estimate.  Either way the value
+    quadrature_meta  always (0, nan): no inclusion runs a rule.  The value
                      agrees with an independent 2-D quadrature within 1e-14
                      (see the README numerical notes)
     """
@@ -200,7 +193,7 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
     Closed-form on the nested cells of ``_cells`` and a Gauss-Legendre rule
     on the straddling and thin ones (see ``_closed_form``).
     """
-    return _closed_form(f1, f2, "scalar", cfg or QuadratureConfig())[0]
+    return _closed_form(f1, f2, cfg or QuadratureConfig())
 
 
 def gram_distance(n1, n2, s):
@@ -219,20 +212,20 @@ def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = 
 
 
 # ---------------------------------------------------------------------------
-# Closed-form inclusions.  In the unit variables t = z1 / s1 and u = z2 / s2 a
-# cell side z2 = p z1 + q is the line u = a t + b (a = p s1 / s2, b = q / s2),
-# and m1(z1) dz1 / z1 is k1(t) dt / s1 with k1 = g1(t) / t: 2 t phi(t) for the
-# normal family, exp(-t) for the exponential one.  Every term is then an
-# integral along a line of a polynomial in (t, u) times the kernels of the two
-# shapes (phi or exp) or, from the normal tails, times Q(u) = 1 - Phi(u).
+# Closed forms.  In unit variables t and u, a line in the nesting parameters
+# is a line u = a t + b, and m(z) dz / z is k(t) dt / s with k = g(t) / t:
+# 2 t phi(t) for the normal family, exp(-t) for the exponential one.  Every
+# term is then an integral along a line of a polynomial in (t, u) times the
+# kernels of the two shapes (phi or exp) or, from the normal tails, times
+# Q(u) = 1 - Phi(u).
 
-# Cells whose partial-inclusion multiplier c1 s2 / ((1 - lo1) s1) exceeds this
-# are thin against f2: the two sides' tails nearly cancel there, so the rule
-# of ``_straddling`` takes them.
+# Cells of the scalar product whose multiplier c1 s2 / ((1 - lo1) s1), or
+# whose nested tail, exceeds this are thin against f2: the two sides' tails
+# nearly cancel there, so the rule of ``_straddling`` takes them.
 _THIN = 16.0
-# A side steeper than this spans at most k / _STEEP of f1's unit axis, and a
-# ruled cell narrower than s2 / _STEEP in z2 at most k / _STEEP of f2's, so
-# such a cell holds no mass in floats and is dropped.
+# A side steeper than this spans at most k / _STEEP of the other unit axis,
+# and a ruled cell narrower than s2 / _STEEP in z2 at most k / _STEEP of
+# f2's, so either holds no mass in floats and is dropped.
 _STEEP = 1e20
 _SQRT_HALF, _SQRT_HALF_PI, _SQRT_2PI = math.sqrt(0.5), math.sqrt(0.5 * math.pi), math.sqrt(2.0 * math.pi)
 
@@ -243,7 +236,8 @@ def _moments(c, sigma, n):
     Forward from the Mills ratio while c <= 6 sqrt(sigma); beyond, that
     recurrence cancels and the continued fraction mu_0 = 1 / (c + G_1),
     G_k = k sigma / (c + G_{k+1}) converges instead: in 40 levels at
-    c = 6 sqrt(sigma), in fewer the larger c / sqrt(sigma) is.
+    c = 6 sqrt(sigma), in fewer the larger c / sqrt(sigma) is, each element
+    from its own level, so that no element depends on the others.
     """
     root = np.sqrt(sigma)
     fwd = c <= 6.0 * root
@@ -254,10 +248,10 @@ def _moments(c, sigma, n):
             prev = (l + 1) * mu[l]
         if fwd.all():
             return mu
-    x = np.min(c / root, where=~fwd, initial=np.inf)
-    g, tail = 0.0, [0.0] * (n + 2)
-    for k in range(min(40, 12 + int(2000.0 / x**2)), 0, -1):
-        g = k * sigma / (c + g)
+    levels = np.where(fwd, 40.0, np.minimum(40.0, 12.0 + 2000.0 * sigma / c**2))
+    g, tail, low = 0.0, [0.0] * (n + 2), levels.min()
+    for k in range(int(levels.max()), 0, -1):
+        g = k * sigma / (c + g) if k <= low else np.where(k <= levels, k * sigma / (c + g), 0.0)
         if k <= n + 1:
             tail[k] = g
     frac = [1.0 / (c + tail[1])]
@@ -275,22 +269,26 @@ _DECAY = {
 }
 
 
-def _along(pair, poly, t0, t1, a, b):
-    """Integral over [t0, t1] of k1(t) k2(u) sum poly[i, j] t^i u^j, u = a t + b.
+def _along(pair, poly, t0, t1, u0, u1, a):
+    """Integral over [t0, t1] of k1(t) k2(u) sum poly[i, j] t^i u^j along
+    the line u = a t + b through (t0, u0) and (t1, u1).
 
     The factor 2 t of k1 = 2 t phi(t) joins the polynomial.  The kernel
     product k left is log-concave along the line, so the interval is split
     at its mode t - c / sigma and each part is a difference of tails taken
     in the direction d away from the mode, where nothing cancels:
     k integral over y > 0 of P(t + d y, u + d a y) exp(-d c y - sigma y^2 / 2).
+    Each point's u moves from u0 with its t, never from b: on a steep line
+    a t + b would lose a t times the rounding of t.
     """
     if pair[0] == "phi":
         poly = {(i + 1, j): 2.0 * coef for (i, j), coef in poly.items()}
-    _, c, sigma = _DECAY[pair](t0, a * t0 + b, a)
-    mode = np.clip(t0 - c / sigma, t0, t1)
-    t = np.stack(np.broadcast_arrays(t0, mode, mode, t1))
-    d = np.array([-1.0, -1.0, 1.0, 1.0]).reshape((4,) + (1,) * mode.ndim)
-    u = a * t + b
+    _, c, sigma = _DECAY[pair](t0, u0, a)
+    step = np.clip(-c / sigma, 0.0, t1 - t0)  # from t0 to the mode
+    mode = np.where(step < t1 - t0, u0 + a * step, u1)
+    t = np.stack(np.broadcast_arrays(t0, t0 + step, t0 + step, t1))
+    u = np.stack(np.broadcast_arrays(u0, mode, mode, u1))
+    d = np.array([-1.0, -1.0, 1.0, 1.0]).reshape((4,) + (1,) * step.ndim)
     kern, c, sigma = _DECAY[pair](t, u, a)
     # a kernel without a mode only has zero-length parts there: any c will do
     c = np.where((d * c > 0.0) | (sigma != 0.0), np.maximum(d * c, 0.0), 1.0)
@@ -310,7 +308,7 @@ def _along(pair, poly, t0, t1, a, b):
     return np.sum(np.array([-1.0, 1.0, 1.0, -1.0]).reshape(d.shape) * kern * total, axis=0)
 
 
-def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, tail, sign):
+def _normal_side(a, b, kappa, beta, gamma, omega, tail, sign):
     """Constants of one side of ``_sides`` for two normal operands, in floats.
 
     Beyond the Q(u) terms the integrand is 4 (e3 t^3 + e2 t^2 + e1 t + e0)
@@ -319,6 +317,7 @@ def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, tail, sign):
     -[Q(s) A + phi(s) (B0 + B1 s + B2 s^2)], A and B carrying phi(b / c) / c.
     The weights carry the side's sign.
     """
+    lin1, lin0 = kappa - gamma * a + 0.5 * omega, beta - gamma * b  # the Q(u) terms are 2 (lin1 t + lin0) Q(u)
     e0, e1, e2, e3 = a * lin0, beta * b + 2.0 * gamma - a * lin1, kappa * b + beta * a, kappa * a + tail
     ic2 = 1.0 / (1.0 + a * a)
     ic = math.sqrt(ic2)
@@ -331,88 +330,96 @@ def _normal_side(a, b, kappa, beta, gamma, lin1, lin0, tail, sign):
             4.0 * lin1, 4.0 / _SQRT_2PI * lin1, 4.0 / _SQRT_2PI * lin0)
 
 
-def _sides(pair, ends, sides) -> float:
-    """Signed sum over sides of the integrals of
-    k1(t) [(kappa t + beta) T0(u) + gamma S(u) + tail t^2 K(u)].
+def _sides(pair, ends, sides) -> list:
+    """The signed integrals, one per side, of
+    k1(t) [(kappa t + beta) T0(u) + gamma S(u) + tail t^2 K(u) + omega t W(u)].
 
-    ``sides`` holds (a, b, kappa, beta, gamma, lin1, lin0, tail, sign) per
-    side u = a t + b and ``ends`` its panel's ends (t0, t1).  T0 is the tail
-    of f2's shape, S(u) the integral over x > u of (x - u) g2(x) and K(u) the
-    integral over x > u of g2(x) / x: (1 + u) e^-u, (2 + u) e^-u and e^-u for
-    Gamma(2), 2 u phi(u) + 2 Q(u), 4 phi(u) - 2 u Q(u) and 2 phi(u) for
-    Maxwell.  Their Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by
-    parts; with k1 = 2 t phi that leaves the bivariate normal probability
-    integral phi(t) Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) + Phi(t) / 2
-    with Owen's T, whose limit t -> 0 is taken at t = 1e-300 by the callers.
+    ``sides`` holds (a, b, kappa, beta, gamma, omega, tail, sign) per side
+    u = a t + b and ``ends`` its panel's ends (t0, t1).  T0 is the tail of
+    the second shape, S(u) the integral over x > u of (x - u) g2(x), K(u)
+    the integral over x > u of g2(x) / x and W(u) that of its pignistic
+    tail: (1 + u) e^-u, (2 + u) e^-u, e^-u and e^-u for Gamma(2), 2 u phi(u)
+    + 2 Q(u), 4 phi(u) - 2 u Q(u), 2 phi(u) and Q(u) for Maxwell.  Their
+    Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by parts; with k1 =
+    2 t phi that leaves the bivariate normal probability integral phi(t)
+    Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) + Phi(t) / 2 with
+    Owen's T, whose limit t -> 0 is taken at t = 1e-300 by the callers.
     Two normals run on Python floats with one ``owens_t`` call, and each end
     reads its Owen's T terms in a form that stays small in far tails, else
     tiny inclusions lose digits (anchored in tests/test_panels.py).
     """
     if pair == ("phi", "phi"):
-        terms, hs, xs = [], [], []
+        hs, xs, points, terms = [], [], {}, []  # a point (a, b, t) shared by sides is read once
         for (a, b, c, m, bc, big_a, b0, b1, b2, w4, q1, q0), te in zip(starmap(_normal_side, sides), ends):
             sb, ab, qb = math.copysign(1.0, b), abs(b), 0.5 * math.erfc(abs(bc) * _SQRT_HALF)
             for t in te:
-                u = max(a * t + b, 0.0)
-                ns, g, qu, qt = (m - t) * c, t + a * u, 0.5 * math.erfc(u * _SQRT_HALF), 0.5 * math.erfc(t * _SQRT_HALF)
-                # T(bc, g / b) less its limit sb Q(|bc|) / 2 at t -> inf, and T(t, u / t) - Q(t) / 2,
-                # are sb [Q(g / c) (1/2 - Q(|bc|)) - T(g / c, |b| / g)] where g > |b| and Q(u) (1/2 -
-                # Q(t)) - T(u, t / u) where u >= t: small in far tails.  b = 0 gives g > 0 (ns = -s)
-                if g > ab:
-                    h1, x1, r, s1 = g / c, ab / g, sb * 0.5 * math.erfc(g / c * _SQRT_HALF) * (0.5 - qb), -sb
-                else:
-                    h1, x1, r, s1 = bc, g / b, -0.5 * sb * qb, 1.0
-                if u >= t:
-                    h2, x2, r, s2 = u, t / u, r + qu * (0.5 - qt), -1.0
-                else:
-                    h2, x2, r, s2 = t, u / t, r - 0.5 * qt, 1.0
-                hs += h1, h2
-                xs += x1, x2
-                terms.append((w4, s1, s2, r, math.exp(-0.5 * t * t) * qu * (q1 * t + q0),
-                              0.5 * math.erfc(-ns * _SQRT_HALF) * big_a,
-                              math.exp(-0.5 * ns * ns) * (b0 - ns * (b1 - ns * b2))))
+                p = points.get((a, b, t))
+                if p is None:
+                    key, u = (a, b, t), a * t + b
+                    u = u if u > 0.0 else 0.0
+                    # on a steep side u leads, and t and s = c (t - m) follow from it
+                    t, ns = ((u - b) / a, (b / c / c - u) * c / a) if abs(a) > 1.0 else (t, (m - t) * c)
+                    g, qu, qt = t + a * u, 0.5 * math.erfc(u * _SQRT_HALF), 0.5 * math.erfc(t * _SQRT_HALF)
+                    # T(bc, g / b) less its limit sb Q(|bc|) / 2 at t -> inf, and T(t, u / t) - Q(t) / 2,
+                    # are sb [Q(g / c) (1/2 - Q(|bc|)) - T(g / c, |b| / g)] where g > |b| and Q(u) (1/2 -
+                    # Q(t)) - T(u, t / u) where u >= t: small in far tails.  b = 0 gives g > 0 (ns = -s)
+                    if g > ab:
+                        h1, x1, r, s1 = g / c, ab / g, sb * 0.5 * math.erfc(g / c * _SQRT_HALF) * (0.5 - qb), -sb
+                    else:
+                        h1, x1, r, s1 = bc, g / b, -0.5 * sb * qb, 1.0
+                    if u >= t:
+                        h2, x2, r, s2 = u, t / u, r + qu * (0.5 - qt), -1.0
+                    else:
+                        h2, x2, r, s2 = t, u / t, r - 0.5 * qt, 1.0
+                    p = points[key] = (len(hs), s1, s2, r, t, math.exp(-0.5 * t * t) * qu, ns,
+                                       0.5 * math.erfc(-ns * _SQRT_HALF), math.exp(-0.5 * ns * ns))
+                    hs += h1, h2
+                    xs += x1, x2
+                i, s1, s2, r, t, eq, ns, qs, es = p
+                terms.append((i, w4, s1, s2, r, eq * (q1 * t + q0), qs * big_a, es * (b0 - ns * (b1 - ns * b2))))
         owen = owens_t(hs, xs).tolist()
-        f = [w4 * (s1 * t1 + s2 * t2 + r) - x - y - z
-             for (w4, s1, s2, r, x, y, z), t1, t2 in zip(terms, owen[::2], owen[1::2])]
-        return sum(f[1::2]) - sum(f[::2])
+        f = [w4 * (s1 * owen[i] + s2 * owen[i + 1] + r) - x - y - z for i, w4, s1, s2, r, x, y, z in terms]
+        return [x1 - x0 for x0, x1 in zip(f[::2], f[1::2])]
     if not sides:
-        return 0.0
+        return []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # far tails are 0 in floats
-        t, (a, b, kappa, beta, gamma, lin1, lin0, tail, sign) = _columns(ends, 2), _columns(sides, 9)
+        t, (a, b, kappa, beta, gamma, omega, tail, sign) = _columns(ends, 2), _columns(sides, 8)
+        u = a * t + b
+        t = np.where(np.abs(a) > 1.0, (u - b) / a, t)  # on a steep side u leads and t follows
         if pair[1] == "exp":
-            poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
+            poly = {(1, 0): kappa + omega, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
         else:
             poly = {(1, 1): 2.0 * kappa, (0, 1): 2.0 * beta, (0, 0): 4.0 * gamma}
         if tail.any():
             poly[2, 0] = tail if pair[1] == "exp" else 2.0 * tail
         value = 0.0
         if pair[1] == "phi":  # k1 = exp(-t)
-            f = -2.0 * np.exp(-t) * ndtr(-(a * t + b)) * (lin1 * (t + 1.0) + lin0)
+            lin1, lin0 = kappa - gamma * a + 0.5 * omega, beta - gamma * b
+            f = -2.0 * np.exp(-t) * ndtr(-u) * (lin1 * (t + 1.0) + lin0)
             poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
             value = f[1] - f[0]
-        return float(np.sum(sign * (value + _along(pair, poly, t[0], t[1], a, b))))
+        return (sign * (value + _along(pair, poly, t[0], t[1], u[0], u[1], a))).tolist()
 
 
 def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
-    """The rule over the cells the closed forms cannot take, as a function
-    of its nodes per piece.
+    """The scalar product's rule over the cells its closed forms cannot
+    take, as a function of its nodes per piece.
 
-    On a cell the overlap alpha z1 + beta + c1 z2 and the denominator
-    h = d1 z1 + d2 z2 + d0 of the degree are both linear: the hull for the
-    scalar product, |I1| for the inclusions.  So the degree is smooth along
-    each level line of h and the cell is integrated in h and along those
-    lines.  Each line is taken along the unit variable in which it is at
-    most as steep as 1, where the kernels of both operands vary on a unit
-    scale; within a piece between the cell's corner values of h each end of
-    a line stays on one side of the cell and moves linearly in h.  n
-    Gauss-Legendre nodes across the h values of each piece and n along each
-    line carry m1 m2 overlap and 1 / h.  ``cells`` holds (z0, z1, p_lo,
-    q_lo, p_hi, q_hi, alpha, beta, c1, d1, d2, d0) per cell.
+    On a cell the overlap alpha z1 + beta + c1 z2 and the hull h = d1 z1 +
+    d2 z2 + d0 of the Jaccard degree are both linear, so the degree is
+    smooth along each level line of h and the cell is integrated in h and
+    along those lines, each in the unit variable in which it is at most as
+    steep as 1; within a piece between the cell's corner values of h each
+    end of a line stays on one side of the cell and moves linearly in h.
+    n Gauss-Legendre nodes across each piece and n along each line carry
+    m1 m2 overlap and 1 / h.  ``cells`` holds (z0, z1, p_lo, q_lo, p_hi,
+    q_hi, alpha, beta, c1) per cell.
     """
     s, kernels = (f1.scale, f2.scale), (f1.shape.kernel, f2.shape.kernel)
-    log_ratio = math.log(_HULL_RATIO)
+    n1, n2, log_ratio = 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope, math.log(_HULL_RATIO)
     parts = ([], [])
-    for z0, z1, pl, ql, ph, qh, alpha, beta, c1, d1, d2, d0 in cells:
+    for z0, z1, pl, ql, ph, qh, alpha, beta, c1 in cells:
+        d1, d2, d0 = n1 - alpha, n2 - c1, -beta
         den, over = (d1, d2), (alpha, c1)
         x = int(abs(den[0]) * s[0] > abs(den[1]) * s[1])
         y, hy, sx, sy = 1 - x, den[1 - x], s[x], s[1 - x]
@@ -474,100 +481,141 @@ def _within_reach(f: ConsonantBBD) -> ConsonantBBD:
 
 
 def _tails(kernel: str, u: float):
-    """(T, P, S) at u >= 0 in floats: mass, pignistic and first-moment tails of a unit shape."""
+    """(T, P, W, M) at u >= 0 in floats: the mass tail, the pignistic
+    density, the pignistic tail (the integral of P from u) and the first
+    moment tail (of x g(x) from u) of a unit shape."""
     if kernel == "phi":
-        p, q2 = math.exp(-0.5 * u * u) / _SQRT_2PI, math.erfc(u * _SQRT_HALF)
-        return 2.0 * u * p + q2, p, 4.0 * p - u * q2
+        p, w = math.exp(-0.5 * u * u) / _SQRT_2PI, 0.5 * math.erfc(u * _SQRT_HALF)
+        return 2.0 * (u * p + w), p, w, (2.0 * u * u + 4.0) * p
     e = math.exp(-u)
-    return (1.0 + u) * e, e, (2.0 + u) * e
+    return (1.0 + u) * e, e, e, (u * u + 2.0 * u + 2.0) * e
 
 
-def _contour(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
-    """Strict or partial inclusion of f1 in f2 from the contour function of f2.
+def _ramp(kernel: str, u0: float, w: float, tails: float) -> float:
+    """The integral over 0 < x < w of x g(u0 + x), g a unit nesting density,
+    to its last digits however small w is, given ``tails``, the same as a
+    difference of tails: e^-u0 (u0 P(2, w) + 2 P(3, w)) for Gamma(2), P the
+    regularised incomplete gamma; for Maxwell a power series in x of
+    2 phi(u0) x (u0 + x)^2 exp(-u0 x - x^2 / 2) while w (u0 + w) <= 1,
+    beyond which the tails lie too far apart to cancel.
+    """
+    if kernel == "exp":
+        return math.exp(-u0) * float(u0 * gammainc(2.0, w) + 2.0 * gammainc(3.0, w))
+    if w * (u0 + w) > 1.0:
+        return tails
+    # exp(-u0 x - x^2 / 2) = sum c_k x^k with (k + 1) c_{k+1} = -u0 c_k - c_{k-1}
+    total, last, prev, c, wk = 0.0, 0.0, 0.0, 1.0, w * w
+    for k in range(32):
+        term = c * wk * (u0 * u0 / (k + 2) + w * (2.0 * u0 / (k + 3) + w / (k + 4)))
+        total += term
+        if abs(term) + abs(last) <= 1e-17 * total:  # c_k can vanish for one k: u0 = 0 has no odd terms
+            break
+        last, prev, c, wk = term, c, -(u0 * c + prev) / (k + 1), wk * w
+    return 2.0 / _SQRT_2PI * math.exp(-0.5 * u0 * u0) * total
 
-    x lies in I2(z2) once z2 >= zeta(x), |x - mu2| for a normal f2 and
-    x - mu2 >= 0 for an exponential one, so the commonality of x is
-    pi(x) = T2(zeta(x)) - T2(Z2) up to Z2; that of I1 is pi at its endpoint
-    farther from mu2, and by Fubini the covered fraction of I1 averages to
-    (Pi(b1) - Pi(a1)) / |I1|, Pi = integral of pi, -+s2 S(|d| / s2) plus a
-    line in d = x - mu2 by pieces split at d in {-Z2, 0, Z2}.  Each region
-    of an endpoint adds a T0 or an S side to ``_sides``, and each piece of
-    z1 a line times k1, which integrates to f1's tails.
+
+def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
+    """Strict or partial inclusion of f1 in f2: by Fubini the mean over z2
+    of Bel1(I2(z2)), the mass of f1's focals inside I2, or of BetP1(I2(z2)),
+    f1's pignistic probability of I2, which absorbs the degree's 1 / |I1|.
+
+    In u = z2 / s2 each end of I2 is a line y = b + sl u in f1's unit about
+    its location.  Bel1 is 1 - T1(r) once mu1 is in I2, r = c + a u the
+    distance to the nearer end, up to r = K1 = Z1 / s1.  BetP1 is C1 at the
+    upper end less C1 at the lower one, f1's truncated pignistic CDF C1
+    being R(-y) left of mu1 and 1 - T1(K1) - R(y) right of it, with
+    R(y) = W1(y) - W1(K1) - P1(K1) (K1 - y) the pignistic mass beyond y.
+    Against m2 each T1 or W1 is a side of ``_sides``, each constant a
+    difference of T2 and each line a ``_ramp``, all bounded by probabilities
+    at any scale ratio.  BetP1 >= Bel1 on every set, so where rounding would
+    put partial inclusion below strict inclusion it takes the strict value.
     """
     off = _offset(f1, f2)
     f1, f2 = _within_reach(f1), _within_reach(f2)
-    s1, s2, z1_max, z2_max = f1.scale, f2.scale, f1.support_bound, f2.support_bound
-    lo1, h, strict = f1.shape.lo_slope, -f2.shape.lo_slope, kind == "strict"
-    n1, n2, k1, k2 = 1.0 - lo1, 1.0 + h, f1.shape.kernel, f2.shape.kernel
-    (c, _, s_z), s_0 = _tails(k2, z2_max / s2), _tails(k2, 0.0)[2]
-    slopes, lo2 = (1.0, lo1), -h * z2_max  # b1 and a1 per z1 (signs +1, -1); the least d in f2's focals
-    # where d crosses -Z2, 0 or Z2, and where an exponential f1's endpoints are as far from mu2
-    cuts = {(off + v) / sl for sl in slopes if sl for v in (lo2, 0.0, z2_max)}
-    z = sorted(x for x in {0.0, z1_max, 0.0 if lo1 else 2.0 * off, *cuts} if 0.0 <= x <= z1_max)
-    # per region of d (0: below I2(Z2), 1 and 2: left and right of mu2, 3: above), the
-    # constant of Pi from -inf (lower) and of Pi(inf) - Pi from +inf (upper), whichever stays small
-    total, edge = n2 * (s2 * (s_0 - s_z) - c * z2_max), -s2 * s_z - c * z2_max
-    lower = (0.0, edge, n2 * s2 * s_0 - h * (s2 * s_z + c * z2_max), total)
-    upper = (total, n2 * s2 * s_0 - s2 * s_z - c * z2_max, edge, 0.0)
-    value, runs, sides, ends, tails = 0.0, {}, [], [], [_tails(k1, x / s1) for x in z]
-    for z0, z1, (g0, p0, _), (g1, p1, _) in zip(z, z[1:], tails, tails[1:]):
-        zm = z0 + 0.5 * (z1 - z0)
-        d = (zm - off, lo1 * zm - off)
-        where = [(x >= lo2) + (x >= 0.0) + (x > z2_max) for x in d]
-        keys, lin, const = [], 0.0, 0.0  # pi, or n1 s1 (Pi(b1) - Pi(a1)), less the sides
-        if strict and 0 < where[0] < 3 and 0 < where[1] < 3:
-            e = abs(d[1]) > abs(d[0])
-            keys, const = [(e, where[e], 1.0)], -c
-        elif not strict:
-            for e, (r, sl, sg) in enumerate(zip(where, slopes, (1.0, -1.0))):
-                const += -sg * upper[r] if d[1] >= 0.0 else sg * lower[r]  # I1 right of mu2: upper
-                if r in (1, 2):  # and -c d = c off - c sl z1
-                    keys.append((e, r, sg))
-                    lin, const = lin - sg * c * sl, const + sg * c * off
-        for e, r, sg in keys:
-            if slopes[e]:
-                runs.setdefault((e, r, sg), [z0, z1])[1] = z1
-            else:  # a1 of an exponential f1 stays at mu1, where T0 and S are constant
-                tail, _, first = _tails(k2, abs(d[e]) / s2)
-                const += tail if strict else sg * s2 * (first if r == 1 else -first)
-        # m1 dz1 = k1 t dt and m1 dz1 / |I1| = k1 dt / (n1 s1), with z1 = s1 t
-        value += (g0 - g1) * const if strict else (g0 - g1) * lin / n1 + (p0 - p1) * const / s1
-    for (e, r, sg), (z0, z1) in runs.items():
-        sgn = 1.0 if r == 2 else -1.0  # u = |d| / s2 = sgn (sl s1 t - off) / s2
-        a, b, t0, t1 = sgn * slopes[e] * s1 / s2, -sgn * off / s2, max(z0 / s1, 1e-300), z1 / s1
-        if t0 < t1 and abs(a) <= _STEEP:
-            kappa, g = (1.0, 0.0) if strict else (0.0, -sgn * sg * s2 / s1 / n1)  # T0, or -+s2 S(u) / (n1 s1)
-            sides.append((a, b, kappa, 0.0, g, kappa - g * a, -g * b, 0.0, 1.0))
-            ends.append((t0, t1))
-    value += _sides((k1, k2), ends, sides)
+    k1, k2, lo1, lo2 = f1.shape.kernel, f2.shape.kernel, f1.shape.lo_slope, f2.shape.lo_slope
+    big_k, u_max, a, b = f1.support_bound / f1.scale, f2.support_bound / f2.scale, f2.scale / f1.scale, off / f1.scale
+    t_k, p_k, w_k, _ = _tails(k1, big_k)
+    tot, edge = 1.0 - t_k, w_k + p_k * big_k  # R(y) = W1(y) - edge + P1(K1) y
+    # strict: from r_in on, mu1 is in I2; an exponential f2's fixed end caps r at -b
+    c, r_in = -abs(b) if lo1 and lo2 else b, b + abs(b) if lo2 and not lo1 else 0.0
+    top = min(big_k, -b) if lo1 and not lo2 else big_k
+    near = (min(max((r_in - c) / a, 0.0), u_max), min(max((top - c) / a, 0.0), u_max)) if a and (lo2 or b <= 0.0) \
+        else ()
+    # partial: C1 at the upper end less C1 at the lower one, where each crosses -K1 (or 0), 0 and K1, an
+    # exponential f2's fixed lower end at +inf above it
+    cross, points = [], {0.0, u_max, *near}
+    for sign, sl in ((1.0, a), (-1.0, lo2 * a if lo2 else 0.0)) if kind == "partial" else ():
+        if sl:
+            us = min(max((lo1 * big_k - b) / sl, 0.0), u_max), min(max(-b / sl, 0.0), u_max), \
+                min(max((big_k - b) / sl, 0.0), u_max)
+        else:
+            us = u_max * (lo1 * big_k > b), u_max * (0.0 > b), u_max * (big_k > b)
+        cross.append((sign, sl, us))
+        points.update(us)
+    tail2 = {u: _tails(k2, u) for u in points}
+    strict, sides, ends = 0.0, [], []
+    if near:
+        u_in, u_top = near
+        if max(u_in, 1e-300) < u_top and a <= _STEEP:
+            strict = tail2[u_in][0] - tail2[u_top][0]
+            sides.append((a, c, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0))
+            ends.append((max(u_in, 1e-300), u_top))
+        beyond = tail2[max(u_in, u_top)][0] - tail2[u_max][0]
+        strict += (tot if top == big_k else 1.0 - _tails(k1, top)[0]) * beyond
+    # 1 - T1(K1) of C1 counts once per unit of m2 in ``whole``, so that the ends' shares of it cancel exactly;
+    # the W1 sides add up their weights per line and piece, as the ends of concentric operands share them
+    n_strict, partial, whole, weights = len(sides), 0.0, 0.0, {}
+    for sign, sl, (u_lo, u_0, u_hi) in cross:
+        whole += sign * (tail2[u_hi][0] - tail2[u_max][0] if sl >= 0.0 else tail2[0.0][0] - tail2[u_hi][0])
+        if abs(sl) > _STEEP:
+            continue
+        for sg, u0, u1 in ((-1.0, u_lo, u_0) if u_lo < u_0 else (-1.0, u_0, u_lo),
+                           (1.0, u_0, u_hi) if u_0 < u_hi else (1.0, u_hi, u_0)):
+            if max(u0, 1e-300) < u1:  # C1 = (1 - T1(K1) or 0) - sg R(|y|), |y| = sg (b + sl u)
+                (t0, _, _, m0), (t1, _, _, m1) = tail2[u0], tail2[u1]
+                m, ramp = t0 - t1, m0 - m1 - u0 * (t0 - t1)  # f2's mass and first moment about u0 here
+                if p_k * abs(sl) > 2.0**-20:  # the ramp weighs p_k |sl|, so its lost digits would show
+                    ramp = _ramp(k2, u0, u1 - u0, ramp)
+                line = max(sg * (b + sl * u0), 0.0) * m + sg * sl * ramp
+                if sg > 0.0:
+                    whole += sign * m
+                partial += sign * sg * (edge * m - p_k * line)
+                key = (sg * sl, sg * b, max(u0, 1e-300), u1)
+                weights[key] = weights.get(key, 0.0) - sign * sg
+    for (sl, y, u0, u1), w in weights.items():
+        if w:
+            sides.append((sl, y, 0.0, 0.0, 0.0, w, 0.0, 1.0))
+            ends.append((u0, u1))
+    # one batch for both kinds: a side's value does not depend on the others in it
+    values = _sides((k2, k1), ends, sides)
+    strict += sum(values[:n_strict])
+    value = max(tot * whole + partial + sum(values[n_strict:]), strict) if kind == "partial" else strict
     if not math.isfinite(value):
         raise ValueError(f"closed-form {kind} of {f1.label} and {f2.label}: estimate is {value}")
     return value
 
 
-def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureConfig):
-    """Partial inclusion of f1 in f2, or their scalar product, from one walk
-    of ``_cells``, and the ``QuadratureMeta`` of its rule.
+def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig) -> float:
+    """The scalar product of f1 and f2 from one walk of ``_cells``.
 
-    On a met cell the overlap is lambda = alpha z1 + beta + c1 z2, so the
-    inner integral of m2 lambda / |I1| is a difference between its sides
-    z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, one ``_sides`` each.  The
-    Jaccard degree of the scalar product is lambda / hull.  Where I2
-    sits in I1 the hull is |I1|, so those cells add as in partial
-    inclusion.  Where I1 sits in I2 it is n1 z1 / (n2 z2), whose z2
-    integral is the kernel tail K of f2 between the sides, so each side
-    adds one ``_sides`` with tail = n1 s1 / (n2 s2).
+    On a met cell the overlap is lambda = alpha z1 + beta + c1 z2 and the
+    Jaccard degree lambda / hull.  Where I2 sits in I1 the hull is |I1|, so
+    the inner integral of m2 lambda / |I1| is a difference between the
+    cell's sides z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, one
+    ``_sides`` each.  Where I1 sits in I2 the degree is n1 z1 / (n2 z2),
+    whose z2 integral is the kernel tail K of f2 between the sides, so each
+    side adds one ``_sides`` with tail = n1 s1 / (n2 s2).
 
     The rule of ``_straddling``, refined by ``_refine`` from
-    ``cfg.points_per_axis`` nodes per piece, takes the rest: the cells
-    where the focals straddle, and those whose sides would cancel, where
-    gamma = c1 s2 / (n1 s1) or the tail exceed _THIN.
+    ``cfg.points_per_axis`` nodes per piece, takes the cells where the
+    focals straddle, and those where gamma = c1 s2 / (n1 s1) or the tail
+    exceed _THIN, whose sides would cancel.
     """
     off = _offset(f1, f2)
     f1, f2 = _within_reach(f1), _within_reach(f2)
     z, rows = _cells(f1, f2, off)
     s1, s2, n1, n2 = f1.scale, f2.scale, 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope
-    pair, wide = (f1.shape.kernel, f2.shape.kernel), n1 * s1 / (n2 * s2)
+    wide = n1 * s1 / (n2 * s2)
     sides, ends, shared, ruled = [], [], None, []
     t = [b / s1 for b in z]  # the panel ends in f1's unit
     for i, pl, ql, ph, qh, alpha, beta, c1 in rows:
@@ -577,66 +625,50 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, kind: str, cfg: QuadratureC
             continue
         nested = (alpha, beta, c1) == (n1, 0.0, 0.0)  # I1 sits in I2
         gamma = c1 * s2 / s1 / n1
-        # the rule takes the scalar product's straddling cells, where neither
-        # focal holds the other, and every cell whose sides would cancel
-        if (kind == "scalar" and (wide > _THIN if nested else (alpha, beta, c1) != (0.0, 0.0, n2))
-                or abs(gamma) > _THIN):
+        # the rule takes the straddling cells, where neither focal holds the
+        # other, and every cell whose sides would cancel
+        if (wide > _THIN if nested else (alpha, beta, c1) != (0.0, 0.0, n2)) or abs(gamma) > _THIN:
             if max((ph - pl) * x + qh - ql for x in (z[i], z[i + 1])) >= s2 / _STEEP:
-                den = (n1 - alpha, n2 - c1, -beta) if kind == "scalar" else (n1, 0.0, 0.0)  # hull or |I1|
-                ruled.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1, *den))
+                ruled.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1))
             continue
         tail = 0.0
-        if kind == "scalar" and nested:  # the Jaccard degree n1 z1 / (n2 z2): tail = n1 s1 / (n2 s2)
+        if nested:  # the Jaccard degree n1 z1 / (n2 z2): tail = n1 s1 / (n2 s2)
             alpha, tail = 0.0, wide
         # per side: a, b and lambda / (s1 n1) = kappa t + lam0
-        kl, ll, lin1, lin0 = (alpha + c1 * pl) / n1, (beta + c1 * ql) / s1 / n1, alpha / n1, beta / s1 / n1
+        kl, ll = (alpha + c1 * pl) / n1, (beta + c1 * ql) / s1 / n1
         if shared == (i, pl, ql):  # the last side is this line as the upper side of the cell below
-            _, _, k, l, g, m1, m0, tl, _ = sides[-1]
-            sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, lin1 - m1, lin0 - m0, tail - tl, 1.0)
+            _, _, k, l, g, _, tl, _ = sides[-1]
+            sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, 0.0, tail - tl, 1.0)
         else:
-            sides.append((al, ql / s2, kl, ll, gamma, lin1, lin0, tail, 1.0))
+            sides.append((al, ql / s2, kl, ll, gamma, 0.0, tail, 1.0))
             ends.append((max(t0, 1e-300), t1))
-        sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, lin1, lin0, tail,
-                      -1.0))
+        sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, 0.0, tail, -1.0))
         ends.append(ends[-1])
         shared = (i, ph, qh)
-    meta = _NO_RULE
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = closed = _sides(pair, ends, sides)
+        value = closed = sum(_sides((f1.shape.kernel, f2.shape.kernel), ends, sides))
         if ruled:
             rule = _straddling(f1, f2, ruled)
-            value, points, err = _refine(lambda n: closed + rule(n), cfg.points_per_axis, cfg)
-            meta = QuadratureMeta(points, err)
+            value = _refine(lambda n: closed + rule(n), cfg.points_per_axis, cfg)[0]
     if not math.isfinite(value):
-        raise ValueError(f"closed-form {kind} of {f1.label} and {f2.label}: estimate is {value}")
-    return value, meta
+        raise ValueError(f"closed-form scalar of {f1.label} and {f2.label}: estimate is {value}")
+    return value
 
 
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Degree to which f1 is strictly included in f2, in closed form.
-
-    The expectation over z1 of f2's contour function at the endpoint of
-    I1(z1) farther from f2's location (see ``_contour``).  The mass of f2
-    beyond its support bound Z2 is dropped, as in every pair measure.  No
-    rule runs; ``cfg`` is accepted for a uniform signature.
+    """Degree to which f1 is strictly included in f2: the mean over z2 of the
+    mass of f1's focals inside I2(z2), in closed form (see ``_inclusion``).
+    The mass beyond either support bound is dropped, as in every pair
+    measure; ``cfg`` is accepted for a uniform signature.
     """
-    return InclusionResult(_unit(_contour(f1, f2, "strict")), (f1.label, f2.label), "strict", _NO_RULE)
+    return InclusionResult(_unit(_inclusion(f1, f2, "strict")), (f1.label, f2.label), "strict", _NO_RULE)
 
 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
-    """Expected fraction of I1 covered by I2.
-
-    The expectation over z1 of the mean of f2's contour function over I1(z1)
-    (see ``_contour``).  Where n2 s2 exceeds _THIN n1 s1 its S sides would
-    cancel, so the walk of ``_closed_form`` takes the pair: its cells thin
-    against f2 run the rule of ``_straddling`` from ``cfg``, whose
-    ``quadrature_meta`` the result then carries.
+    """Expected fraction of I1 covered by I2: the mean over z2 of f1's
+    pignistic probability of I2(z2), in closed form (see ``_inclusion``).
     """
-    n1, n2 = 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope
-    if n2 * f2.scale / f1.scale / n1 <= _THIN:  # the walk's gamma c1 s2 / s1 / n1 where I2 sits in I1
-        return InclusionResult(_unit(_contour(f1, f2, "partial")), (f1.label, f2.label), "partial", _NO_RULE)
-    value, meta = _closed_form(f1, f2, "partial", cfg or QuadratureConfig())
-    return InclusionResult(_unit(value), (f1.label, f2.label), "partial", meta)
+    return InclusionResult(_unit(_inclusion(f1, f2, "partial")), (f1.label, f2.label), "partial", _NO_RULE)
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:

@@ -1,12 +1,12 @@
 """Gauss-Legendre nodes, the refinement loop and a Monte Carlo cross-check.
 
-The consonant pair measures are closed-form but for one Gauss-Legendre
-rule on the cells where the focals straddle or the closed form's sides
-would cancel; the generic cross-check uses a Gauss-Legendre rule on a
-truncated domain, and the pignistic round trip is closed-form.  All are
-bit for bit reproducible per configuration.  ``_refine`` doubles the nodes
-per piece until two estimates agree to 1e-4 relative or the budget is
-spent; the last change is the error.
+The inclusions are closed-form; the scalar product is closed-form but for
+one Gauss-Legendre rule on the cells where the focals straddle or the
+closed form's sides would cancel, and the generic cross-check uses a
+Gauss-Legendre rule on a truncated domain.  All are bit for bit
+reproducible per configuration.  ``_refine`` doubles the nodes per piece
+until two estimates agree to 1e-4 relative or the budget is spent; the
+last change is the error.
 
 ``mc_estimate`` provides a seeded Monte Carlo estimate of E[ratio] under a
 product sampler.  It is the slow second opinion used to validate the
@@ -50,8 +50,8 @@ class QuadratureConfig:
     """Resolution and truncation policy of the consonant measures.
 
     ``truncation_k`` reaches every measure through the operands; the other
-    two fields govern only the one rule of the pair measures, on the cells
-    the closed forms cannot take (see ``cbf.measures``).
+    two fields govern only the scalar product's rule, on the cells its
+    closed forms cannot take (see ``cbf.measures``).
 
     points_per_axis     Gauss-Legendre nodes per piece and per line of that
                         rule (>= 16)

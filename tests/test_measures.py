@@ -439,9 +439,10 @@ class TestNonFiniteEstimates:
             measure(F1, F4, CFG)
 
     def test_closed_form_raises(self, monkeypatch):
-        # strict inclusion runs no rule, so a side sum that is not finite
-        # meets the closed form's own check
-        monkeypatch.setattr(cbf.measures, "_sides", lambda *args: math.nan)
+        # strict inclusion runs no rule, so a side that is not finite meets
+        # the closed form's own check (N(0,1) in N(0,0.5) has a side; in
+        # N(4,0.5) its focals reach none before the support bound)
+        monkeypatch.setattr(cbf.measures, "_sides", lambda pair, ends, sides: [math.nan] * len(sides))
         with pytest.raises(ValueError, match=f"closed-form strict of {re.escape(F1.label)} and "
-                                             f"{re.escape(F4.label)}: estimate is nan"):
-            inc_strict(F1, F4, CFG)
+                                             f"{re.escape(F2.label)}: estimate is nan"):
+            inc_strict(F1, F2, CFG)

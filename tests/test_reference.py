@@ -81,9 +81,9 @@ BOUNDS = {
     ("normal", "scalar"): 1e-13,
     ("normal", "distance"): 1e-13,
     ("exp", "strict"): 1e-15,
-    ("exp", "partial"): 1e-14,
+    ("exp", "partial"): 1e-15,
     ("exp", "scalar"): 1e-14,
-    ("exp", "distance"): 1e-13,
+    ("exp", "distance"): 1e-14,
 }
 
 
