@@ -11,7 +11,9 @@ The package covers two settings with one vocabulary:
   for one Gauss-Legendre rule where the focals straddle.
 
 ``cbf.experiments`` reproduces the reference tables and parameter sweeps;
-the ``cbf`` console script exposes them from the shell.
+the ``cbf`` console script exposes them from the shell.  Importing the
+package loads numpy only: ``scipy.special`` loads on the first continuous
+measure that needs it, so the discrete path runs without scipy.
 """
 
 from .consonant import (

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import _special
 from .intervals import _as_scalar_or_array
 from .quadrature import check_truncation_k
 
@@ -88,7 +88,7 @@ def _maxwell(u):
     return 2.0 / _SQRT_2PI * uu * np.exp(-0.5 * uu)
 
 
-_MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + ndtr(-u)), _phi, "phi", 10.0)
+_MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + _special.ndtr(-u)), _phi, "phi", 10.0)
 _GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)), lambda u: (1.0 + np.minimum(u, 800.0)) * np.exp(-u),
                 lambda u: np.exp(-u), "exp", 45.0)
 

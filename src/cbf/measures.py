@@ -43,8 +43,8 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfcx, gammainc, ndtr, owens_t
 
+from . import _special
 from .consonant import ConsonantBBD, GenericBBD, _phi
 # delta_inc_partial_rev is unused here but stays a name of this module: the
 # benchmark tracer (perfbench/tracer.py) wraps it by name
@@ -242,7 +242,7 @@ def _moments(c, sigma, n):
     root = np.sqrt(sigma)
     fwd = c <= 6.0 * root
     if fwd.any():
-        mu, prev = [_SQRT_HALF_PI * erfcx(c / (root * math.sqrt(2.0))) / root], 1.0
+        mu, prev = [_SQRT_HALF_PI * _special.erfcx(c / (root * math.sqrt(2.0))) / root], 1.0
         for l in range(n):
             mu.append((prev - c * mu[l]) / sigma)
             prev = (l + 1) * mu[l]
@@ -377,7 +377,7 @@ def _sides(pair, ends, sides) -> list:
                     xs += x1, x2
                 i, s1, s2, r, t, eq, ns, qs, es = p
                 terms.append((i, w4, s1, s2, r, eq * (q1 * t + q0), qs * big_a, es * (b0 - ns * (b1 - ns * b2))))
-        owen = owens_t(hs, xs).tolist()
+        owen = _special.owens_t(hs, xs).tolist()
         f = [w4 * (s1 * owen[i] + s2 * owen[i + 1] + r) - x - y - z for i, w4, s1, s2, r, x, y, z in terms]
         return [x1 - x0 for x0, x1 in zip(f[::2], f[1::2])]
     if not sides:
@@ -395,7 +395,7 @@ def _sides(pair, ends, sides) -> list:
         value = 0.0
         if pair[1] == "phi":  # k1 = exp(-t)
             lin1, lin0 = kappa - gamma * a + 0.5 * omega, beta - gamma * b
-            f = -2.0 * np.exp(-t) * ndtr(-u) * (lin1 * (t + 1.0) + lin0)
+            f = -2.0 * np.exp(-t) * _special.ndtr(-u) * (lin1 * (t + 1.0) + lin0)
             poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
             value = f[1] - f[0]
         return (sign * (value + _along(pair, poly, t[0], t[1], u[0], u[1], a))).tolist()
@@ -500,7 +500,7 @@ def _ramp(kernel: str, u0: float, w: float, tails: float) -> float:
     beyond which the tails lie too far apart to cancel.
     """
     if kernel == "exp":
-        return math.exp(-u0) * float(u0 * gammainc(2.0, w) + 2.0 * gammainc(3.0, w))
+        return math.exp(-u0) * float(u0 * _special.gammainc(2.0, w) + 2.0 * _special.gammainc(3.0, w))
     if w * (u0 + w) > 1.0:
         return tails
     # exp(-u0 x - x^2 / 2) = sum c_k x^k with (k + 1) c_{k+1} = -u0 c_k - c_{k-1}
@@ -512,6 +512,47 @@ def _ramp(kernel: str, u0: float, w: float, tails: float) -> float:
             break
         last, prev, c, wk = term, c, -(u0 * c + prev) / (k + 1), wk * w
     return 2.0 / _SQRT_2PI * math.exp(-0.5 * u0 * u0) * total
+
+
+# A normal f1 whose focals an exponential f2's fixed end caps at r <= top
+# takes ``_near_end`` while top <= _NEAR_END, where ten terms of its series
+# in r^2 / 2 <= 1 / 32 reach 1e-22.
+_NEAR_END = 0.25
+_FACT = np.cumprod(np.r_[1.0, np.arange(1.0, 23.0)])  # n! for n <= 22
+
+
+def _near_end(beta: float, rho: float, a: float, t_max: float) -> float:
+    """Strict inclusion of a normal f1 whose location lies beta inside an
+    exponential f2's fixed end, in f1's variable: the integral over
+    0 < r < rho of g1(r) (T2((r + beta) / a) - T2(u_max)), g1 = 2 r^2 phi(r),
+    to its last digits however small beta is, where Bel1 = 1 - T1 would keep
+    an absolute floor of 1e-16.  With e^(-r^2 / 2) as its series, r = rho v
+    and T2(u) = (1 + u) e^-u, u = y + x v runs over [beta, beta + rho] / a.
+    While u <= 1 the deficit 1 - T2(u) = sum_m>=2 (-1)^m (m - 1) u^m / m!
+    is summed apart from the whole mass, so that the value cannot fall as a
+    grows, over G(n, m) = int_0^1 v^n u^m dv = x G(n + 1, m - 1) + y G(n, m - 1);
+    beyond, E_n(x) = int_0^1 v^n e^(-x v) dv = n! P(n + 1, x) / x^(n+1), P the
+    regularised incomplete gamma, or its own series in -x while x <= 1.
+    """
+    if rho <= 0.0:
+        return 0.0
+    x, y, j = rho / a, beta / a, np.arange(10.0)
+    c = (-0.5 * rho * rho) ** j / _FACT[:10]  # e^(-r^2 / 2) = sum c_j r^2j; r^n for n = 2j + 2 and 2j + 3
+    if x + y <= 1.0:
+        g, deficit = 1.0 / np.arange(3.0, 46.0), 0.0
+        for m in range(1, 23):
+            g = x * g[1:] + y * g[:-1]
+            deficit = deficit + (-1.0) ** m * (m - 1) / _FACT[m] * g[:19:2]
+        value = float(c @ ((1.0 - t_max) / (2.0 * j + 3.0))) - float(c @ deficit)
+    else:
+        n = np.arange(2.0, 23.0)
+        if x > 1.0:
+            e = _FACT[2:] * _special.gammainc(n + 1.0, x) / x ** (n + 1.0)
+        else:
+            k = np.arange(21.0)
+            e = ((-x) ** k / _FACT[:21] / (n[:, None] + k + 1.0)).sum(axis=1)
+        value = float(c @ (math.exp(-y) * ((1.0 + y) * e[:-1:2] + x * e[1::2]) - t_max / (2.0 * j + 3.0)))
+    return math.sqrt(2.0 / math.pi) * rho ** 3 * value
 
 
 def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
@@ -527,8 +568,10 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     R(y) = W1(y) - W1(K1) - P1(K1) (K1 - y) the pignistic mass beyond y.
     Against m2 each T1 or W1 is a side of ``_sides``, each constant a
     difference of T2 and each line a ``_ramp``, all bounded by probabilities
-    at any scale ratio.  BetP1 >= Bel1 on every set, so where rounding would
-    put partial inclusion below strict inclusion it takes the strict value.
+    at any scale ratio; a normal f1 just inside an exponential f2's fixed
+    end takes ``_near_end`` instead.  BetP1 >= Bel1 on every set, so where
+    rounding would put partial inclusion below strict inclusion it takes the
+    strict value.
     """
     off = _offset(f1, f2)
     f1, f2 = _within_reach(f1), _within_reach(f2)
@@ -554,7 +597,9 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
         points.update(us)
     tail2 = {u: _tails(k2, u) for u in points}
     strict, sides, ends = 0.0, [], []
-    if near:
+    if near and lo1 and not lo2 and top <= _NEAR_END:
+        strict = _near_end(-b, min(top, a * u_max + b), a, tail2[u_max][0])
+    elif near:
         u_in, u_top = near
         if max(u_in, 1e-300) < u_top and a <= _STEEP:
             strict = tail2[u_in][0] - tail2[u_top][0]

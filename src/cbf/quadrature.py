@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+
+from . import _special
 
 __all__ = [
     "QuadratureConfig",
@@ -86,7 +87,7 @@ def _unit_nodes(n: int):
     numpy's weights err less than scipy's and need no ``scipy.linalg``, but its
     eigenvalue solve grows as n^3, so past 512 nodes scipy's asymptotic ones serve.
     """
-    x, w = np.polynomial.legendre.leggauss(n) if n <= 512 else roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n) if n <= 512 else _special.roots_legendre(n)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     x.setflags(write=False)

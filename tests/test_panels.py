@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -272,6 +272,21 @@ def test_tiny_strict_inclusions_keep_their_digits(mu, sigma, exact):
     assert abs(inc_strict(N01, consonant_from_normal(mu, sigma)).value - exact) < 1e-20
 
 
+# 40-digit values (mpmath, dps=40) of the integral over 0 < r < rho of
+# g(r) [T2((r + beta) / a) - T2(8)], g the Maxwell density and T2 the Gamma(2)
+# tail, beta the normal's offset inside the exponential's end in its scales
+# and a their scale ratio: summed as 1 - T1 under f2's mass, the first two
+# read 1.5865032e-11 and 2.3e-17
+@pytest.mark.parametrize("f1, f2, exact", [
+    (consonant_from_normal(0.5, 1000.0), consonant_from_exponential(2.0), 1.5865001804122898e-11),
+    (consonant_from_normal(1e-17, 1.0), consonant_from_exponential(10.0), 2.6515853891303253e-52),
+    (consonant_from_normal(1e-5, 1.0), consonant_from_exponential(1.0), 2.6515853886385424e-16),
+    (consonant_from_normal(0.2, 1.0), consonant_from_exponential(0.1), 0.0020947225927210559),
+], ids=["N(0.5,1000)-exp:2", "N(1e-17,1)-exp:10", "N(1e-5,1)-exp:1", "N(0.2,1)-exp:0.1"])
+def test_strict_inclusion_near_an_exponentials_end_keeps_its_relative_digits(f1, f2, exact):
+    assert abs(inc_strict(f1, f2).value - exact) <= 1e-15 * exact
+
+
 # mpmath values (dps=32, the mean of pi2 over I1 and its expectation over z1
 # both by mp.quad split at the kinks) of a partial inclusion of N(4,0.5) in
 # N(0,0.001): focals that mostly pass the narrow operand by.  A cell walk
@@ -392,6 +407,36 @@ PAIRS = st.builds(lambda normal1, normal2, s1, ratio, shift, k: _pair(normal1, n
 def test_strict_never_exceeds_partial(pair):
     f1, f2 = pair
     assert inc_strict(f1, f2).value <= inc_partial(f1, f2).value
+
+
+def _operand(normal, s, location, k=8.0):
+    return consonant_from_normal(location, s, k) if normal else consonant_from_exponential(1.0 / s, k)
+
+
+@settings(max_examples=200)
+@given(st.booleans(), st.booleans(), st.floats(0.1, 10.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(-10.0, 10.0), st.sampled_from([8.0, 40.0]))
+def test_strict_inclusion_grows_with_the_including_operands_scale(normal1, normal2, s1, e, f, shift, k):
+    # f2's focals scale about its fixed location, so each one holds the one
+    # it grew from; f2 sits shift of f1's scales from a normal f1, or a normal
+    # f1 that far from an exponential f2's location 0; no slack.  Scales less
+    # than 1% apart would compare rounding: at e = 0, f = 2.2e-16 a value
+    # small beside f2's mass there moves by 1e-12 of itself either way
+    assume(abs(e - f) >= 0.005)
+    f1 = _operand(normal1, s1, 0.0 if normal2 else shift * s1, k)
+    narrow, wide = (_operand(normal2, s1 * 10.0 ** x, shift * s1 if normal1 else 0.0, k) for x in sorted((e, f)))
+    assert inc_strict(f1, narrow).value <= inc_strict(f1, wide).value, (f1.label, narrow.label, wide.label)
+
+
+# both families, scales 1e-3 to 1e3, a normal up to 10 of its scales from
+# an exponential's location 0
+OPERANDS = st.builds(lambda normal, e, shift: _operand(normal, 10.0 ** e, shift * 10.0 ** e),
+                     st.booleans(), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0))
+
+
+@given(OPERANDS, OPERANDS)
+def test_scalar_product_operand_order_gap_holds_at_random(f1, f2):
+    assert abs(_scalar(f1, f2) - _scalar(f2, f1)) <= 1e-13, (f1.label, f2.label)
 
 
 @given(PAIRS)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cbf.consonant import consonant_from_normal
 from cbf.measures import inc_partial, inc_strict, scalar_product
 import cbf
+from cbf import _special
 from cbf.quadrature import (
     QuadratureConfig,
     _refine,
@@ -166,13 +167,38 @@ def test_nodes_past_512_skip_the_eigenvalue_solve():
     assert abs(w.sum() - 1.0) < 1e-13 and np.all(np.diff(x) > 0.0)
 
 
-def test_the_rule_imports_no_scipy_linalg():
+_BBA = ("a:0.5\na|b:0.3\na|b|c:0.2\n", "b:0.6\nb|c:0.4\n")
+
+
+@pytest.mark.parametrize("code,module,loaded", [
+    # the discrete path never reads cbf._special, so it runs without scipy
+    ("import cbf; m1, m2 = (cbf.parse_bba(t, 'abc') for t in BBA); cbf.conflict(m1, m2)", "scipy", False),
+    ("import cbf.cli; cbf.cli.main(['discrete', 'conf', '--m1', FILES[0], '--m2', FILES[1]])", "scipy", False),
+    # an inclusion reads the special functions, so the loader loads them
+    ("from cbf import consonant_from_normal as N, inc_partial; inc_partial(N(0, 1), N(4, 0.5))",
+     "scipy.special", True),
     # a scalar product that runs the rule; scipy.linalg is 44 modules and
     # about 6 MB of resident memory
-    code = ("import sys; from cbf.consonant import consonant_from_normal as N; "
-            "from cbf.measures import scalar_product; scalar_product(N(0, 1), N(4, 0.5)); "
-            "print('scipy.linalg' in sys.modules)")
+    ("from cbf import consonant_from_normal as N, scalar_product; scalar_product(N(0, 1), N(4, 0.5))",
+     "scipy.linalg", False),
+], ids=["discrete-conflict", "cli-discrete-conf", "inclusion", "scalar-product-rule"])
+def test_what_a_fresh_process_imports(tmp_path, code, module, loaded):
+    files = [tmp_path / "m1.bba", tmp_path / "m2.bba"]
+    for path, text in zip(files, _BBA):
+        path.write_text(text)
+    check = (f"import sys; BBA, FILES = {_BBA!r}, {[str(f) for f in files]!r}; {code}; "
+             f"print(any(m == {module!r} or m.startswith({module + '.'!r}) for m in sys.modules))")
     src = str(pathlib.Path(cbf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_the_loader_keeps_what_it_loads():
+    with pytest.raises(AttributeError):
+        _special.no_such_function
+    _special.ndtr  # the first read may run __getattr__; it stores the function
+    assert "ndtr" in vars(_special)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_special, "__getattr__", None)  # a later read never calls it
+        assert _special.ndtr(0.0) == 0.5
