@@ -139,9 +139,9 @@ def _consonant(shape, location, scale, truncation_k, label, param) -> ConsonantB
     check_truncation_k(truncation_k)
     reach = (1.0 - shape.lo_slope) * truncation_k  # longest focal, in scale units
     if not (scale >= sys.float_info.min and math.isfinite(reach * scale)):
-        raise ValueError(
+        raise ValueError(  # the bound in Python floats: a numpy truncation_k below 0.5 would overflow it
             f"{param} gives scale {scale:g}, outside [{sys.float_info.min:g}, "
-            f"{sys.float_info.max / reach:g}] at truncation_k = {truncation_k:g}"
+            f"{min(sys.float_info.max / float(reach), sys.float_info.max):g}] at truncation_k = {truncation_k:g}"
         )
     return ConsonantBBD(shape, location, scale, float(truncation_k) * scale, label)
 

@@ -15,16 +15,15 @@ same factor changes no measure beyond rounding.
 
 Both inclusions are one expectation over f2's nesting variable of a set
 function of f1 at I2: its belief for strict inclusion, its pignistic
-probability for partial inclusion, each a sum of one-dimensional closed
-forms at every scale ratio (``_inclusion``).
+probability for partial inclusion, each elementary in the ends of I2 and
+taken by one Gauss-Legendre rule on pieces cut at its kinks (``_inclusion``).
 
 The scalar product walks a cell map (``_cells``): the lines where a focal
 endpoint of one operand crosses one of the other cut the rectangle into
 cells with a fixed endpoint order.  Where one focal holds the other the
 degree is closed-form on a cell (``_closed_form``); where the focals
-straddle or the two sides' tails would cancel, one Gauss-Legendre rule in
-the hull and along its level lines takes the cell: the only rule any
-measure runs, refined by ``_refine``.
+straddle or the two sides' tails would cancel, a Gauss-Legendre rule in
+the hull and along its level lines takes the cell, refined by ``_refine``.
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -49,7 +48,7 @@ from .consonant import ConsonantBBD, GenericBBD, _phi
 # delta_inc_partial_rev is unused here but stays a name of this module: the
 # benchmark tracer (perfbench/tracer.py) wraps it by name
 from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta
-from .quadrature import QuadratureConfig, _refine, nodes_and_weights
+from .quadrature import QuadratureConfig, _refine, _unit_nodes, nodes_and_weights
 
 __all__ = [
     "QuadratureMeta",
@@ -86,9 +85,6 @@ class QuadratureMeta(NamedTuple):
     est_error: float
 
 
-_NO_RULE = QuadratureMeta(0, math.nan)
-
-
 @dataclass(frozen=True)
 class InclusionResult:
     """An inclusion degree together with how it was computed.
@@ -96,9 +92,9 @@ class InclusionResult:
     value            degree in [0, 1]
     direction        (label of included operand, label of including operand)
     kind             "strict" or "partial"
-    quadrature_meta  always (0, nan): no inclusion runs a rule.  The value
-                     agrees with an independent 2-D quadrature within 1e-14
-                     (see the README numerical notes)
+    quadrature_meta  (nodes per piece of the rule, nan): it runs once, with no
+                     error estimate.  The value agrees with an independent
+                     2-D quadrature within 1e-14 (see the README numerical notes)
     """
 
     value: float
@@ -228,6 +224,7 @@ _THIN = 16.0
 # f2's, so either holds no mass in floats and is dropped.
 _STEEP = 1e20
 _SQRT_HALF, _SQRT_HALF_PI, _SQRT_2PI = math.sqrt(0.5), math.sqrt(0.5 * math.pi), math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _moments(c, sigma, n):
@@ -308,7 +305,7 @@ def _along(pair, poly, t0, t1, u0, u1, a):
     return np.sum(np.array([-1.0, 1.0, 1.0, -1.0]).reshape(d.shape) * kern * total, axis=0)
 
 
-def _normal_side(a, b, kappa, beta, gamma, omega, tail, sign):
+def _normal_side(a, b, kappa, beta, gamma, tail, sign):
     """Constants of one side of ``_sides`` for two normal operands, in floats.
 
     Beyond the Q(u) terms the integrand is 4 (e3 t^3 + e2 t^2 + e1 t + e0)
@@ -317,7 +314,7 @@ def _normal_side(a, b, kappa, beta, gamma, omega, tail, sign):
     -[Q(s) A + phi(s) (B0 + B1 s + B2 s^2)], A and B carrying phi(b / c) / c.
     The weights carry the side's sign.
     """
-    lin1, lin0 = kappa - gamma * a + 0.5 * omega, beta - gamma * b  # the Q(u) terms are 2 (lin1 t + lin0) Q(u)
+    lin1, lin0 = kappa - gamma * a, beta - gamma * b  # the Q(u) terms are 2 (lin1 t + lin0) Q(u)
     e0, e1, e2, e3 = a * lin0, beta * b + 2.0 * gamma - a * lin1, kappa * b + beta * a, kappa * a + tail
     ic2 = 1.0 / (1.0 + a * a)
     ic = math.sqrt(ic2)
@@ -332,21 +329,20 @@ def _normal_side(a, b, kappa, beta, gamma, omega, tail, sign):
 
 def _sides(pair, ends, sides) -> list:
     """The signed integrals, one per side, of
-    k1(t) [(kappa t + beta) T0(u) + gamma S(u) + tail t^2 K(u) + omega t W(u)].
+    k1(t) [(kappa t + beta) T0(u) + gamma S(u) + tail t^2 K(u)].
 
-    ``sides`` holds (a, b, kappa, beta, gamma, omega, tail, sign) per side
+    ``sides`` holds (a, b, kappa, beta, gamma, tail, sign) per side
     u = a t + b and ``ends`` its panel's ends (t0, t1).  T0 is the tail of
-    the second shape, S(u) the integral over x > u of (x - u) g2(x), K(u)
-    the integral over x > u of g2(x) / x and W(u) that of its pignistic
-    tail: (1 + u) e^-u, (2 + u) e^-u, e^-u and e^-u for Gamma(2), 2 u phi(u)
-    + 2 Q(u), 4 phi(u) - 2 u Q(u), 2 phi(u) and Q(u) for Maxwell.  Their
-    Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by parts; with k1 =
-    2 t phi that leaves the bivariate normal probability integral phi(t)
-    Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) + Phi(t) / 2 with
-    Owen's T, whose limit t -> 0 is taken at t = 1e-300 by the callers.
-    Two normals run on Python floats with one ``owens_t`` call, and each end
-    reads its Owen's T terms in a form that stays small in far tails, else
-    tiny inclusions lose digits (anchored in tests/test_panels.py).
+    the second shape, S(u) the integral over x > u of (x - u) g2(x) and
+    K(u) that of g2(x) / x: (1 + u) e^-u, (2 + u) e^-u and e^-u for
+    Gamma(2), 2 u phi(u) + 2 Q(u), 4 phi(u) - 2 u Q(u) and 2 phi(u) for
+    Maxwell.  Their Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by
+    parts; with k1 = 2 t phi that leaves the bivariate normal probability
+    integral phi(t) Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) +
+    Phi(t) / 2 with Owen's T, whose limit t -> 0 is taken at t = 1e-300 by
+    the callers.  Two normals run on Python floats with one ``owens_t``
+    call, and each end reads its Owen's T terms in a form that stays small
+    in far tails.
     """
     if pair == ("phi", "phi"):
         hs, xs, points, terms = [], [], {}, []  # a point (a, b, t) shared by sides is read once
@@ -383,18 +379,18 @@ def _sides(pair, ends, sides) -> list:
     if not sides:
         return []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # far tails are 0 in floats
-        t, (a, b, kappa, beta, gamma, omega, tail, sign) = _columns(ends, 2), _columns(sides, 8)
+        t, (a, b, kappa, beta, gamma, tail, sign) = _columns(ends, 2), _columns(sides, 7)
         u = a * t + b
         t = np.where(np.abs(a) > 1.0, (u - b) / a, t)  # on a steep side u leads and t follows
         if pair[1] == "exp":
-            poly = {(1, 0): kappa + omega, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
+            poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
         else:
             poly = {(1, 1): 2.0 * kappa, (0, 1): 2.0 * beta, (0, 0): 4.0 * gamma}
         if tail.any():
             poly[2, 0] = tail if pair[1] == "exp" else 2.0 * tail
         value = 0.0
         if pair[1] == "phi":  # k1 = exp(-t)
-            lin1, lin0 = kappa - gamma * a + 0.5 * omega, beta - gamma * b
+            lin1, lin0 = kappa - gamma * a, beta - gamma * b
             f = -2.0 * np.exp(-t) * _special.ndtr(-u) * (lin1 * (t + 1.0) + lin0)
             poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
             value = f[1] - f[0]
@@ -480,163 +476,91 @@ def _within_reach(f: ConsonantBBD) -> ConsonantBBD:
     return f if f.support_bound <= reach else replace(f, support_bound=reach)
 
 
-def _tails(kernel: str, u: float):
-    """(T, P, W, M) at u >= 0 in floats: the mass tail, the pignistic
-    density, the pignistic tail (the integral of P from u) and the first
-    moment tail (of x g(x) from u) of a unit shape."""
-    if kernel == "phi":
-        p, w = math.exp(-0.5 * u * u) / _SQRT_2PI, 0.5 * math.erfc(u * _SQRT_HALF)
-        return 2.0 * (u * p + w), p, w, (2.0 * u * u + 4.0) * p
-    e = math.exp(-u)
-    return (1.0 + u) * e, e, e, (u * u + 2.0 * u + 2.0) * e
-
-
-def _ramp(kernel: str, u0: float, w: float, tails: float) -> float:
-    """The integral over 0 < x < w of x g(u0 + x), g a unit nesting density,
-    to its last digits however small w is, given ``tails``, the same as a
-    difference of tails: e^-u0 (u0 P(2, w) + 2 P(3, w)) for Gamma(2), P the
-    regularised incomplete gamma; for Maxwell a power series in x of
-    2 phi(u0) x (u0 + x)^2 exp(-u0 x - x^2 / 2) while w (u0 + w) <= 1,
-    beyond which the tails lie too far apart to cancel.
-    """
-    if kernel == "exp":
-        return math.exp(-u0) * float(u0 * _special.gammainc(2.0, w) + 2.0 * _special.gammainc(3.0, w))
-    if w * (u0 + w) > 1.0:
-        return tails
-    # exp(-u0 x - x^2 / 2) = sum c_k x^k with (k + 1) c_{k+1} = -u0 c_k - c_{k-1}
-    total, last, prev, c, wk = 0.0, 0.0, 0.0, 1.0, w * w
-    for k in range(32):
-        term = c * wk * (u0 * u0 / (k + 2) + w * (2.0 * u0 / (k + 3) + w / (k + 4)))
-        total += term
-        if abs(term) + abs(last) <= 1e-17 * total:  # c_k can vanish for one k: u0 = 0 has no odd terms
-            break
-        last, prev, c, wk = term, c, -(u0 * c + prev) / (k + 1), wk * w
-    return 2.0 / _SQRT_2PI * math.exp(-0.5 * u0 * u0) * total
-
-
-# A normal f1 whose focals an exponential f2's fixed end caps at r <= top
-# takes ``_near_end`` while top <= _NEAR_END, where ten terms of its series
-# in r^2 / 2 <= 1 / 32 reach 1e-22.
-_NEAR_END = 0.25
-_FACT = np.cumprod(np.r_[1.0, np.arange(1.0, 23.0)])  # n! for n <= 22
-
-
-def _near_end(beta: float, rho: float, a: float, t_max: float) -> float:
-    """Strict inclusion of a normal f1 whose location lies beta inside an
-    exponential f2's fixed end, in f1's variable: the integral over
-    0 < r < rho of g1(r) (T2((r + beta) / a) - T2(u_max)), g1 = 2 r^2 phi(r),
-    to its last digits however small beta is, where Bel1 = 1 - T1 would keep
-    an absolute floor of 1e-16.  With e^(-r^2 / 2) as its series, r = rho v
-    and T2(u) = (1 + u) e^-u, u = y + x v runs over [beta, beta + rho] / a.
-    While u <= 1 the deficit 1 - T2(u) = sum_m>=2 (-1)^m (m - 1) u^m / m!
-    is summed apart from the whole mass, so that the value cannot fall as a
-    grows, over G(n, m) = int_0^1 v^n u^m dv = x G(n + 1, m - 1) + y G(n, m - 1);
-    beyond, E_n(x) = int_0^1 v^n e^(-x v) dv = n! P(n + 1, x) / x^(n+1), P the
-    regularised incomplete gamma, or its own series in -x while x <= 1.
-    """
-    if rho <= 0.0:
-        return 0.0
-    x, y, j = rho / a, beta / a, np.arange(10.0)
-    c = (-0.5 * rho * rho) ** j / _FACT[:10]  # e^(-r^2 / 2) = sum c_j r^2j; r^n for n = 2j + 2 and 2j + 3
-    if x + y <= 1.0:
-        g, deficit = 1.0 / np.arange(3.0, 46.0), 0.0
-        for m in range(1, 23):
-            g = x * g[1:] + y * g[:-1]
-            deficit = deficit + (-1.0) ** m * (m - 1) / _FACT[m] * g[:19:2]
-        value = float(c @ ((1.0 - t_max) / (2.0 * j + 3.0))) - float(c @ deficit)
-    else:
-        n = np.arange(2.0, 23.0)
-        if x > 1.0:
-            e = _FACT[2:] * _special.gammainc(n + 1.0, x) / x ** (n + 1.0)
-        else:
-            k = np.arange(21.0)
-            e = ((-x) ** k / _FACT[:21] / (n[:, None] + k + 1.0)).sum(axis=1)
-        value = float(c @ (math.exp(-y) * ((1.0 + y) * e[:-1:2] + x * e[1::2]) - t_max / (2.0 * j + 3.0)))
-    return math.sqrt(2.0 / math.pi) * rho ** 3 * value
+# The inclusions' rule: _NODES Gauss-Legendre nodes on each piece, pieces at
+# most _WIDTH units wide in f2's unit and in f1's
+_NODES, _WIDTH = 32, 8.0
+_RULE = QuadratureMeta(_NODES, math.nan)
+# Bel1 of a normal f1, erf(r / sqrt 2) - sqrt(2 / pi) r e^(-r^2 / 2), cancels below r = 0.5 to errors of 1.5e-16: in
+# sums below _SERIES_BELOW those points take ten terms of sqrt(2 / pi) sum (-1)^n r^(2n+3) / (2^n n! (2n+3))
+_POWERS, _SERIES_BELOW = np.arange(3.0, 23.0, 2.0), 0.0625
+_SIGNS, _EDGE = np.array([[-1.0], [1.0]]), np.array([[0.0], [1.0]])  # rows for the two ends of I2
+_SERIES = _SQRT_2_OVER_PI * np.array([(-0.5) ** n / math.factorial(n) / (2 * n + 3) for n in range(10)])
+# f2's mass beyond u in floats, below u = 1 as 1 less the mass below u: it rounds as the exact value does
+_TAIL = {"phi": lambda u: _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u) + math.erfc(u * _SQRT_HALF) if u > 1.0
+         else 1.0 - (math.erf(u * _SQRT_HALF) - _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u)),
+         "exp": lambda u: (1.0 + u) * math.exp(-u) if u > 1.0 else 1.0 + (math.expm1(-u) + u * math.exp(-u))}
 
 
 def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
-    """Strict or partial inclusion of f1 in f2: by Fubini the mean over z2
-    of Bel1(I2(z2)), the mass of f1's focals inside I2, or of BetP1(I2(z2)),
-    f1's pignistic probability of I2, which absorbs the degree's 1 / |I1|.
+    """Strict or partial inclusion of f1 in f2: the mean over z2 of Bel1(I2),
+    the mass of f1's focals inside I2(z2), or of BetP1(I2), f1's pignistic
+    probability of I2, which absorbs the degree's 1 / |I1| (Fubini).
 
-    In u = z2 / s2 each end of I2 is a line y = b + sl u in f1's unit about
-    its location.  Bel1 is 1 - T1(r) once mu1 is in I2, r = c + a u the
-    distance to the nearer end, up to r = K1 = Z1 / s1.  BetP1 is C1 at the
-    upper end less C1 at the lower one, f1's truncated pignistic CDF C1
-    being R(-y) left of mu1 and 1 - T1(K1) - R(y) right of it, with
-    R(y) = W1(y) - W1(K1) - P1(K1) (K1 - y) the pignistic mass beyond y.
-    Against m2 each T1 or W1 is a side of ``_sides``, each constant a
-    difference of T2 and each line a ``_ramp``, all bounded by probabilities
-    at any scale ratio; a normal f1 just inside an exponential f2's fixed
-    end takes ``_near_end`` instead.  BetP1 >= Bel1 on every set, so where
-    rounding would put partial inclusion below strict inclusion it takes the
-    strict value.
+    In u = z2 / s2 the ends of I2 lie off + lo2 s2 u and off + s2 u from
+    mu1, y_lo and y_hi in f1's unit once clipped to its support.  A normal
+    f1 has Bel1 = P(3/2, r^2 / 2), r = min(-y_lo, y_hi), and BetP1 =
+    Phi(y_hi) - Phi(y_lo) - (y_hi - y_lo) phi(K1); an exponential one Bel1 =
+    P(2, y_hi) where y_lo <= 0 and BetP1 = e^-y_lo - e^-y_hi - (y_hi - y_lo)
+    e^-K1.  Ends are clipped before they are divided by s1, which may overflow.
     """
     off = _offset(f1, f2)
-    f1, f2 = _within_reach(f1), _within_reach(f2)
-    k1, k2, lo1, lo2 = f1.shape.kernel, f2.shape.kernel, f1.shape.lo_slope, f2.shape.lo_slope
-    big_k, u_max, a, b = f1.support_bound / f1.scale, f2.support_bound / f2.scale, f2.scale / f1.scale, off / f1.scale
-    t_k, p_k, w_k, _ = _tails(k1, big_k)
-    tot, edge = 1.0 - t_k, w_k + p_k * big_k  # R(y) = W1(y) - edge + P1(K1) y
-    # strict: from r_in on, mu1 is in I2; an exponential f2's fixed end caps r at -b
-    c, r_in = -abs(b) if lo1 and lo2 else b, b + abs(b) if lo2 and not lo1 else 0.0
-    top = min(big_k, -b) if lo1 and not lo2 else big_k
-    near = (min(max((r_in - c) / a, 0.0), u_max), min(max((top - c) / a, 0.0), u_max)) if a and (lo2 or b <= 0.0) \
-        else ()
-    # partial: C1 at the upper end less C1 at the lower one, where each crosses -K1 (or 0), 0 and K1, an
-    # exponential f2's fixed lower end at +inf above it
-    cross, points = [], {0.0, u_max, *near}
-    for sign, sl in ((1.0, a), (-1.0, lo2 * a if lo2 else 0.0)) if kind == "partial" else ():
-        if sl:
-            us = min(max((lo1 * big_k - b) / sl, 0.0), u_max), min(max(-b / sl, 0.0), u_max), \
-                min(max((big_k - b) / sl, 0.0), u_max)
-        else:
-            us = u_max * (lo1 * big_k > b), u_max * (0.0 > b), u_max * (big_k > b)
-        cross.append((sign, sl, us))
-        points.update(us)
-    tail2 = {u: _tails(k2, u) for u in points}
-    strict, sides, ends = 0.0, [], []
-    if near and lo1 and not lo2 and top <= _NEAR_END:
-        strict = _near_end(-b, min(top, a * u_max + b), a, tail2[u_max][0])
-    elif near:
-        u_in, u_top = near
-        if max(u_in, 1e-300) < u_top and a <= _STEEP:
-            strict = tail2[u_in][0] - tail2[u_top][0]
-            sides.append((a, c, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0))
-            ends.append((max(u_in, 1e-300), u_top))
-        beyond = tail2[max(u_in, u_top)][0] - tail2[u_max][0]
-        strict += (tot if top == big_k else 1.0 - _tails(k1, top)[0]) * beyond
-    # 1 - T1(K1) of C1 counts once per unit of m2 in ``whole``, so that the ends' shares of it cancel exactly;
-    # the W1 sides add up their weights per line and piece, as the ends of concentric operands share them
-    n_strict, partial, whole, weights = len(sides), 0.0, 0.0, {}
-    for sign, sl, (u_lo, u_0, u_hi) in cross:
-        whole += sign * (tail2[u_hi][0] - tail2[u_max][0] if sl >= 0.0 else tail2[0.0][0] - tail2[u_hi][0])
-        if abs(sl) > _STEEP:
+    s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
+    z1, u_max = min(f1.support_bound, f1.shape.reach * s1), min(f2.support_bound / s2, f2.shape.reach)
+    k1, bottom, cuts = z1 / s1, lo1 * z1, [(lo1 * z1 - off) / s2, -off / s2, (z1 - off) / s2]  # y_hi at lo1 K1, 0, K1
+    cuts = sorted({0.0, u_max, *[u for u in cuts + ([-c for c in cuts] if lo2 else [2.0 * cuts[1]] if lo1 else [])
+                                 if 0.0 < u < u_max]})  # and y_lo there, or -y_lo = y_hi
+    # strict inclusion reads a point per run of pieces where Bel1 > 0 is one constant, then the parts where it
+    # moves; partial inclusion those parts, the other parts where BetP1 moves and the midpoints of the rest
+    runs, moving, parts, (pu, pw), tail = {}, [], [], ([], []), _TAIL[f2.shape.kernel]
+    for u0, u1 in zip(cuts, cuts[1:]):
+        mid = 0.5 * (u0 + u1)
+        lo, hi = off + lo2 * s2 * mid, off + s2 * mid
+        r = min(-lo, hi, z1) if lo1 else min(hi, z1) if lo <= 0.0 else 0.0  # Bel1's r about mu1
+        bel_moves = 0.0 < r < z1 and (hi <= -lo or lo2 or not lo1)  # the end r is read from moves
+        if r > 0.0 and not bel_moves:  # Bel1 is constant, and as r never falls while u grows, one run per r
+            runs.setdefault(r, [u0, u1])[1] = u1
+        if kind == "strict" and not bel_moves:
             continue
-        for sg, u0, u1 in ((-1.0, u_lo, u_0) if u_lo < u_0 else (-1.0, u_0, u_lo),
-                           (1.0, u_0, u_hi) if u_0 < u_hi else (1.0, u_hi, u_0)):
-            if max(u0, 1e-300) < u1:  # C1 = (1 - T1(K1) or 0) - sg R(|y|), |y| = sg (b + sl u)
-                (t0, _, _, m0), (t1, _, _, m1) = tail2[u0], tail2[u1]
-                m, ramp = t0 - t1, m0 - m1 - u0 * (t0 - t1)  # f2's mass and first moment about u0 here
-                if p_k * abs(sl) > 2.0**-20:  # the ramp weighs p_k |sl|, so its lost digits would show
-                    ramp = _ramp(k2, u0, u1 - u0, ramp)
-                line = max(sg * (b + sl * u0), 0.0) * m + sg * sl * ramp
-                if sg > 0.0:
-                    whole += sign * m
-                partial += sign * sg * (edge * m - p_k * line)
-                key = (sg * sl, sg * b, max(u0, 1e-300), u1)
-                weights[key] = weights.get(key, 0.0) - sign * sg
-    for (sl, y, u0, u1), w in weights.items():
-        if w:
-            sides.append((sl, y, 0.0, 0.0, 0.0, w, 0.0, 1.0))
-            ends.append((u0, u1))
-    # one batch for both kinds: a side's value does not depend on the others in it
-    values = _sides((k2, k1), ends, sides)
-    strict += sum(values[:n_strict])
-    value = max(tot * whole + partial + sum(values[n_strict:]), strict) if kind == "partial" else strict
+        if bottom < hi < z1 or lo2 and bottom < lo < z1:  # an end moves in f1's support, and so does BetP1
+            m = max(1, math.ceil(max(u1 - u0, (u1 - u0) * s2 / s1) / _WIDTH))
+            (moving if bel_moves else parts).extend([(u0 + j * (u1 - u0) / m, (u1 - u0) / m) for j in range(m)])
+        else:
+            pu.append(mid)
+            pw.append(tail(u0) - tail(u1))
+    if kind == "strict" and not (runs or moving):  # no focal of f2 holds one of f1
+        return 0.0
+    ru, rw = [0.5 * (a + b) for a, b in runs.values()], [tail(a) - tail(b) for a, b in runs.values()]
+    rows = np.array(moving + parts).reshape(-1, 2)
+    (x, w), h = _unit_nodes(_NODES), rows[:, 1:]
+    u, weight = (rows[:, :1] + h * x).ravel(), (h * w).ravel()
+    weight *= f2.shape.density(u)
+    if ru or pu:
+        u, weight = np.concatenate((ru, u, pu)), np.concatenate((rw, weight, pw))
+    k, n, e, value = len(ru), len(ru) + _NODES * len(moving), s2 * u, 0.0  # strict's n points; partial's from k
+    if kind == "partial" and lo1:  # BetP1 is even about mu1: rows min(y_lo, -y_hi) and min(y_hi, -y_lo)
+        y = _SIGNS * e[k:] - abs(off) if lo2 else np.minimum(off + _EDGE * e[k:], -off - _EDGE[::-1] * e[k:])
+        y = np.minimum(np.maximum(y, -z1), z1) / s1
+        c = _special.ndtr(y) - y * (math.exp(-0.5 * k1 * k1) / _SQRT_2PI)
+        value = float(weight[k:] @ (c[1] - c[0]))
+    elif kind == "partial":  # rows y_lo and y_hi
+        y = np.minimum(np.maximum(off + (_SIGNS if lo2 else _EDGE) * e[k:], 0.0), z1) / s1
+        value = float(weight[k:] @ (np.exp(-y[0]) * -np.expm1(y[0] - y[1]) - (y[1] - y[0]) * math.exp(-k1)))
+    # strict inclusion's sum, which partial inclusion takes where rounding puts its own below it (BetP1 >= Bel1)
+    # and so needs only where its own is at most the weights, as Bel1 <= 1
+    if n and (kind == "strict" or value <= float(weight[:n].sum()) * (1.0 + 1e-12)):
+        e = e[:n]
+        if lo1:  # r = min(y_hi, -y_lo)
+            r = np.maximum(np.minimum(e - abs(off) if lo2 else np.minimum(off + e, -off), z1), 0.0) / s1
+            bel = _special.erf(r * _SQRT_HALF) - _SQRT_2_OVER_PI * r * np.exp(-0.5 * r * r)
+        else:  # y_lo <= 0 there
+            bel = _special.gammainc(2.0, np.minimum(np.maximum(off + e, 0.0), z1) / s1)
+        strict = float(weight[:n] @ bel)
+        if lo1 and strict < _SERIES_BELOW and np.count_nonzero(small := r < 0.5):
+            bel[small] = r[small][:, None] ** _POWERS @ _SERIES
+            strict = float(weight[:n] @ bel)
+        value = value if strict <= value else strict  # a nan passes on
     if not math.isfinite(value):
-        raise ValueError(f"closed-form {kind} of {f1.label} and {f2.label}: estimate is {value}")
+        raise ValueError(f"{kind} inclusion of {f1.label} in {f2.label}: estimate is {value}")
     return value
 
 
@@ -682,12 +606,12 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig) -> f
         # per side: a, b and lambda / (s1 n1) = kappa t + lam0
         kl, ll = (alpha + c1 * pl) / n1, (beta + c1 * ql) / s1 / n1
         if shared == (i, pl, ql):  # the last side is this line as the upper side of the cell below
-            _, _, k, l, g, _, tl, _ = sides[-1]
-            sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, 0.0, tail - tl, 1.0)
+            _, _, k, l, g, tl, _ = sides[-1]
+            sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, tail - tl, 1.0)
         else:
-            sides.append((al, ql / s2, kl, ll, gamma, 0.0, tail, 1.0))
+            sides.append((al, ql / s2, kl, ll, gamma, tail, 1.0))
             ends.append((max(t0, 1e-300), t1))
-        sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, 0.0, tail, -1.0))
+        sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, tail, -1.0))
         ends.append(ends[-1])
         shared = (i, ph, qh)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -702,18 +626,16 @@ def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig) -> f
 
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Degree to which f1 is strictly included in f2: the mean over z2 of the
-    mass of f1's focals inside I2(z2), in closed form (see ``_inclusion``).
-    The mass beyond either support bound is dropped, as in every pair
-    measure; ``cfg`` is accepted for a uniform signature.
+    mass of f1's focals inside I2(z2) (see ``_inclusion``).  The mass beyond
+    either support bound is dropped; ``cfg`` is accepted for a uniform signature.
     """
-    return InclusionResult(_unit(_inclusion(f1, f2, "strict")), (f1.label, f2.label), "strict", _NO_RULE)
+    return InclusionResult(_unit(_inclusion(f1, f2, "strict")), (f1.label, f2.label), "strict", _RULE)
 
 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Expected fraction of I1 covered by I2: the mean over z2 of f1's
-    pignistic probability of I2(z2), in closed form (see ``_inclusion``).
-    """
-    return InclusionResult(_unit(_inclusion(f1, f2, "partial")), (f1.label, f2.label), "partial", _NO_RULE)
+    pignistic probability of I2(z2) (see ``_inclusion``)."""
+    return InclusionResult(_unit(_inclusion(f1, f2, "partial")), (f1.label, f2.label), "partial", _RULE)
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:

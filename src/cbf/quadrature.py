@@ -1,10 +1,8 @@
 """Gauss-Legendre nodes, the refinement loop and a Monte Carlo cross-check.
 
-The inclusions are closed-form; the scalar product is closed-form but for
-one Gauss-Legendre rule on the cells where the focals straddle or the
-closed form's sides would cancel, and the generic cross-check uses a
-Gauss-Legendre rule on a truncated domain.  All are bit for bit
-reproducible per configuration.  ``_refine`` doubles the nodes per piece
+The inclusions, the scalar product's straddling cells and the generic
+cross-check take Gauss-Legendre rules, bit for bit reproducible per
+configuration.  ``_refine`` doubles the scalar product's nodes per piece
 until two estimates agree to 1e-4 relative or the budget is spent; the
 last change is the error.
 
@@ -52,7 +50,7 @@ class QuadratureConfig:
 
     ``truncation_k`` reaches every measure through the operands; the other
     two fields govern only the scalar product's rule, on the cells its
-    closed forms cannot take (see ``cbf.measures``).
+    closed forms cannot take (see ``cbf.measures``); the inclusions' is fixed.
 
     points_per_axis     Gauss-Legendre nodes per piece and per line of that
                         rule (>= 16)

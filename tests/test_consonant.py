@@ -44,6 +44,12 @@ class TestConstructors:
         with pytest.raises(ValueError, match=r"sigma = 2e\+307 .* 1\.12356e\+307\]"):
             consonant_from_normal(0.0, 2e307)
 
+    def test_normal_scale_limit_holds_for_a_numpy_truncation(self):
+        # below k = 0.5 the upper bound max / (2 k) is past the float range:
+        # the message gives the largest float rather than a numpy overflow
+        with pytest.raises(ValueError, match=r"sigma = 1e-310 .* 1\.79769e\+308\]"):
+            consonant_from_normal(0.0, 1e-310, np.float64(0.1))
+
     def test_normal_rejects_non_finite_mu(self):
         with pytest.raises(ValueError):
             consonant_from_normal(math.inf, 1.0)

@@ -29,7 +29,7 @@ from cbf.measures import (
     scalar_product,
     scalar_product_generic,
 )
-from cbf.quadrature import QuadratureConfig, mc_estimate
+from cbf.quadrature import QuadratureConfig, _unit_nodes, mc_estimate
 
 CFG = QuadratureConfig()
 LIGHT = QuadratureConfig(points_per_axis=16, refine_max_doublings=0)
@@ -156,8 +156,8 @@ class TestStrictInclusion:
         assert isinstance(r, InclusionResult)
         assert r.kind == "strict"
         assert r.direction == ("normal:0,0.5", "normal:0,1")
-        # closed form: no nodes were used and no error estimate was formed
-        assert r.quadrature_meta.points_per_axis == 0
+        # one pass of the rule: its nodes per piece, and no error estimate
+        assert r.quadrature_meta.points_per_axis == 32
         assert math.isnan(r.quadrature_meta.est_error)
 
 
@@ -358,6 +358,29 @@ class TestExtremePairs:
         assert scalar_product(tiny, huge, CFG) == pytest.approx(0.0, abs=1e-12)
         assert scalar_product(huge, tiny, CFG) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inclusions_return_in_order_across_the_float_range(self):
+        # scales and offsets from 10^U(-300, 300), both families, k from 0.5
+        # to 1000: off / s1 overflows on many pairs, whose value is 0 or 1,
+        # and the inclusions' rule never divides by s1 before it clips
+        rng = np.random.default_rng(23)
+
+        def operand(k):
+            s = 10.0 ** rng.uniform(-300.0, 300.0)
+            if rng.random() < 0.5:
+                return consonant_from_exponential(1.0 / s, k)
+            return consonant_from_normal(float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-300.0, 300.0), s, k)
+
+        for _ in range(500):
+            k = float(rng.uniform(0.5, 1000.0))
+            f1, f2 = operand(k), operand(k)
+            try:
+                strict, partial = inc_strict(f1, f2, CFG).value, inc_partial(f1, f2, CFG).value
+            except ValueError as err:  # a hull past the float range is refused by name
+                assert "offset between" in str(err)
+                continue
+            assert 0.0 <= strict <= partial <= 1.0, (f1.label, f2.label, k)
+
     @pytest.mark.parametrize("measure", [inc_strict, inc_partial, inc_partial_reversed,
                                          scalar_product, distance])
     def test_overflowing_offset_names_both_operands(self, measure):
@@ -439,10 +462,14 @@ class TestNonFiniteEstimates:
             measure(F1, F4, CFG)
 
     def test_closed_form_raises(self, monkeypatch):
-        # strict inclusion runs no rule, so a side that is not finite meets
-        # the closed form's own check (N(0,1) in N(0,0.5) has a side; in
-        # N(4,0.5) its focals reach none before the support bound)
-        monkeypatch.setattr(cbf.measures, "_sides", lambda pair, ends, sides: [math.nan] * len(sides))
-        with pytest.raises(ValueError, match=f"closed-form strict of {re.escape(F1.label)} and "
+        # a node of the inclusions' rule that is not finite meets the rule's
+        # own check, which names both operands (N(0,1) in N(0,0.5) has a
+        # piece on which the ends of f2's focals move)
+        def nan_node(n):
+            x, w = _unit_nodes(n)
+            return np.where(np.arange(n) == 0, math.nan, x), w
+
+        monkeypatch.setattr(cbf.measures, "_unit_nodes", nan_node)
+        with pytest.raises(ValueError, match=f"strict inclusion of {re.escape(F1.label)} in "
                                              f"{re.escape(F2.label)}: estimate is nan"):
             inc_strict(F1, F2, CFG)

@@ -1,9 +1,8 @@
-"""The closed-form inclusions, and the cell map and rule of the scalar
-product.
+"""The inclusions' rule, and the cell map and rule of the scalar product.
 
-Anchors are closed forms; the other references are independent of the
-closed forms and of the panel splitter (scipy's adaptive quadrature with
-hand-placed breakpoints or over the endpoint crossings of
+Anchors are closed forms or mpmath values; the other references are
+independent of the measures and of the panel splitter (scipy's adaptive
+quadrature with hand-placed breakpoints or over the endpoint crossings of
 ``oracles.inclusion_by_crossings``, or the same measure integrated in the
 other order).
 """
@@ -272,6 +271,19 @@ def test_tiny_strict_inclusions_keep_their_digits(mu, sigma, exact):
     assert abs(inc_strict(N01, consonant_from_normal(mu, sigma)).value - exact) < 1e-20
 
 
+# 30-digit values (mpmath, dps=45) of E over f2 of P(3/2, (q u)^2 / 2) on
+# 0 < u < 8: N(0,1) in a far narrower N(0,q) holds only f2's focals shorter
+# than f1's.  Bel1 summed as f2's mass less a T1 side read 1.9% low at
+# q = 1e-5 and 0 at q = 1e-6
+@pytest.mark.parametrize("q, exact", [
+    (1e-2, 1.69734719245938908299092476718e-06),
+    (1e-4, 1.69765269574408470891641658459e-12),
+    (1e-6, 1.69765272629877709426018153856e-18),
+])
+def test_strict_inclusion_in_a_narrow_normal_keeps_its_relative_digits(q, exact):
+    assert abs(inc_strict(N01, consonant_from_normal(0.0, q)).value - exact) <= 1e-14 * exact
+
+
 # 40-digit values (mpmath, dps=40) of the integral over 0 < r < rho of
 # g(r) [T2((r + beta) / a) - T2(8)], g the Maxwell density and T2 the Gamma(2)
 # tail, beta the normal's offset inside the exponential's end in its scales
@@ -441,10 +453,11 @@ def test_scalar_product_operand_order_gap_holds_at_random(f1, f2):
 
 @given(PAIRS)
 def test_contour_inclusions_take_no_cells_and_no_nodes(pair):
-    # both inclusions are one closed form at every scale ratio: no cell map,
-    # no rule, and no read of the scalar product's thin-cell switch
+    # both inclusions are one pass of their own rule at every scale ratio:
+    # no cell map, no refinement, no request for the scalar product's nodes
+    # and no read of its thin-cell switch
     def forbidden(*args, **kwargs):
-        raise AssertionError("an inclusion walked the cells or asked for nodes")
+        raise AssertionError("an inclusion walked the cells or asked for the scalar product's nodes")
 
     f1, f2 = pair
     with pytest.MonkeyPatch.context() as patch:
@@ -453,7 +466,7 @@ def test_contour_inclusions_take_no_cells_and_no_nodes(pair):
         patch.delattr(cbf.measures, "_THIN")
         metas = [inc_strict(f1, f2).quadrature_meta, inc_partial(f1, f2).quadrature_meta]
     for meta in metas:
-        assert meta.points_per_axis == 0 and math.isnan(meta.est_error)
+        assert meta.points_per_axis == 32 and math.isnan(meta.est_error)
 
 
 @pytest.mark.parametrize("normal1,normal2", list(itertools.product((True, False), repeat=2)))
@@ -476,30 +489,32 @@ def test_partial_inclusion_is_continuous_across_the_switch_to_the_walk(monkeypat
 
 
 def test_inclusions_ask_for_no_nodes(monkeypatch):
-    # every inclusion is closed-form, however much wider either operand is
+    # every inclusion reads its rule's cached nodes, never the scalar
+    # product's request or refinement, however much wider either operand is
     def forbidden(*args, **kwargs):
-        raise AssertionError("an inclusion asked for quadrature nodes")
+        raise AssertionError("an inclusion asked for the scalar product's nodes")
 
     monkeypatch.setattr(cbf.measures, "nodes_and_weights", forbidden)
     monkeypatch.setattr(cbf.measures, "_refine", forbidden)
     for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
         metas = [inc(f1, f2, CFG).quadrature_meta for inc in (inc_strict, inc_partial, inc_partial_reversed)]
         for meta in metas:
-            assert meta.points_per_axis == 0 and math.isnan(meta.est_error), (f1.label, f2.label)
+            assert meta.points_per_axis == 32 and math.isnan(meta.est_error), (f1.label, f2.label)
 
 
 def test_inclusion_of_a_thin_operand_asks_for_no_nodes(monkeypatch):
     # N(0,0.001) in N(0.5,1), whose cells are thin against the wider
-    # operand: no nodes, no error estimate, the reversed form gives the same
-    # result and the endpoint-crossing reference agrees
+    # operand: one pass of the inclusions' rule, no error estimate, the
+    # reversed form gives the same result and the endpoint-crossing
+    # reference agrees
     def forbidden(*args, **kwargs):
-        raise AssertionError("an inclusion asked for quadrature nodes")
+        raise AssertionError("an inclusion asked for the scalar product's nodes")
 
     monkeypatch.setattr(cbf.measures, "nodes_and_weights", forbidden)
     monkeypatch.setattr(cbf.measures, "_refine", forbidden)
     narrow, wide = STRESS_FAMILY[1], STRESS_FAMILY[2]
     result = inc_partial(narrow, wide, CFG)
-    assert result.quadrature_meta.points_per_axis == 0 and math.isnan(result.quadrature_meta.est_error)
+    assert result.quadrature_meta.points_per_axis == 32 and math.isnan(result.quadrature_meta.est_error)
     assert inc_partial_reversed(wide, narrow, CFG) == result
     assert abs(result.value - inclusion_by_crossings(narrow, wide, "partial")) <= REFERENCE_GAP
 
