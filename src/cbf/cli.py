@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .discrete import DiscreteMassFunction, d_inc, jousselme_distance, load_bba
+from .discrete import DiscreteMassFunction, _inclusion_degrees, jousselme_distance, load_bba
 from .experiments import (
     DIRECTIONS,
     FORMATS,
@@ -101,7 +101,7 @@ def _cmd_discrete_conf(args) -> int:
     # Shared frame: the union of the labels used by either file.
     frame = tuple(sorted({*m1.frame, *m2.frame}))
     m1, m2 = (DiscreteMassFunction(frame, dict(m.items())) for m in (m1, m2))
-    inc12, inc21, dist = d_inc(m1, m2), d_inc(m2, m1), jousselme_distance(m1, m2)  # each kernel once
+    (inc12, inc21), dist = _inclusion_degrees(m1, m2), jousselme_distance(m1, m2)  # each kernel once
     lines = [
         f"d_inc_1in2 = {inc12:.6g}",
         f"d_inc_2in1 = {inc21:.6g}",

@@ -15,6 +15,7 @@ from oracles import (
     q_naive,
     random_bba,
     random_bba_with_empty,
+    sigma_inc_naive,
     subsets as _subsets,
 )
 
@@ -69,6 +70,24 @@ class TestConstruction:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             DiscreteMassFunction(("a", "a"), {("a",): 1.0})
+
+    @pytest.mark.parametrize("frame", [("a", "a"), tuple(f"e{i}" for i in range(MAX_FRAME + 1))],
+                             ids=["duplicate-labels", "17-labels"])
+    def test_invalid_frame_raises_on_every_call(self, frame):
+        # the frame map is cached per frame, but a frame that fails validation is not
+        for _ in range(2):
+            with pytest.raises(ValueError, match="frame"):
+                DiscreteMassFunction(frame, {("a",): 1.0})
+            with pytest.raises(ValueError, match="frame"):
+                parse_bba("a:1.0", frame)
+
+    @pytest.mark.parametrize("kind", [tuple, list, iter])
+    def test_frame_of_any_iterable(self, kind):
+        frame = ("c", "a", "b")
+        m = parse_bba("a|c:0.25\nb:0.75", kind(frame))
+        assert m == DiscreteMassFunction(kind(frame), {("a", "c"): 0.25, "b": 0.75})
+        assert m.frame == frame
+        assert m.mass(("c", "a")) == 0.25
 
     def test_slightly_off_total_within_tolerance(self):
         third = 1.0 / 3.0
@@ -242,9 +261,21 @@ class TestInclusionDegrees:
     def test_matches_naive_on_random_pairs(self):
         rng = np.random.default_rng(21)
         frame = ("a", "b", "c", "d")
-        for _ in range(100):
-            m1, m2 = random_bba(rng, frame), random_bba(rng, frame)
+        pairs = [(random_bba(rng, frame), random_bba(rng, frame)) for _ in range(100)]
+        # frames of 1 to 16 labels, the empty set focal in either operand or in both
+        for n in range(1, MAX_FRAME + 1):
+            frame = tuple(f"e{i}" for i in range(n))
+            for _ in range(3):
+                k1, k2 = (int(rng.integers(2, min(1 << n, 40) + 1)) for _ in range(2))
+                pairs += [
+                    (random_bba_with_empty(rng, frame, k1), random_bba(rng, frame)),
+                    (random_bba(rng, frame), random_bba_with_empty(rng, frame, k2)),
+                    (random_bba_with_empty(rng, frame, k1), random_bba_with_empty(rng, frame, k2)),
+                ]
+        for m1, m2 in pairs:
             assert d_inc(m1, m2) == pytest.approx(d_inc_naive(m1, m2), abs=1e-15)
+            assert d_inc(m2, m1) == pytest.approx(d_inc_naive(m2, m1), abs=1e-15)
+            assert sigma_inc(m1, m2) == pytest.approx(sigma_inc_naive(m1, m2), abs=1e-15)
 
 
 class TestConflict:
@@ -277,6 +308,9 @@ class TestConflict:
             assert 0.0 <= conflict(m1, m2) <= 1.0
 
 
+LONG_FRAME = ("a", "b", *(f"e{i}" for i in range(15)))
+
+
 class TestParseBba:
     def test_round_trip(self):
         text = "a:0.4\na|b:0.6\n"
@@ -297,6 +331,9 @@ class TestParseBba:
     def test_duplicate_lines_accumulate(self):
         m = parse_bba("a:0.5\na:0.5")
         assert m.mass("a") == 1.0
+        # the checks run on the accumulated masses, so a negative line can be offset
+        m = parse_bba("a:-0.5\na:0.75\nb:0.75")
+        assert m.mass("a") == 0.25
 
     def test_explicit_frame(self):
         m = parse_bba("a:1.0", frame=("a", "b", "c"))
@@ -321,11 +358,40 @@ class TestParseBba:
             parse_bba("a:0.5\nz:0.5", frame=("a", "b"))
         assert str(err.value) == "label 'z' is not in the frame ('a', 'b')"
 
-    def test_reports_errors_ahead_of_an_unknown_label_first(self):
-        with pytest.raises(ValueError, match=re.escape("mass for ('a',) must be finite and >= 0, got -0.5")):
-            parse_bba("a:-0.5\nz:1.5", frame=("a", "b"))
-        with pytest.raises(ValueError, match=re.escape("frame labels must be unique: ('a', 'a')")):
-            parse_bba("z:1.0", frame=("a", "a"))
+    # One error with the unknown label 'z' on a line before it and on a line
+    # after it.  A syntax error or an invalid frame is reported wherever 'z'
+    # is; a bad mass only ahead of 'z', as the constructor checks each
+    # accumulated subset's mass before its labels, in the order first seen.
+    @pytest.mark.parametrize("text, frame, message", [
+        ("z:0.25\na|b 0.5", ("a", "b"), "line 2: expected LABELS:MASS, got 'a|b 0.5'"),
+        ("a|b 0.5\nz:0.25", ("a", "b"), "line 1: expected LABELS:MASS, got 'a|b 0.5'"),
+        ("z:0.25\na||b:0.5", ("a", "b"), "line 2: empty label in 'a||b:0.5'"),
+        ("a||b:0.5\nz:0.25", ("a", "b"), "line 1: empty label in 'a||b:0.5'"),
+        ("z:0.25\na:oops", ("a", "b"), "line 2: non-numeric mass 'oops'"),
+        ("a:oops\nz:0.25", ("a", "b"), "line 1: non-numeric mass 'oops'"),
+        ("z:0.25\na:-0.5\nb:1.0\na:-0.1", ("a", "b"), "label 'z' is not in the frame ('a', 'b')"),
+        ("a:-0.5\nb:1.0\na:-0.1\nz:0.25", ("a", "b"), "mass for ('a',) must be finite and >= 0, got -0.6"),
+        ("a:-0.5\nz:1.5", ("a", "b"), "mass for ('a',) must be finite and >= 0, got -0.5"),
+        ("z:0.25\nb|a:nan\na:1.0", ("a", "b"), "label 'z' is not in the frame ('a', 'b')"),
+        ("b|a:nan\na:1.0\nz:0.25", ("a", "b"), "mass for ('a', 'b') must be finite and >= 0, got nan"),
+        ("z:0.25\na:0.4\nb:0.4", ("a", "b"), "label 'z' is not in the frame ('a', 'b')"),
+        ("a:0.4\nb:0.4\nz:0.25", ("a", "b"), "label 'z' is not in the frame ('a', 'b')"),
+        ("z:1.0", ("a", "a"), "frame labels must be unique: ('a', 'a')"),
+        ("z:0.25\na:1.0", ("a", "a"), "frame labels must be unique: ('a', 'a')"),
+        ("a:1.0\nz:0.25", ("a", "a"), "frame labels must be unique: ('a', 'a')"),
+        ("z:0.25\na:1.0", LONG_FRAME, "frame must have 1..16 elements, got 17"),
+        ("a:1.0\nz:0.25", LONG_FRAME, "frame must have 1..16 elements, got 17"),
+    ], ids=[f"{kind}-{where}" for kind in ("missing-colon", "empty-label", "non-numeric-mass")
+            for where in ("z-before", "z-after")] + [
+        "negative-mass-z-before", "negative-mass-z-after", "negative-mass-z-after-one-line",
+        "nan-mass-z-before", "nan-mass-z-after", "bad-total-z-before", "bad-total-z-after",
+        "duplicate-frame-labels-z-only", "duplicate-frame-labels-z-before", "duplicate-frame-labels-z-after",
+        "17-label-frame-z-before", "17-label-frame-z-after",
+    ])
+    def test_reports_errors_ahead_of_an_unknown_label_first(self, text, frame, message):
+        with pytest.raises(ValueError) as err:
+            parse_bba(text, frame)
+        assert str(err.value) == message
 
     def test_bad_mass_names_the_sorted_labels(self):
         with pytest.raises(ValueError, match=re.escape("mass for ('a', 'b') must be finite and >= 0, got nan")):
@@ -348,6 +414,8 @@ def test_randomised_oracle_equivalence(seed):
     m1, m2 = random_bba(rng, frame), random_bba(rng, frame)
     assert jousselme_distance(m1, m2) == pytest.approx(jousselme_naive(m1, m2), abs=1e-12)
     assert d_inc(m1, m2) == pytest.approx(d_inc_naive(m1, m2), abs=1e-15)
+    assert d_inc(m2, m1) == pytest.approx(d_inc_naive(m2, m1), abs=1e-15)
+    assert sigma_inc(m1, m2) == pytest.approx(sigma_inc_naive(m1, m2), abs=1e-15)
     for x in _subsets(frame):
         assert m1.bel(x) == pytest.approx(bel_naive(m1, x), abs=1e-12)
         assert m1.pl(x) == pytest.approx(pl_naive(m1, x), abs=1e-12)
