@@ -6,9 +6,8 @@ The package covers two settings with one vocabulary:
   measures are exact sums over focal sets;
 * continuous consonant belief densities induced by normal or exponential
   pignistic densities (``cbf.consonant`` / ``cbf.measures``), where the
-  measures are expectations of interval overlap degrees: the inclusions by
-  one Gauss-Legendre rule over the including density, the scalar product
-  over a map of cells, closed-form but where the focals straddle.
+  measures are expectations of interval overlap degrees, each one
+  Gauss-Legendre rule over the nesting variable of one operand.
 
 ``cbf.experiments`` reproduces the reference tables and parameter sweeps;
 the ``cbf`` console script exposes them from the shell.  Importing the

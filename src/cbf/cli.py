@@ -50,15 +50,12 @@ def _parse_measures(text: str) -> tuple[str, ...]:
 
 def _add_quadrature_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("quadrature")
-    group.add_argument("--grid", type=int, default=QuadratureConfig.points_per_axis, metavar="N",
-                       help="Gauss-Legendre nodes per piece and line of the scalar product's rule on the "
-                            "cells its closed forms cannot take (default %(default)s)")
     group.add_argument("--trunc-k", type=float, default=QuadratureConfig.truncation_k, metavar="K",
                        help="domain truncation in scale units (default %(default)s)")
 
 
 def _config_from_args(args) -> QuadratureConfig:
-    return QuadratureConfig(points_per_axis=args.grid, truncation_k=args.trunc_k)
+    return QuadratureConfig(truncation_k=args.trunc_k)
 
 
 def _emit(text: str, out_path: str | None):

@@ -13,17 +13,12 @@ same amount reproduces results exactly.  Densities and tails are unit-scale
 shapes stretched by each operand's scale, so scaling both operands by the
 same factor changes no measure beyond rounding.
 
-Both inclusions are one expectation over f2's nesting variable of a set
-function of f1 at I2: its belief for strict inclusion, its pignistic
-probability for partial inclusion, each elementary in the ends of I2 and
-taken by one Gauss-Legendre rule on pieces cut at its kinks (``_inclusion``).
-
-The scalar product walks a cell map (``_cells``): the lines where a focal
-endpoint of one operand crosses one of the other cut the rectangle into
-cells with a fixed endpoint order.  Where one focal holds the other the
-degree is closed-form on a cell (``_closed_form``); where the focals
-straddle or the two sides' tails would cancel, a Gauss-Legendre rule in
-the hull and along its level lines takes the cell, refined by ``_refine``.
+Every consonant measure is one expectation over f2's nesting variable u of
+a function of f1 at the interval I2(u), each elementary in the ends of I2
+and taken by one Gauss-Legendre rule on pieces cut at its kinks: f1's
+belief of I2 for strict inclusion, its pignistic probability of I2 for
+partial inclusion (``_inclusion``), and its mean Jaccard degree against I2
+for the scalar product (``_jaccard`` on the pieces of ``_pieces``).
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -36,19 +31,17 @@ quantities from raw interval operations and serve as cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import chain, starmap
-from math import comb
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _special
-from .consonant import ConsonantBBD, GenericBBD, _phi
+from .consonant import ConsonantBBD, GenericBBD
 # delta_inc_partial_rev is unused here but stays a name of this module: the
 # benchmark tracer (perfbench/tracer.py) wraps it by name
 from .intervals import delta_inc_partial, delta_inc_partial_rev, delta_inc_strict, jaccard_delta
-from .quadrature import QuadratureConfig, _refine, _unit_nodes, nodes_and_weights
+from .quadrature import QuadratureConfig, _unit_nodes, nodes_and_weights
 
 __all__ = [
     "QuadratureMeta",
@@ -68,10 +61,6 @@ __all__ = [
     "inc_partial_generic",
 ]
 
-# Cap on points per block of the rule of ``_straddling``, which holds about
-# ten float64 temporaries per point: a block peaks near 5 MB.
-_RULE_BLOCK = 1 << 16
-_HULL_RATIO = 8.0  # largest ratio of the hull's values at the ends of a piece of that rule
 # Gauss-Legendre nodes along a generic nesting curve: one panel, no kinks
 # known, so the resolution is fixed rather than tied to the panel rule.
 # 512 is where the curve oracle's strict inclusion happens to be accurate:
@@ -117,79 +106,39 @@ def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
     return off
 
 
-def _columns(rows, width: int):
-    """The columns of a sequence of equal-length float tuples, as rows of one array."""
-    return np.fromiter(chain.from_iterable(rows), float).reshape(-1, width).T
-
-
-def _kinks(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
-    """Kink lines and outer breaks of a pair degree on [0, Z1] x [0, Z2].
-
-    An endpoint s1*z1 of I1 meets an endpoint s2*z2 + off of I2 on the line
-    z2 = (s1*z1 - off) / s2, or at z1 = off / s1 when s2 is 0.
-
-    Returns the sorted (p, q) tuples of the lines z2 = p*z1 + q that enter
-    (0, Z2), and the sorted z1 breaks: 0, Z1, the vertical crossings and
-    every z1 where two lines cross each other, 0 or Z2.
-    """
-    z1_max, z2_max = f1.support_bound, f2.support_bound
-    lines, breaks = set(), {0.0, z1_max}
-    for s1 in (f1.shape.lo_slope, 1.0):
-        for s2 in (f2.shape.lo_slope, 1.0):
-            if s2:
-                p, q = s1 / s2, -off / s2
-                ends = (q, p * z1_max + q)
-                if max(ends) > 0.0 and min(ends) < z2_max:
-                    lines.add((p, q))
-            elif s1:
-                breaks.add(off / s1)
-    lines = sorted(lines)
-    for i, (p, q) in enumerate(lines):
-        if p:
-            breaks.update((-q / p, (z2_max - q) / p))
-        breaks.update((q2 - q) / (p - p2) for p2, q2 in lines[:i] if p2 != p)
-    return lines, sorted(b for b in breaks if 0.0 <= b <= z1_max)
-
-
-def _cells(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
-    """The cells of the outer panels of ``_kinks`` where the focals meet.
-
-    No kink line crosses another, 0 or Z2 inside an outer panel, so its
-    inner panels are cells with bounds z2 = p*z1 + q, read at the panel
-    centre, and an order of a1, b1, a2, b2 that the cell centre gives.
-    Disjoint cells are dropped: every degree carries an overlap factor.
-    Returns the outer breaks and one tuple (panel, p_lo, q_lo, p_hi, q_hi,
-    alpha, beta, c1) per cell: its panel, its lower and upper bounds and
-    its overlap alpha*z1 + beta + c1*z2.
-    """
-    lines, breaks = _kinks(f1, f2, off)
-    z2_max, lo1, lo2 = f2.support_bound, f1.shape.lo_slope, f2.shape.lo_slope
-    cells = []
-    for i, z1 in enumerate(0.5 * (z0 + z1) for z0, z1 in zip(breaks, breaks[1:])):
-        a1 = lo1 * z1
-        # (value, p, q) of the bounds: 0, the lines strictly inside (0, Z2) in
-        # order, Z2; a line at or beyond 0 or Z2 only bounds empty cells there
-        at = [(0.0, 0.0, 0.0), *sorted([(v, p, q) for p, q in lines if 0.0 < (v := p * z1 + q) < z2_max]),
-              (z2_max, 0.0, z2_max)]
-        for (v, pl, ql), (v_next, ph, qh) in zip(at, at[1:]):
-            if v == v_next:  # an empty cell between lines that meet here
-                continue
-            z2 = 0.5 * (v + v_next)
-            a2 = lo2 * z2 + off
-            if z1 > a2 and z2 + off > a1:
-                b1_in, a1_in = z1 <= z2 + off, a2 <= a1  # overlap = min(b1, b2) - max(a1, a2)
-                cells.append((i, pl, ql, ph, qh, b1_in - lo1 * a1_in, off * (a1_in - b1_in),
-                              (not b1_in) - lo2 * (not a1_in)))
-    return breaks, cells
+def _order(f: ConsonantBBD):
+    """The scalar product's key for f1: the wider focals per unit of nesting, ties broken by the other fields."""
+    return (1.0 - f.shape.lo_slope) * f.scale, f.scale, f.location, f.support_bound
 
 
 def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
-    """Expected Jaccard overlap degree between the two focal families.
+    """Expected Jaccard degree between the two focal families: the mean over
+    u = z2 / s2 of Jac1(I2(u)), f1's mean Jaccard degree against I2(u)
+    (``_jaccard``), by one Gauss-Legendre rule on the pieces of ``_pieces``.
 
-    Closed-form on the nested cells of ``_cells`` and a Gauss-Legendre rule
-    on the straddling and thin ones (see ``_closed_form``).
+    The product is symmetric, so f1 is always the operand of ``_order``, the
+    one with the wider focals per unit of nesting: both operand orders give
+    the same float, and I2 is never wide against f1's unit.  The mass beyond
+    either support bound or shape reach is dropped; ``cfg`` is accepted for a
+    uniform signature.
     """
-    return _closed_form(f1, f2, cfg or QuadratureConfig())
+    off, labels = _offset(f1, f2), (f1.label, f2.label)
+    if _order(f2) > _order(f1):
+        f1, f2, off = f2, f1, -off
+    k1, rows = _pieces(f1, f2, off)
+    if not rows:  # I2 never meets f1's support
+        return 0.0
+    x, w = nodes_and_weights(_NODES, 0.0, 1.0)
+    rows = np.array(rows)
+    u = (rows[:, :1] + rows[:, 1:] * x).ravel()
+    # f1 is the wider, so I2 is at most 2 u long in f1's unit: where it meets f1's support its ends are finite
+    s1, s2 = f1.scale, f2.scale
+    a, b = (off + f2.shape.lo_slope * s2 * u) / s1, (off + s2 * u) / s1
+    with np.errstate(invalid="ignore", over="ignore"):  # a sum that is not finite raises below
+        value = float(((rows[:, 1:] * w).ravel() * f2.shape.density(u)) @ _jaccard(f1, a, b, k1, x, w))
+    if not math.isfinite(value):
+        raise ValueError(f"scalar product of {labels[0]} and {labels[1]}: estimate is {value}")
+    return value
 
 
 def gram_distance(n1, n2, s):
@@ -207,278 +156,10 @@ def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = 
     return float(gram_distance(*products))
 
 
-# ---------------------------------------------------------------------------
-# Closed forms.  In unit variables t and u, a line in the nesting parameters
-# is a line u = a t + b, and m(z) dz / z is k(t) dt / s with k = g(t) / t:
-# 2 t phi(t) for the normal family, exp(-t) for the exponential one.  Every
-# term is then an integral along a line of a polynomial in (t, u) times the
-# kernels of the two shapes (phi or exp) or, from the normal tails, times
-# Q(u) = 1 - Phi(u).
-
-# Cells of the scalar product whose multiplier c1 s2 / ((1 - lo1) s1), or
-# whose nested tail, exceeds this are thin against f2: the two sides' tails
-# nearly cancel there, so the rule of ``_straddling`` takes them.
-_THIN = 16.0
-# A side steeper than this spans at most k / _STEEP of the other unit axis,
-# and a ruled cell narrower than s2 / _STEEP in z2 at most k / _STEEP of
-# f2's, so either holds no mass in floats and is dropped.
-_STEEP = 1e20
-_SQRT_HALF, _SQRT_HALF_PI, _SQRT_2PI = math.sqrt(0.5), math.sqrt(0.5 * math.pi), math.sqrt(2.0 * math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def _moments(c, sigma, n):
-    """mu_l = integral over y > 0 of y^l exp(-c y - sigma y^2 / 2) for l <= n and c >= 0.
-
-    Forward from the Mills ratio while c <= 6 sqrt(sigma); beyond, that
-    recurrence cancels and the continued fraction mu_0 = 1 / (c + G_1),
-    G_k = k sigma / (c + G_{k+1}) converges instead: in 40 levels at
-    c = 6 sqrt(sigma), in fewer the larger c / sqrt(sigma) is, each element
-    from its own level, so that no element depends on the others.
-    """
-    root = np.sqrt(sigma)
-    fwd = c <= 6.0 * root
-    if fwd.any():
-        mu, prev = [_SQRT_HALF_PI * _special.erfcx(c / (root * math.sqrt(2.0))) / root], 1.0
-        for l in range(n):
-            mu.append((prev - c * mu[l]) / sigma)
-            prev = (l + 1) * mu[l]
-        if fwd.all():
-            return mu
-    levels = np.where(fwd, 40.0, np.minimum(40.0, 12.0 + 2000.0 * sigma / c**2))
-    g, tail, low = 0.0, [0.0] * (n + 2), levels.min()
-    for k in range(int(levels.max()), 0, -1):
-        g = k * sigma / (c + g) if k <= low else np.where(k <= levels, k * sigma / (c + g), 0.0)
-        if k <= n + 1:
-            tail[k] = g
-    frac = [1.0 / (c + tail[1])]
-    for l in range(1, n + 1):
-        frac.append(frac[-1] * l / (c + tail[l + 1]))
-    return [np.where(fwd, f, g) for f, g in zip(mu, frac)] if fwd.any() else frac
-
-
-# Kernel pairs: (k1(t) k2(u), c, sigma) along u = a t + b, where
-# c = -(log k1 k2)' and sigma = c' is constant.
-_DECAY = {
-    ("phi", "exp"): lambda t, u, a: (_phi(t) * np.exp(-u), t + a, 1.0),
-    ("exp", "phi"): lambda t, u, a: (np.exp(-t) * _phi(u), 1.0 + a * u, a * a),
-    ("exp", "exp"): lambda t, u, a: (np.exp(-t - u), 1.0 + a + 0.0 * t, 0.0),
-}
-
-
-def _along(pair, poly, t0, t1, u0, u1, a):
-    """Integral over [t0, t1] of k1(t) k2(u) sum poly[i, j] t^i u^j along
-    the line u = a t + b through (t0, u0) and (t1, u1).
-
-    The factor 2 t of k1 = 2 t phi(t) joins the polynomial.  The kernel
-    product k left is log-concave along the line, so the interval is split
-    at its mode t - c / sigma and each part is a difference of tails taken
-    in the direction d away from the mode, where nothing cancels:
-    k integral over y > 0 of P(t + d y, u + d a y) exp(-d c y - sigma y^2 / 2).
-    Each point's u moves from u0 with its t, never from b: on a steep line
-    a t + b would lose a t times the rounding of t.
-    """
-    if pair[0] == "phi":
-        poly = {(i + 1, j): 2.0 * coef for (i, j), coef in poly.items()}
-    _, c, sigma = _DECAY[pair](t0, u0, a)
-    step = np.clip(-c / sigma, 0.0, t1 - t0)  # from t0 to the mode
-    mode = np.where(step < t1 - t0, u0 + a * step, u1)
-    t = np.stack(np.broadcast_arrays(t0, t0 + step, t0 + step, t1))
-    u = np.stack(np.broadcast_arrays(u0, mode, mode, u1))
-    d = np.array([-1.0, -1.0, 1.0, 1.0]).reshape((4,) + (1,) * step.ndim)
-    kern, c, sigma = _DECAY[pair](t, u, a)
-    # a kernel without a mode only has zero-length parts there: any c will do
-    c = np.where((d * c > 0.0) | (sigma != 0.0), np.maximum(d * c, 0.0), 1.0)
-    n = max(i + j for i, j in poly)
-    mu = _moments(c, sigma, n)
-    tp, up, dt, du = [1.0], [1.0], [1.0], [1.0]
-    for _ in range(n):
-        tp.append(tp[-1] * t)
-        up.append(up[-1] * u)
-        dt.append(dt[-1] * d)
-        du.append(du[-1] * d * a)
-    total = 0.0
-    for (i, j), coef in poly.items():
-        for l1 in range(i + 1):
-            for l2 in range(j + 1):
-                total = total + comb(i, l1) * comb(j, l2) * coef * tp[i - l1] * up[j - l2] * dt[l1] * du[l2] * mu[l1 + l2]
-    return np.sum(np.array([-1.0, 1.0, 1.0, -1.0]).reshape(d.shape) * kern * total, axis=0)
-
-
-def _normal_side(a, b, kappa, beta, gamma, tail, sign):
-    """Constants of one side of ``_sides`` for two normal operands, in floats.
-
-    Beyond the Q(u) terms the integrand is 4 (e3 t^3 + e2 t^2 + e1 t + e0)
-    phi(t) phi(u) = phi(b / c) phi(s) times that cubic, with c = hypot(1, a)
-    and s = c (t - m), m = -a b / c^2.  Re-centred at m it integrates to
-    -[Q(s) A + phi(s) (B0 + B1 s + B2 s^2)], A and B carrying phi(b / c) / c.
-    The weights carry the side's sign.
-    """
-    lin1, lin0 = kappa - gamma * a, beta - gamma * b  # the Q(u) terms are 2 (lin1 t + lin0) Q(u)
-    e0, e1, e2, e3 = a * lin0, beta * b + 2.0 * gamma - a * lin1, kappa * b + beta * a, kappa * a + tail
-    ic2 = 1.0 / (1.0 + a * a)
-    ic = math.sqrt(ic2)
-    m, bc = -a * b * ic2, b * ic
-    e23 = e2 + 3.0 * m * e3
-    pre = 4.0 * sign * ic * math.exp(-0.5 * bc * bc) / _SQRT_2PI
-    per, lin1, lin0 = pre * ic / _SQRT_2PI, sign * lin1, sign * lin0
-    return (a, b, 1.0 / ic, m, bc, pre * (m * (e1 + m * (e2 + m * e3)) + ic2 * e23 - e0),
-            per * (e1 + m * (e2 + e23) + 2.0 * ic2 * e3), per * ic * e23, per * ic2 * e3,
-            4.0 * lin1, 4.0 / _SQRT_2PI * lin1, 4.0 / _SQRT_2PI * lin0)
-
-
-def _sides(pair, ends, sides) -> list:
-    """The signed integrals, one per side, of
-    k1(t) [(kappa t + beta) T0(u) + gamma S(u) + tail t^2 K(u)].
-
-    ``sides`` holds (a, b, kappa, beta, gamma, tail, sign) per side
-    u = a t + b and ``ends`` its panel's ends (t0, t1).  T0 is the tail of
-    the second shape, S(u) the integral over x > u of (x - u) g2(x) and
-    K(u) that of g2(x) / x: (1 + u) e^-u, (2 + u) e^-u and e^-u for
-    Gamma(2), 2 u phi(u) + 2 Q(u), 4 phi(u) - 2 u Q(u) and 2 phi(u) for
-    Maxwell.  Their Q(u) terms, 2 (lin1 t + lin0) Q(u), are integrated by
-    parts; with k1 = 2 t phi that leaves the bivariate normal probability
-    integral phi(t) Q(a t + b) = T(t, u / t) + T(b / c, (t + a u) / b) +
-    Phi(t) / 2 with Owen's T, whose limit t -> 0 is taken at t = 1e-300 by
-    the callers.  Two normals run on Python floats with one ``owens_t``
-    call, and each end reads its Owen's T terms in a form that stays small
-    in far tails.
-    """
-    if pair == ("phi", "phi"):
-        hs, xs, points, terms = [], [], {}, []  # a point (a, b, t) shared by sides is read once
-        for (a, b, c, m, bc, big_a, b0, b1, b2, w4, q1, q0), te in zip(starmap(_normal_side, sides), ends):
-            sb, ab, qb = math.copysign(1.0, b), abs(b), 0.5 * math.erfc(abs(bc) * _SQRT_HALF)
-            for t in te:
-                p = points.get((a, b, t))
-                if p is None:
-                    key, u = (a, b, t), a * t + b
-                    u = u if u > 0.0 else 0.0
-                    # on a steep side u leads, and t and s = c (t - m) follow from it
-                    t, ns = ((u - b) / a, (b / c / c - u) * c / a) if abs(a) > 1.0 else (t, (m - t) * c)
-                    g, qu, qt = t + a * u, 0.5 * math.erfc(u * _SQRT_HALF), 0.5 * math.erfc(t * _SQRT_HALF)
-                    # T(bc, g / b) less its limit sb Q(|bc|) / 2 at t -> inf, and T(t, u / t) - Q(t) / 2,
-                    # are sb [Q(g / c) (1/2 - Q(|bc|)) - T(g / c, |b| / g)] where g > |b| and Q(u) (1/2 -
-                    # Q(t)) - T(u, t / u) where u >= t: small in far tails.  b = 0 gives g > 0 (ns = -s)
-                    if g > ab:
-                        h1, x1, r, s1 = g / c, ab / g, sb * 0.5 * math.erfc(g / c * _SQRT_HALF) * (0.5 - qb), -sb
-                    else:
-                        h1, x1, r, s1 = bc, g / b, -0.5 * sb * qb, 1.0
-                    if u >= t:
-                        h2, x2, r, s2 = u, t / u, r + qu * (0.5 - qt), -1.0
-                    else:
-                        h2, x2, r, s2 = t, u / t, r - 0.5 * qt, 1.0
-                    p = points[key] = (len(hs), s1, s2, r, t, math.exp(-0.5 * t * t) * qu, ns,
-                                       0.5 * math.erfc(-ns * _SQRT_HALF), math.exp(-0.5 * ns * ns))
-                    hs += h1, h2
-                    xs += x1, x2
-                i, s1, s2, r, t, eq, ns, qs, es = p
-                terms.append((i, w4, s1, s2, r, eq * (q1 * t + q0), qs * big_a, es * (b0 - ns * (b1 - ns * b2))))
-        owen = _special.owens_t(hs, xs).tolist()
-        f = [w4 * (s1 * owen[i] + s2 * owen[i + 1] + r) - x - y - z for i, w4, s1, s2, r, x, y, z in terms]
-        return [x1 - x0 for x0, x1 in zip(f[::2], f[1::2])]
-    if not sides:
-        return []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # far tails are 0 in floats
-        t, (a, b, kappa, beta, gamma, tail, sign) = _columns(ends, 2), _columns(sides, 7)
-        u = a * t + b
-        t = np.where(np.abs(a) > 1.0, (u - b) / a, t)  # on a steep side u leads and t follows
-        if pair[1] == "exp":
-            poly = {(1, 0): kappa, (1, 1): kappa, (0, 0): beta + 2.0 * gamma, (0, 1): beta + gamma}
-        else:
-            poly = {(1, 1): 2.0 * kappa, (0, 1): 2.0 * beta, (0, 0): 4.0 * gamma}
-        if tail.any():
-            poly[2, 0] = tail if pair[1] == "exp" else 2.0 * tail
-        value = 0.0
-        if pair[1] == "phi":  # k1 = exp(-t)
-            lin1, lin0 = kappa - gamma * a, beta - gamma * b
-            f = -2.0 * np.exp(-t) * _special.ndtr(-u) * (lin1 * (t + 1.0) + lin0)
-            poly[1, 0], poly[0, 0] = -2.0 * a * lin1, poly[0, 0] - 2.0 * a * (lin1 + lin0)
-            value = f[1] - f[0]
-        return (sign * (value + _along(pair, poly, t[0], t[1], u[0], u[1], a))).tolist()
-
-
-def _straddling(f1: ConsonantBBD, f2: ConsonantBBD, cells):
-    """The scalar product's rule over the cells its closed forms cannot
-    take, as a function of its nodes per piece.
-
-    On a cell the overlap alpha z1 + beta + c1 z2 and the hull h = d1 z1 +
-    d2 z2 + d0 of the Jaccard degree are both linear, so the degree is
-    smooth along each level line of h and the cell is integrated in h and
-    along those lines, each in the unit variable in which it is at most as
-    steep as 1; within a piece between the cell's corner values of h each
-    end of a line stays on one side of the cell and moves linearly in h.
-    n Gauss-Legendre nodes across each piece and n along each line carry
-    m1 m2 overlap and 1 / h.  ``cells`` holds (z0, z1, p_lo, q_lo, p_hi,
-    q_hi, alpha, beta, c1) per cell.
-    """
-    s, kernels = (f1.scale, f2.scale), (f1.shape.kernel, f2.shape.kernel)
-    n1, n2, log_ratio = 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope, math.log(_HULL_RATIO)
-    parts = ([], [])
-    for z0, z1, pl, ql, ph, qh, alpha, beta, c1 in cells:
-        d1, d2, d0 = n1 - alpha, n2 - c1, -beta
-        den, over = (d1, d2), (alpha, c1)
-        x = int(abs(den[0]) * s[0] > abs(den[1]) * s[1])
-        y, hy, sx, sy = 1 - x, den[1 - x], s[x], s[1 - x]
-        slope = -den[x] / hy
-        # the sides e1 z1 + e2 z2 <= f, each a bound (f + e_y d0 / hy - e_y h / hy) / k on z_x
-        sides = []
-        for e1, e2, f in ((-1.0, 0.0, -z0), (1.0, 0.0, z1), (pl, -1.0, -ql), (-ph, 1.0, qh)):
-            ex, ey = (e1, e2) if x == 0 else (e2, e1)
-            k = ex + ey * slope
-            if k:  # a side parallel to the lines bounds no part of them
-                sides.append((k, (f + ey * d0 / hy) / k, -ey / (hy * k)))
-        corners = sorted(d1 * z + d0 + d2 * (p * z + q) for z in (z0, z1) for p, q in ((pl, ql), (ph, qh)))
-        for h0, h1 in zip(corners, corners[1:]):
-            if not h1 > h0:
-                continue
-            mid = 0.5 * (h0 + h1)
-            lo = max((side for side in sides if side[0] < 0.0), key=lambda side: side[1] + side[2] * mid)
-            hi = min((side for side in sides if side[0] > 0.0), key=lambda side: side[1] + side[2] * mid)
-            # 1 / h has its pole at h = 0: parts spanning a ratio of at most _HULL_RATIO
-            m = max(1, math.ceil(math.log(h1 / h0) / log_ratio - 1e-9)) if 0.0 < h0 and h1 / h0 < math.inf else 1
-            cuts = [h0 * (h1 / h0) ** (j / m) for j in range(m)] + [h1] if m > 1 else [h0, h1]
-            # the overlap over |hy s_y| in the unit variables, ox x + o0 + oy y
-            scale = 1.0 / abs(hy * sy)
-            parts[x].extend((lo_h, hi_h - lo_h, lo[1] / sx, lo[2] / sx, hi[1] / sx, hi[2] / sx, -d0 / (hy * sy),
-                             1.0 / (hy * sy), slope * sx / sy, scale * over[x] * sx, scale * beta,
-                             scale * over[y] * sy) for lo_h, hi_h in zip(cuts, cuts[1:]))
-    groups = [((kernels[x], kernels[1 - x]), [c[:, None, None] for c in _columns(rows, 12)])
-              for x, rows in enumerate(parts) if rows]
-
-    def rule(n):
-        """The sum at n nodes per piece, in blocks of at most _RULE_BLOCK points."""
-        # one request per axis and pass, across h and along the lines: the
-        # benchmark tracer (perfbench/tracer.py) counts passes as requests / 2
-        h_nodes, h_weights = nodes_and_weights(n, 0.0, 1.0)
-        nodes, weights = nodes_and_weights(n, 0.0, 1.0)
-        total = 0.0
-        for (px, py), (h0, dh, ul, vl, uh, vh, b0, b1, a, ox, o0, oy) in groups:
-            # g_x(x) g_y(y) = c x^jx y^jy exp(-ex(x) - ey(y)): Maxwell 2 u^2 phi(u), Gamma(2) u e^-u
-            jx, jy = 1 + (px == "phi"), 1 + (py == "phi")
-            c = (2.0 / _SQRT_2PI) ** (px == "phi") * (2.0 / _SQRT_2PI) ** (py == "phi")
-            step = max(1, _RULE_BLOCK // (h0.size * n))
-            for j in range(0, n, step):
-                h = h0 + dh * h_nodes[j:j + step, None]
-                t0 = ul + vl * h
-                width = np.maximum(uh + vh * h, t0) - t0
-                t = t0 + width * nodes
-                u = a * t + b0 + b1 * h
-                f = np.exp(-(0.5 * t if jx == 2 else 1.0) * t - (0.5 * u if jy == 2 else 1.0) * u)
-                f *= t**jx * u**jy * (ox * t + o0 + oy * u)
-                total += c * float(np.sum(h_weights[j:j + step, None] * dh / h * width * (f @ weights)[..., None]))
-        return total
-
-    return rule
-
-
-def _within_reach(f: ConsonantBBD) -> ConsonantBBD:
-    reach = f.shape.reach * f.scale
-    return f if f.support_bound <= reach else replace(f, support_bound=reach)
-
-
-# The inclusions' rule: _NODES Gauss-Legendre nodes on each piece, pieces at
-# most _WIDTH units wide in f2's unit and in f1's
+# The rule of every consonant measure: _NODES Gauss-Legendre nodes on each
+# piece, pieces at most _WIDTH units wide in f2's unit and in f1's
 _NODES, _WIDTH = 32, 8.0
+_SQRT_HALF, _SQRT_2PI, _SQRT_2_OVER_PI = math.sqrt(0.5), math.sqrt(2.0 * math.pi), math.sqrt(2.0 / math.pi)
 _RULE = QuadratureMeta(_NODES, math.nan)
 # Bel1 of a normal f1, erf(r / sqrt 2) - sqrt(2 / pi) r e^(-r^2 / 2), cancels below r = 0.5 to errors of 1.5e-16: in
 # sums below _SERIES_BELOW those points take ten terms of sqrt(2 / pi) sum (-1)^n r^(2n+3) / (2^n n! (2n+3))
@@ -564,64 +245,95 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     return value
 
 
-def _closed_form(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig) -> float:
-    """The scalar product of f1 and f2 from one walk of ``_cells``.
+# The scalar product's rule grades its pieces at ratio _GRADE toward a log
+# singularity of Jac1, down to _GRADE^-_DEPTH of a piece that ends at one
+_GRADE, _DEPTH = 8.0, 4
+_TINY = 1e-300  # a floor for denominators whose numerators vanish with them
 
-    On a met cell the overlap is lambda = alpha z1 + beta + c1 z2 and the
-    Jaccard degree lambda / hull.  Where I2 sits in I1 the hull is |I1|, so
-    the inner integral of m2 lambda / |I1| is a difference between the
-    cell's sides z2 = p z1 + q of [lambda T0 + c1 s2 S] / |I1|, one
-    ``_sides`` each.  Where I1 sits in I2 the degree is n1 z1 / (n2 z2),
-    whose z2 integral is the kernel tail K of f2 between the sides, so each
-    side adds one ``_sides`` with tail = n1 s1 / (n2 s2).
 
-    The rule of ``_straddling``, refined by ``_refine`` from
-    ``cfg.points_per_axis`` nodes per piece, takes the cells where the
-    focals straddle, and those where gamma = c1 s2 / (n1 s1) or the tail
-    exceed _THIN, whose sides would cancel.
+def _pieces(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
+    """f1's support K1 in its unit, and the pieces (u0, width) of the scalar
+    product's rule over u = z2 / s2 on which I2 meets f1's support.
+
+    I2's ends lie at A = (off + lo2 s2 u) / s1 and B = (off + s2 u) / s1 in
+    f1's unit.  Jac1 has kinks where A or B crosses 0 or +-K1 and, for a
+    normal f1, where A + B = 0 and ``_jaccard`` reflects I2.  Pieces are at
+    most _WIDTH wide in u and in f1's unit.  Unless both operands are normal,
+    Jac1 has a log singularity where the pole of 1 / hull on its straddling
+    part meets that part: where b - a = 0, at u = 0, on the pieces where I2
+    holds f1's centre or end; elsewhere, unless off = 0, where a + b = 0
+    (normal f1) or b = 0 (exponential f1).  Each piece is graded toward it.
     """
-    off = _offset(f1, f2)
-    f1, f2 = _within_reach(f1), _within_reach(f2)
-    z, rows = _cells(f1, f2, off)
-    s1, s2, n1, n2 = f1.scale, f2.scale, 1.0 - f1.shape.lo_slope, 1.0 - f2.shape.lo_slope
-    wide = n1 * s1 / (n2 * s2)
-    sides, ends, shared, ruled = [], [], None, []
-    t = [b / s1 for b in z]  # the panel ends in f1's unit
-    for i, pl, ql, ph, qh, alpha, beta, c1 in rows:
-        t0, t1, al, ah = t[i], t[i + 1], pl * s1 / s2, ph * s1 / s2
-        # a panel ending below 1e-300, where the sides start, holds no mass in floats
-        if not (max(t0, 1e-300) < t1 and abs(al) <= _STEEP and abs(ah) <= _STEEP):
+    s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
+    k1, u_max = min(f1.support_bound / s1, f1.shape.reach), min(f2.support_bound / s2, f2.shape.reach)
+    levels = (0.0, k1, -k1) if lo1 else (0.0, k1)
+    reflect = -2.0 * off / ((1.0 + lo2) * s2) if lo2 != -1.0 else math.nan  # where A + B = 0
+    cuts = [(c * s1 - off) / s2 for c in levels] + [(c * s1 - off) / (lo2 * s2) for c in levels if lo2]
+    cuts = sorted({0.0, u_max, *[u for u in cuts + [reflect] * bool(lo1) if 0.0 < u < u_max]})
+    rows = []
+    for u0, u1 in zip(cuts, cuts[1:]):
+        mid = 0.5 * (u0 + u1)
+        a, b = (off + lo2 * s2 * mid) / s1, (off + s2 * mid) / s1
+        if a >= k1 or b <= lo1 * k1:  # I2 misses f1's support
             continue
-        nested = (alpha, beta, c1) == (n1, 0.0, 0.0)  # I1 sits in I2
-        gamma = c1 * s2 / s1 / n1
-        # the rule takes the straddling cells, where neither focal holds the
-        # other, and every cell whose sides would cancel
-        if (wide > _THIN if nested else (alpha, beta, c1) != (0.0, 0.0, n2)) or abs(gamma) > _THIN:
-            if max((ph - pl) * x + qh - ql for x in (z[i], z[i + 1])) >= s2 / _STEEP:
-                ruled.append((z[i], z[i + 1], pl, ql, ph, qh, alpha, beta, c1))
-            continue
-        tail = 0.0
-        if nested:  # the Jaccard degree n1 z1 / (n2 z2): tail = n1 s1 / (n2 s2)
-            alpha, tail = 0.0, wide
-        # per side: a, b and lambda / (s1 n1) = kappa t + lam0
-        kl, ll = (alpha + c1 * pl) / n1, (beta + c1 * ql) / s1 / n1
-        if shared == (i, pl, ql):  # the last side is this line as the upper side of the cell below
-            _, _, k, l, g, tl, _ = sides[-1]
-            sides[-1] = (al, ql / s2, kl - k, ll - l, gamma - g, tail - tl, 1.0)
-        else:
-            sides.append((al, ql / s2, kl, ll, gamma, tail, 1.0))
-            ends.append((max(t0, 1e-300), t1))
-        sides.append((ah, qh / s2, (alpha + c1 * ph) / n1, (beta + c1 * qh) / s1 / n1, gamma, tail, -1.0))
-        ends.append(ends[-1])
-        shared = (i, ph, qh)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = closed = sum(_sides((f1.shape.kernel, f2.shape.kernel), ends, sides))
-        if ruled:
-            rule = _straddling(f1, f2, ruled)
-            value = _refine(lambda n: closed + rule(n), cfg.points_per_axis, cfg)[0]
-    if not math.isfinite(value):
-        raise ValueError(f"closed-form scalar of {f1.label} and {f2.label}: estimate is {value}")
-    return value
+        m = math.ceil((u1 - u0) * max(1.0, s2 / s1) / _WIDTH)
+        edges = {u0 + j * (u1 - u0) / m for j in range(m)} | {u1}
+        if not (lo1 and lo2):  # p, the singularity, is a cut or 0 (inf if there is none): never inside
+            p = 0.0 if a < 0.0 < b else math.inf if not off else reflect if lo1 else -off / s2
+            d, far = max(u0 - p, p - u1, (u1 - u0) * _GRADE ** -_DEPTH), max(u1 - p, p - u0)
+            while 0.0 < d < far:
+                q = p + d if p <= u0 else p - d
+                if u0 < q < u1:
+                    edges.add(q)
+                d *= _GRADE
+        edges = sorted(edges)
+        rows += [(e0, e1 - e0) for e0, e1 in zip(edges, edges[1:])]
+    return k1, rows
+
+
+def _jaccard(f1: ConsonantBBD, a, b, k1: float, x, w):
+    """Jac1([a, b]), f1's mean Jaccard degree against [a, b] in its unit t
+    over [0, K1], at each point; ``x``, ``w`` are the rule's unit nodes.
+
+    A normal f1, focal [-t, t], takes [-b, -a] where a + b < 0, so that
+    b >= |a|.  Its degree is 2 t / (b - a) on [0, -a] (I1 inside I2), the
+    straddling (t - a) / (t + b) on [|a|, b] and (b - a) / (2 t) on [b, K1]
+    (I2 inside I1).  An exponential f1, focal [0, t], has (t - a) / b on
+    [a, b] then (b - a) / t where a >= 0, and t / (b - a) on [0, b] then the
+    straddling b / (t - a) where a < 0.  The nested pieces are moments of
+    g1 in closed form.  The normal's straddling piece takes the rule on
+    parts at most _WIDTH wide, over which its hull varies by at most 2x; the
+    exponential's is b [e^-t + a e^-a E1(t - a)] between its ends, with E1
+    the exponential integral.
+    """
+    if f1.shape.lo_slope:  # g1 = sqrt(2 / pi) t^2 e^(-t^2 / 2)
+        flip = a + b < 0.0
+        a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+        hi, inner = np.minimum(b, k1), np.minimum(np.maximum(-a, 0.0), k1)
+        # the integral of t g1 over [0, y] is 2 sqrt(2 / pi) P(2, y^2 / 2), of g1 / t beyond y sqrt(2 / pi) e^(-y^2 / 2)
+        value = 2.0 * _SQRT_2_OVER_PI * (2.0 * _special.gammainc(2.0, 0.5 * inner * inner) / np.maximum(b - a, _TINY)
+                                         + 0.25 * (b - a) * (np.exp(-0.5 * hi * hi) - math.exp(-0.5 * k1 * k1)))
+        on = np.flatnonzero(np.abs(a) < hi)  # the points with a straddling part, where t + b >= b > 0
+        if on.size:
+            parts = math.ceil(k1 / _WIDTH)
+            if parts > 1:
+                x, w = ((x + np.arange(parts)[:, None]) / parts).ravel(), np.tile(w, parts) / parts
+            a, b, lo = a[on, None], b[on, None], np.abs(a[on])
+            span = hi[on] - lo
+            t = lo[:, None] + span[:, None] * x
+            tt = t * t
+            value[on] += _SQRT_2_OVER_PI * span * (((t - a) / (t + b) * tt * np.exp(-0.5 * tt)) @ w)
+        return value
+    # g1 = t e^-t: the integral of t g1 over [0, y] is 2 P(3, y), of (t - a) g1 over [a, a + d]
+    # e^-a [2 P(3, d) + a P(2, d)] and of g1 / t beyond y e^-y
+    ya, yb = np.clip(a, 0.0, k1), np.clip(b, 0.0, k1)
+    tail, p3 = np.exp(-yb) - math.exp(-k1), _special.gammainc(3.0, np.stack((yb - ya, yb)))
+    right = (np.exp(-ya) * (2.0 * p3[0] + ya * _special.gammainc(2.0, yb - ya)) / np.maximum(b, _TINY)
+             + (b - a) * tail)
+    a, b = np.minimum(a, 0.0), np.maximum(b, 0.0)  # where I2 holds f1's end; the other points take right
+    e1 = _special.exp1(np.maximum(np.stack((yb - a, k1 - a)), _TINY))
+    holds = 2.0 * p3[1] / np.maximum(b - a, _TINY) + b * (tail + a * np.exp(-a) * (e1[0] - e1[1]))
+    return np.where(a < 0.0, holds, right)
 
 
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:

@@ -1,11 +1,7 @@
-"""Gauss-Legendre nodes, the refinement loop and a Monte Carlo cross-check.
+"""Gauss-Legendre nodes, the configuration and a Monte Carlo cross-check.
 
-The inclusions, the scalar product's straddling cells and the generic
-cross-check take Gauss-Legendre rules, bit for bit reproducible per
-configuration.  ``_refine`` doubles the scalar product's nodes per piece
-until two estimates agree to 1e-4 relative or the budget is spent; the
-last change is the error.
-
+Every consonant measure and the generic cross-check take Gauss-Legendre
+rules with a fixed number of nodes per piece, bit for bit reproducible.
 ``mc_estimate`` provides a seeded Monte Carlo estimate of E[ratio] under a
 product sampler.  It is the slow second opinion used to validate the
 quadrature, not a replacement for it.
@@ -29,8 +25,6 @@ __all__ = [
 ]
 
 
-_REFINE_REL_TOL = 1e-4  # _refine stops once successive estimates agree to this
-
 # Largest truncation, in scale units.  With it lifted, every self anchor
 # (2/pi of the N(0,1) scalar product among them) is within 1.2e-16 at k =
 # 1000, 3000 and 10000, and N(0,1) with N(0.5,0.7) moves by under 1e-15 from
@@ -46,17 +40,17 @@ def check_truncation_k(k: float):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution and truncation policy of the consonant measures.
+    """Truncation policy of the consonant measures.
 
-    ``truncation_k`` reaches every measure through the operands; the other
-    two fields govern only the scalar product's rule, on the cells its
-    closed forms cannot take (see ``cbf.measures``); the inclusions' is fixed.
+    ``truncation_k`` reaches every measure through the operands.  The other
+    two fields govern nothing: every measure takes one rule of 32 nodes per
+    piece (see ``cbf.measures``).  They are still accepted and validated, so
+    that configurations built for the refined rules they once set keep working.
 
-    points_per_axis     Gauss-Legendre nodes per piece and per line of that
-                        rule (>= 16)
+    points_per_axis     an integer >= 16
     truncation_k        half-width of integration domains in scale units,
                         in (0, 1000]
-    refine_max_doublings  doubling budget for refinement (0 disables it)
+    refine_max_doublings  an integer >= 0
     """
 
     points_per_axis: int = 16
@@ -111,33 +105,6 @@ def _check_finite(vals, where: str):
         return
     idx = np.unravel_index(int(np.argmin(np.isfinite(vals))), np.shape(vals))
     raise ValueError(f"integrand returned a non-finite value at grid index {idx} ({where})")
-
-
-def _refine(estimate, n0: int, cfg: QuadratureConfig):
-    """Double the nodes per panel until the estimate settles.
-
-    Returns (value, points, est_error) where est_error is the absolute
-    change over the last doubling (nan if no doubling happened).  Raises
-    ``ValueError`` on a non-finite estimate, for example when a density
-    overflows at a tiny scale.
-    """
-    n = n0
-    value = _finite(estimate(n), n)
-    err = math.nan
-    for _ in range(cfg.refine_max_doublings):
-        n *= 2
-        new = _finite(estimate(n), n)
-        err = abs(new - value)
-        value = new
-        if err <= _REFINE_REL_TOL * max(abs(new), 1e-12):
-            break
-    return value, n, err
-
-
-def _finite(value: float, n: int) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"quadrature estimate is {value} at {n} nodes per panel")
-    return value
 
 
 def mc_estimate(sampler, integrand_ratio, n: int, seed: int = 0):

@@ -329,7 +329,7 @@ class TestRunSweep:
 class TestCli:
     def test_tables_markdown(self, capsys):
         rc = main(["tables", "--dists", "normal:0,1", "normal:0,0.5",
-                   "--measures", "incstr", "--grid", "128"])
+                   "--measures", "incstr"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "### incstr" in out
@@ -338,7 +338,7 @@ class TestCli:
     def test_tables_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         rc = main(["tables", "--dists", "normal:0,1", "exp:2", "--measures",
-                   "incstr,incpar", "--format", "csv", "--grid", "128",
+                   "incstr,incpar", "--format", "csv",
                    "--out", str(out)])
         assert rc == 0
         assert capsys.readouterr().out == ""
@@ -354,7 +354,7 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--fixed", "normal:0,1", "--mu2", "0:1:0.5",
                    "--sigma2", "0.5:1:0.5", "--measure", "incpar",
-                   "--direction", "1in2", "--grid", "128", "--out", str(out)])
+                   "--direction", "1in2", "--out", str(out)])
         assert rc == 0
         text = out.read_text()
         lines = text.strip().split("\n")

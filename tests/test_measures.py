@@ -458,8 +458,24 @@ class TestNonFiniteEstimates:
             return np.linspace(lo, hi, n), np.full(n, np.inf)
 
         monkeypatch.setattr(cbf.measures, "nodes_and_weights", overflowing)
-        with pytest.raises(ValueError, match="estimate is (inf|nan)"):
+        with pytest.raises(ValueError, match=f"{re.escape(F1.label)} and {re.escape(F4.label)}: estimate is (inf|nan)"):
             measure(F1, F4, CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_product_names_both_operands(self, bad, monkeypatch):
+        # one non-finite weight spoils the sum, which raises naming the
+        # operands in the caller's order, whichever the rule takes as f1
+        real = cbf.measures.nodes_and_weights
+
+        def spoiled(n, lo, hi):
+            x, w = real(n, lo, hi)
+            return x, np.where(np.arange(n) == 0, bad, w)
+
+        monkeypatch.setattr(cbf.measures, "nodes_and_weights", spoiled)
+        for f1, f2 in ((F1, F4), (F4, F1)):
+            with pytest.raises(ValueError, match=f"scalar product of {re.escape(f1.label)} and "
+                                                 f"{re.escape(f2.label)}: estimate is (nan|inf|-inf)"):
+                scalar_product(f1, f2, CFG)
 
     def test_closed_form_raises(self, monkeypatch):
         # a node of the inclusions' rule that is not finite meets the rule's

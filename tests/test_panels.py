@@ -1,7 +1,7 @@
-"""The inclusions' rule, and the cell map and rule of the scalar product.
+"""The rules of the inclusions and of the scalar product, and their pieces.
 
 Anchors are closed forms or mpmath values; the other references are
-independent of the measures and of the panel splitter (scipy's adaptive
+independent of the measures and of the piece tables (scipy's adaptive
 quadrature with hand-placed breakpoints or over the endpoint crossings of
 ``oracles.inclusion_by_crossings``, or the same measure integrated in the
 other order).
@@ -22,17 +22,18 @@ from scipy.integrate import quad
 import cbf.measures
 from cbf.cli import build_parser
 from cbf.consonant import consonant_from_exponential, consonant_from_normal, parse_distribution
-from cbf.intervals import delta_inc_strict, overlap
+from cbf.intervals import jaccard_delta
 from cbf.measures import (
-    _cells,
-    _kinks,
+    _jaccard,
+    _order,
+    _pieces,
     distance,
     inc_partial,
     inc_partial_reversed,
     inc_strict,
     scalar_product,
 )
-from cbf.quadrature import _REFINE_REL_TOL, QuadratureConfig
+from cbf.quadrature import QuadratureConfig
 from oracles import inclusion_by_crossings
 
 CFG = QuadratureConfig()
@@ -86,7 +87,7 @@ def test_self_anchor(measure, f, exact):
 
 def test_scalar_product_symmetric_on_reference_family():
     for a, b in itertools.combinations(REFERENCE_FAMILY, 2):
-        assert abs(_scalar(a, b) - _scalar(b, a)) < 1e-12
+        assert _scalar(a, b) == _scalar(b, a)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
@@ -129,12 +130,11 @@ def test_partial_inclusion_against_nested_adaptive_quadrature():
 
 @pytest.mark.parametrize("a,b", list(itertools.combinations(range(3), 2)))
 def test_scale_separated_pairs_agree_in_both_integration_orders(a, b):
-    # sigma ratios of 1e3 between the stress operands: each ordering puts
-    # the other operand on the outer axis, so agreement checks the scalar
-    # product's rule on the straddling cells with its level lines along
-    # either operand, and the partial inclusion against the reversed reference
+    # sigma ratios of 1e3 between the stress operands: the scalar product
+    # takes the wider operand as f1 in either order, and the partial
+    # inclusion agrees with the reference integrated in the other order
     fa, fb = STRESS_FAMILY[a], STRESS_FAMILY[b]
-    assert abs(_scalar(fa, fb) - _scalar(fb, fa)) < 1e-12
+    assert _scalar(fa, fb) == _scalar(fb, fa)
     assert abs(_partial(fa, fb) - inclusion_by_crossings(fa, fb, "partial", outer=1)) < 1e-12
 
 
@@ -143,10 +143,11 @@ def test_scale_separated_pairs_agree_in_both_integration_orders(a, b):
     (consonant_from_exponential(1.5), consonant_from_normal(-0.5, 2.0)),
     (STRESS_FAMILY[1], STRESS_FAMILY[0]),
 ])
-def test_pair_rule_integrates_the_product_density(f1, f2):
-    # the met cells of the walk hold the product mass of the region where
-    # the focals meet (disjoint cells are dropped), however the kink lines
-    # cut the rectangle; for each z1 that region is the ray z2 > L(z1)
+def test_pair_rule_integrates_the_product_density(monkeypatch, f1, f2):
+    # with Jac1 replaced by the mass of f1's focals that meet I2, the scalar
+    # product's rule gives the product mass of the region where the focals
+    # meet, however its pieces cut and grade u and whichever operand it takes
+    # as f1; for each z1 that region is the ray z2 > L(z1)
     off, lo1, lo2 = f2.location - f1.location, f1.shape.lo_slope, f2.shape.lo_slope
     z1_max, z2_max = f1.support_bound, f2.support_bound
 
@@ -163,98 +164,79 @@ def test_pair_rule_integrates_the_product_density(f1, f2):
     ref, _ = quad(lambda z1: f1.density(z1) * inner(z1), 0.0, z1_max,
                   points=[z for z in kinks if 0.0 < z < z1_max] or None,
                   epsabs=1e-15, epsrel=1e-13, limit=200)
-    breaks, rows = _cells(f1, f2, off)
-    cells = sum(quad(lambda z1: f1.density(z1) * (f2.tail_mass(pl * z1 + ql) - f2.tail_mass(ph * z1 + qh)),
-                     breaks[i], breaks[i + 1], epsabs=1e-15, epsrel=1e-13, limit=200)[0]
-                for i, pl, ql, ph, qh, *_ in rows)
-    assert abs(cells - ref) < 1e-13
+
+    def meeting(g1, a, b, k1, x, w):
+        # I1(t) = [lo1 t, t] meets [a, b] iff t > a and lo1 t < b
+        start = np.maximum(a, -b) if g1.shape.lo_slope else np.where(b > 0.0, a, np.inf)
+        return g1.shape.tail(np.clip(start, 0.0, k1)) - g1.shape.tail(k1)
+
+    monkeypatch.setattr(cbf.measures, "_jaccard", meeting)
+    assert abs(_scalar(f1, f2) - ref) < 1e-13
 
 
 @pytest.mark.parametrize("family", [REFERENCE_FAMILY, STRESS_FAMILY, RANDOM_FAMILY],
                          ids=["reference", "stress", "random"])
-def test_cell_map_sorts_every_point_by_how_the_focals_meet(family):
-    # random points of every outer panel lie in exactly one kept cell where
-    # the focals meet and in none where they are disjoint; on its kept cell
-    # the overlap of a point is the cell's alpha*z1 + beta + c1*z2 up to the
-    # rounding of terms of size |off| + z1 + z2, and the cell is nested,
-    # (alpha, beta, c1) == (1 - lo1, 0, 0) exactly, where I1 sits in I2
+def test_jaccard_matches_the_degree_on_every_piece(family):
+    # at random points of every piece of every pair, Jac1 of the ends of I2
+    # agrees with the Jaccard degree integrated over f1's focals by scipy,
+    # split at the kinks |a| and |b|
     rng = np.random.default_rng(5)
+    x, w = np.polynomial.legendre.leggauss(32)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
     for f1, f2 in itertools.product(family, repeat=2):
-        off = f2.location - f1.location
-        outer, rows = _cells(f1, f2, off)
-        panel, lo_p, lo_q, hi_p, hi_q, *coef = np.array(rows).reshape(-1, 8).T[..., None]
-        nested = (coef[0] == 1.0 - f1.shape.lo_slope) & (coef[1] == 0.0) & (coef[2] == 0.0)
-        for i in range(len(outer) - 1):
-            z1 = rng.uniform(outer[i], outer[i + 1], 256)
-            z2 = rng.uniform(0.0, f2.support_bound, 256)
-            mine = panel[:, 0] == i
-            kept = (lo_p[mine] * z1 + lo_q[mine] < z2) & (z2 < hi_p[mine] * z1 + hi_q[mine])
-            a1, a2 = f1.shape.lo_slope * z1, f2.shape.lo_slope * z2 + off
-            meet = overlap(a1, z1, a2, z2 + off)
-            where = (f1.label, f2.label, i)
-            np.testing.assert_array_equal(kept.sum(axis=0), meet > 0.0, err_msg=str(where))
-            alpha, beta, c1 = (c[mine] for c in coef)
-            gap = np.abs(alpha * z1 + beta + c1 * z2 - meet)[kept]
-            np.testing.assert_array_less(gap, 8e-16 * (abs(off) + z1 + z2)[kept.nonzero()[1]],
-                                         err_msg=str(where))
-            np.testing.assert_array_equal((nested[mine] & kept).any(axis=0),
-                                          delta_inc_strict(a1, z1, a2, z2 + off) == 1.0, err_msg=str(where))
+        if _order(f2) > _order(f1):
+            continue
+        off, lo1 = f2.location - f1.location, f1.shape.lo_slope
+        k1, rows = _pieces(f1, f2, off)
+        u = np.array([u0 + h * rng.uniform(0.0, 1.0, 3) for u0, h in rows]).ravel()
+        a, b = (off + f2.shape.lo_slope * f2.scale * u) / f1.scale, (off + f2.scale * u) / f1.scale
+        jac = _jaccard(f1, a, b, k1, x, w)
+        for ai, bi, value in zip(a, b, jac):
+            def degree(t):
+                return f1.shape.density(t) * jaccard_delta(lo1 * t, t, ai, bi)
+            kinks = [t for t in (abs(ai), abs(bi)) if 0.0 < t < k1]
+            ref, _ = quad(degree, 0.0, k1, points=kinks or None, epsabs=1e-15, epsrel=1e-13, limit=200)
+            assert abs(value - ref) <= 1e-15, (f1.label, f2.label, ai, bi)
 
 
 def test_kinks_of_offset_normals():
-    # equal supports 8, offset 1: lines z2 = z1 + 1, z2 = 1 - z1, z2 = z1 - 1
-    # and outer breaks at the offset and at Z2 - offset
-    lines, outer = _kinks(N01, consonant_from_normal(1.0, 1.0), 1.0)
-    assert lines == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
-    assert outer == [0.0, 1.0, 7.0, 8.0]
+    # equal supports 8, offset 1: I2's ends in f1's unit are 1 - u and 1 + u,
+    # which cross 0 at u = 1 and 8 at u = 7; two normals are not graded
+    k1, rows = _pieces(N01, consonant_from_normal(1.0, 1.0), 1.0)
+    assert k1 == 8.0
+    assert [u0 for u0, _ in rows] + [sum(rows[-1])] == [0.0, 1.0, 7.0, 8.0]
 
 
 def test_kinks_of_normal_in_exponential_are_vertical():
-    # I2 = [0, z2] has a fixed lower end, so a1 = 3 - z1 meets it at z1 = 3
-    # whatever z2 is
-    _, outer = _kinks(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
-    assert 3.0 in outer
+    # I2 = [0, z2] has a fixed lower end, 6 of f1's scales below its centre:
+    # the kink of Jac1 at t = |A| stays put, and u is cut only where B
+    # crosses 0 (u = 3) and K1 (u = 7) and where I2 is reflected, A + B = 0
+    # (u = 6); Jac1's log singularities, u = 0 and 6, lie too far from the
+    # pieces they bear on for any grading
+    _, rows = _pieces(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
+    assert rows == [(0.0, 3.0), (3.0, 3.0), (6.0, 1.0), (7.0, 1.0)]
 
 
-def test_refinement_stops_after_one_doubling_on_smooth_panels(monkeypatch):
-    # the scalar product's rule: est_error is the change over that
-    # doubling, a bound on the coarser rule
-    real, seen = cbf.measures._refine, []
-    monkeypatch.setattr(cbf.measures, "_refine", lambda *args: seen.append(real(*args)) or seen[-1])
-    scalar_product(N01, consonant_from_normal(0.5, 0.7), CFG)
-    [(value, points, est_error)] = seen
-    assert points == 2 * CFG.points_per_axis
-    assert est_error <= _REFINE_REL_TOL * value
-
-
-def test_scalar_product_rule_runs_in_bounded_blocks(monkeypatch):
-    # the straddling cells' pieces x 512 x 512 nodes would peak near 75 MB
-    # in one block; blocks of 64 points peak near 0.2 MB and sum to the same
-    # value
-    f2, cfg = consonant_from_normal(0.5, 0.7), QuadratureConfig(points_per_axis=512, refine_max_doublings=0)
-    whole = scalar_product(N01, f2, cfg)
-    monkeypatch.setattr(cbf.measures, "_RULE_BLOCK", 64)
+def test_scalar_product_rule_runs_in_bounded_memory():
+    # no setting sizes the rule: its pieces and the normal's straddling part
+    # are bounded by the shapes' reach, so the widest point set, a normal
+    # against an exponential graded over 40 units at k = 40, peaks near
+    # 1.1 MB; the first pass loads scipy.special, outside the trace
+    pairs = [(f1, f2) for k in (8.0, 40.0)
+             for f1, f2 in itertools.product([parse_distribution(spec, k) for spec in
+                                              ("exp:1", "normal:0.3,0.6", "normal:0.5,1", "normal:0,0.001")], repeat=2)]
+    for f1, f2 in pairs:
+        scalar_product(f1, f2)
     tracemalloc.start()
     try:
-        blocked = scalar_product(N01, f2, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = 0
+        for f1, f2 in pairs:
+            tracemalloc.reset_peak()
+            scalar_product(f1, f2)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
-    assert peak < 500_000
-
-
-def test_scalar_product_blocks_bound_memory_at_the_default_size():
-    # 8 cells x 512 x 512 node pairs: the default blocks of 2^18 node pairs
-    # peak near 15 MB; blocks of 2^22 held about 118 MB
-    cfg = QuadratureConfig(points_per_axis=512, refine_max_doublings=0)
-    tracemalloc.start()
-    try:
-        scalar_product(N01, consonant_from_normal(0.5, 0.7), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32_000_000
+    assert peak < 4_000_000
 
 
 # 40-digit values (mpmath, dps=40) of the integral over 0 < z1 < Z2 - off of
@@ -309,11 +291,26 @@ def test_tiny_partial_inclusions_hold_an_absolute_floor(k, exact):
     assert abs(value - exact) <= 1e-20
 
 
+# 18-digit values (mpmath, dps=20: a nested mp.quad split at the inner kinks
+# +-a, +-b and at the outer cuts) of the scalar products of offset pairs,
+# which the concentric forms of tests/test_reference.py do not reach
+@pytest.mark.parametrize("spec1, spec2, exact", [
+    ("exp:2", "normal:0,1", 0.264119561359298136),
+    ("normal:0,1", "normal:0.5,0.7", 0.526840003027276427),
+    ("normal:0,1", "normal:4,0.5", 0.00100991161732234966),
+    ("normal:0.5,1", "normal:0,0.001", 0.00112362789800366995),
+])
+def test_scalar_product_of_offset_pairs_against_mpmath(spec1, spec2, exact):
+    f1, f2 = parse_distribution(spec1), parse_distribution(spec2)
+    assert abs(scalar_product(f1, f2) - exact) <= 1e-15
+    assert abs(scalar_product(f2, f1) - exact) <= 1e-15
+
+
 def test_cli_quadrature_flags_default_to_the_config():
+    # --trunc-k is the one quadrature flag: the rules' nodes are fixed
     args = build_parser().parse_args(["tables", "--dists", "normal:0,1", "exp:2"])
-    assert args.grid == QuadratureConfig().points_per_axis
     assert args.trunc_k == QuadratureConfig().truncation_k
-    for gone in (["--rule", "midpoint"], ["--seed", "1"], ["--tol", "1e-6"]):
+    for gone in (["--rule", "midpoint"], ["--seed", "1"], ["--tol", "1e-6"], ["--grid", "128"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--dists", "normal:0,1", *gone])
 
@@ -448,22 +445,20 @@ OPERANDS = st.builds(lambda normal, e, shift: _operand(normal, 10.0 ** e, shift 
 
 @given(OPERANDS, OPERANDS)
 def test_scalar_product_operand_order_gap_holds_at_random(f1, f2):
-    assert abs(_scalar(f1, f2) - _scalar(f2, f1)) <= 1e-13, (f1.label, f2.label)
+    assert _scalar(f1, f2) == _scalar(f2, f1), (f1.label, f2.label)
 
 
 @given(PAIRS)
 def test_contour_inclusions_take_no_cells_and_no_nodes(pair):
     # both inclusions are one pass of their own rule at every scale ratio:
-    # no cell map, no refinement, no request for the scalar product's nodes
-    # and no read of its thin-cell switch
+    # no request for the scalar product's pieces, kernel or nodes
     def forbidden(*args, **kwargs):
-        raise AssertionError("an inclusion walked the cells or asked for the scalar product's nodes")
+        raise AssertionError("an inclusion took the scalar product's pieces, kernel or nodes")
 
     f1, f2 = pair
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_closed_form", "_cells", "nodes_and_weights", "_refine"):
+        for name in ("_pieces", "_jaccard", "nodes_and_weights"):
             patch.setattr(cbf.measures, name, forbidden)
-        patch.delattr(cbf.measures, "_THIN")
         metas = [inc_strict(f1, f2).quadrature_meta, inc_partial(f1, f2).quadrature_meta]
     for meta in metas:
         assert meta.points_per_axis == 32 and math.isnan(meta.est_error)
@@ -476,9 +471,9 @@ def test_partial_inclusion_is_continuous_across_the_switch_to_the_walk(monkeypat
     # closed form takes each s2 without the cell map, agrees with the
     # reference and moves by no more than the reference gap across a float
     def forbidden(*args):
-        raise AssertionError("a partial inclusion walked the cells")
+        raise AssertionError("a partial inclusion took the scalar product's pieces")
 
-    monkeypatch.setattr(cbf.measures, "_cells", forbidden)
+    monkeypatch.setattr(cbf.measures, "_pieces", forbidden)
     switch = 16.0 * (1.0 + normal1) / (1.0 + normal2)
     values = {}
     for s2 in (switch * (1.0 - 1e-9), switch, math.nextafter(switch, math.inf), switch * (1.0 + 1e-9)):
@@ -490,12 +485,11 @@ def test_partial_inclusion_is_continuous_across_the_switch_to_the_walk(monkeypat
 
 def test_inclusions_ask_for_no_nodes(monkeypatch):
     # every inclusion reads its rule's cached nodes, never the scalar
-    # product's request or refinement, however much wider either operand is
+    # product's request, however much wider either operand is
     def forbidden(*args, **kwargs):
         raise AssertionError("an inclusion asked for the scalar product's nodes")
 
     monkeypatch.setattr(cbf.measures, "nodes_and_weights", forbidden)
-    monkeypatch.setattr(cbf.measures, "_refine", forbidden)
     for f1, f2 in itertools.product(REFERENCE_FAMILY + STRESS_FAMILY, repeat=2):
         metas = [inc(f1, f2, CFG).quadrature_meta for inc in (inc_strict, inc_partial, inc_partial_reversed)]
         for meta in metas:
@@ -503,15 +497,13 @@ def test_inclusions_ask_for_no_nodes(monkeypatch):
 
 
 def test_inclusion_of_a_thin_operand_asks_for_no_nodes(monkeypatch):
-    # N(0,0.001) in N(0.5,1), whose cells are thin against the wider
-    # operand: one pass of the inclusions' rule, no error estimate, the
-    # reversed form gives the same result and the endpoint-crossing
-    # reference agrees
+    # N(0,0.001) in N(0.5,1), a thousand times narrower: one pass of the
+    # inclusions' rule, no error estimate, the reversed form gives the same
+    # result and the endpoint-crossing reference agrees
     def forbidden(*args, **kwargs):
         raise AssertionError("an inclusion asked for the scalar product's nodes")
 
     monkeypatch.setattr(cbf.measures, "nodes_and_weights", forbidden)
-    monkeypatch.setattr(cbf.measures, "_refine", forbidden)
     narrow, wide = STRESS_FAMILY[1], STRESS_FAMILY[2]
     result = inc_partial(narrow, wide, CFG)
     assert result.quadrature_meta.points_per_axis == 32 and math.isnan(result.quadrature_meta.est_error)
@@ -519,22 +511,24 @@ def test_inclusion_of_a_thin_operand_asks_for_no_nodes(monkeypatch):
     assert abs(result.value - inclusion_by_crossings(narrow, wide, "partial")) <= REFERENCE_GAP
 
 
-@pytest.mark.parametrize("cfg,asked", [(CFG, [16, 16, 32, 32]), (QuadratureConfig(refine_max_doublings=0), [16, 16])],
-                         ids=["default", "no-refinement"])
-def test_scalar_rule_asks_for_nodes_once_per_axis_and_pass(monkeypatch, cfg, asked):
-    # the rule asks for its nodes across the hull values, then along the
-    # level lines, in every pass; smooth pairs stop after one doubling
+@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(points_per_axis=512, refine_max_doublings=0)],
+                         ids=["default", "fine-grid"])
+def test_scalar_rule_asks_for_its_nodes_once(monkeypatch, cfg):
+    # one request for the 32 unit nodes of both the outer rule and the
+    # normal's straddling part, whatever the config's legacy resolution
+    # fields say, offset or concentric; none where I2 never meets f1
     real, seen = cbf.measures.nodes_and_weights, []
 
     def counting(n, lo, hi):
-        seen.append(n)
+        seen.append((n, lo, hi))
         return real(n, lo, hi)
 
     monkeypatch.setattr(cbf.measures, "nodes_and_weights", counting)
-    assert 0.0 < scalar_product(N01, N4H, cfg) < 1.0
-    assert seen == asked
+    values = [scalar_product(N01, f2, cfg) for f2 in (N4H, consonant_from_normal(0.0, 0.5), EXP2_DEEP)]
+    assert seen == [(32, 0.0, 1.0)] * 3
+    assert values == [scalar_product(N01, f2) for f2 in (N4H, consonant_from_normal(0.0, 0.5), EXP2_DEEP)]
     seen.clear()
-    scalar_product(N01, consonant_from_normal(0.0, 0.5), cfg)  # concentric: nested cells only
+    assert scalar_product(N01, consonant_from_normal(100.0, 1.0), cfg) == 0.0
     assert seen == []
 
 
@@ -589,16 +583,15 @@ def test_gram_matrix_is_positive_semidefinite(seed):
     # IJAR 2013), so no Gram matrix may have a negative eigenvalue
     family = _gram_family(seed)
     scales = sorted(f.scale for f in family)
-    assert scales[-1] > 32.0 * scales[0]  # thin cells among the pairs
+    assert scales[-1] > 32.0 * scales[0]  # far scale ratios among the pairs
     gram = np.array([[_scalar(f1, f2) for f2 in family] for f1 in family])
     assert np.linalg.eigvalsh(0.5 * (gram + gram.T)).min() >= -1e-12
 
 
 def test_scalar_product_operand_order_gap():
-    # each order walks its own cells: the nested ones trade places and the
-    # straddling ones run their level lines along the other operand
+    # both orders take the operand of wider focals per unit of nesting as f1
     for f1, f2 in _order_gap_family():
-        assert abs(_scalar(f1, f2) - _scalar(f2, f1)) <= 1e-13, (f1.label, f2.label)
+        assert _scalar(f1, f2) == _scalar(f2, f1), (f1.label, f2.label)
 
 
 def test_names_the_benchmark_tracer_wraps_still_resolve():

@@ -16,7 +16,6 @@ import cbf
 from cbf import _special
 from cbf.quadrature import (
     QuadratureConfig,
-    _refine,
     _unit_nodes,
     mc_estimate,
     nodes_and_weights,
@@ -62,17 +61,6 @@ class TestConfigValidation:
             ref = consonant_from_normal(0.0, 1.0, float(k)), consonant_from_normal(1.0, 0.7, float(k))
             for measure in (lambda f, g: inc_strict(f, g).value, lambda f, g: inc_partial(f, g).value, scalar_product):
                 assert measure(*pair) == measure(*ref)
-
-
-class TestRefine:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_estimate_raises(self, bad):
-        with pytest.raises(ValueError, match="quadrature estimate"):
-            _refine(lambda n: bad, 16, QuadratureConfig())
-
-    def test_non_finite_refined_estimate_raises(self):
-        with pytest.raises(ValueError, match="at 32 nodes"):
-            _refine(lambda n: 1.0 if n == 16 else math.nan, 16, QuadratureConfig())
 
 
 class TestNodesAndWeights:
