@@ -239,6 +239,22 @@ def test_scalar_product_rule_runs_in_bounded_memory():
     assert peak < 4_000_000
 
 
+def test_scalar_product_blocks_bound_memory_at_the_default_size():
+    # a config asking for 512 points per axis and no refinement, at which the
+    # blocked 2-D cell rule peaked near 15 MB (118 MB before it ran in
+    # blocks), still takes the fixed 32-node rule on its pieces: about 95 kB,
+    # or 15 MB when this is the process's first product and loads
+    # scipy.special inside the trace
+    cfg = QuadratureConfig(points_per_axis=512, refine_max_doublings=0)
+    tracemalloc.start()
+    try:
+        scalar_product(N01, consonant_from_normal(0.5, 0.7), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
+
+
 # 40-digit values (mpmath, dps=40) of the integral over 0 < z1 < Z2 - off of
 # g(z1) [T((z1 + off) / s2) - T(8)], g the Maxwell density and T its tail:
 # strict inclusions far below the rounding of the terms they are summed from.
@@ -511,12 +527,14 @@ def test_inclusion_of_a_thin_operand_asks_for_no_nodes(monkeypatch):
     assert abs(result.value - inclusion_by_crossings(narrow, wide, "partial")) <= REFERENCE_GAP
 
 
-@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(points_per_axis=512, refine_max_doublings=0)],
-                         ids=["default", "fine-grid"])
-def test_scalar_rule_asks_for_its_nodes_once(monkeypatch, cfg):
-    # one request for the 32 unit nodes of both the outer rule and the
-    # normal's straddling part, whatever the config's legacy resolution
-    # fields say, offset or concentric; none where I2 never meets f1
+@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(refine_max_doublings=0),
+                                 QuadratureConfig(points_per_axis=512, refine_max_doublings=0)],
+                         ids=["default", "no-refinement", "fine-grid"])
+def test_scalar_rule_asks_for_nodes_once_per_axis_and_pass(monkeypatch, cfg):
+    # the rule runs one pass, and one request for the 32 unit nodes serves
+    # both its axes, the outer rule and the normal's straddling part,
+    # whatever the config's legacy resolution fields say, offset or
+    # concentric; none where I2 never meets f1
     real, seen = cbf.measures.nodes_and_weights, []
 
     def counting(n, lo, hi):
