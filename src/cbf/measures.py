@@ -11,7 +11,9 @@ Focal endpoints are expressed relative to each operand's location and only
 the location offset enters the degree, so translating both operands by the
 same amount reproduces results exactly.  Densities and tails are unit-scale
 shapes stretched by each operand's scale, so scaling both operands by the
-same factor changes no measure beyond rounding.
+same factor changes no measure beyond rounding, so a measure of an operand
+with itself is taken once per (shape, truncation in scales) at unit scale
+(``_self``): exact to rounding, within 2.5e-16 of the rule at its own scale.
 
 Every consonant measure is one expectation over f2's nesting variable u of
 a function of f1 at the interval I2(u), each elementary in the ends of I2
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +109,16 @@ def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
     return off
 
 
+@lru_cache(maxsize=64)
+def _self(shape, k: float, measure: str) -> float:
+    """``measure`` ("strict", "partial" or "scalar") of one object with itself,
+    which depends on its shape and truncation k in scales alone: the rule runs
+    once per key on two distinct unit-scale operands, built directly because
+    k = support_bound / scale may round past the constructors' largest k."""
+    f, g = (ConsonantBBD(shape, 0.0, 1.0, k, "unit") for _ in range(2))
+    return scalar_product(f, g) if measure == "scalar" else _inclusion(f, g, measure)
+
+
 def _order(f: ConsonantBBD):
     """The scalar product's key for f1: the wider focals per unit of nesting, ties broken by the other fields."""
     return (1.0 - f.shape.lo_slope) * f.scale, f.scale, f.location, f.support_bound
@@ -123,6 +136,8 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
     uniform signature.
     """
     off, labels = _offset(f1, f2), (f1.label, f2.label)
+    if f1 is f2:
+        return _self(f1.shape, f1.support_bound / f1.scale, "scalar")
     if _order(f2) > _order(f1):
         f1, f2, off = f2, f1, -off
     k1, rows = _pieces(f1, f2, off)
@@ -150,10 +165,13 @@ def gram_distance(n1, n2, s):
 
 
 def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
-    """Jousselme distance between f1 and f2, from three scalar products."""
+    """Jousselme distance between f1 and f2: the self products come from
+    ``_self``'s cache, so a warm call runs one pair rule, not three.  Equal
+    operands are at distance 0, where the rule and the cache may differ in
+    the last bit."""
     cfg = cfg or QuadratureConfig()
     products = (scalar_product(f1, f1, cfg), scalar_product(f2, f2, cfg), scalar_product(f1, f2, cfg))
-    return float(gram_distance(*products))
+    return 0.0 if f1 == f2 else float(gram_distance(*products))
 
 
 # The rule of every consonant measure: _NODES Gauss-Legendre nodes on each
@@ -185,6 +203,8 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     e^-K1.  Ends are clipped before they are divided by s1, which may overflow.
     """
     off = _offset(f1, f2)
+    if f1 is f2:
+        return _self(f1.shape, f1.support_bound / f1.scale, kind)
     s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
     z1, u_max = min(f1.support_bound, f1.shape.reach * s1), min(f2.support_bound / s2, f2.shape.reach)
     k1, bottom, cuts = z1 / s1, lo1 * z1, [(lo1 * z1 - off) / s2, -off / s2, (z1 - off) / s2]  # y_hi at lo1 K1, 0, K1

@@ -43,18 +43,20 @@ HALF_PLUS_INV_PI = 0.5 + 1.0 / math.pi
 
 
 def assert_same_at_extreme_scales(measure, anchor):
-    """Self-pairs far from scale 1 give ``anchor`` (normal) and the exp:2 value.
+    """Pairs of equal operands far from scale 1 give ``anchor`` (normal) and
+    the exp:2 value.
 
     The consonant shapes are unit-scale, so no scale power can under- or
-    overflow there.
+    overflow there.  The operands are distinct objects, so the rule runs at
+    their own scale rather than reading the self-pair cache.
     """
     for sigma in (1e-120, 1e110, 1e300):
-        f = consonant_from_normal(0.0, sigma)
-        assert measure(f, f) == pytest.approx(anchor, abs=1e-12)
-    e2 = consonant_from_exponential(2.0)
+        f, g = consonant_from_normal(0.0, sigma), consonant_from_normal(0.0, sigma)
+        assert measure(f, g) == pytest.approx(anchor, abs=1e-12)
+    e2 = consonant_from_exponential(2.0), consonant_from_exponential(2.0)
     for rate in (1e-200, 1e200):
-        e = consonant_from_exponential(rate)
-        assert measure(e, e) == pytest.approx(measure(e2, e2), abs=1e-12)
+        e, e_ = consonant_from_exponential(rate), consonant_from_exponential(rate)
+        assert measure(e, e_) == pytest.approx(measure(*e2), abs=1e-12)
 
 
 norm_params = st.tuples(
@@ -168,7 +170,7 @@ class TestPartialInclusion:
         assert r.value == pytest.approx(HALF_PLUS_INV_PI, abs=1e-5)
 
     def test_self_inclusion_scale_invariant(self):
-        v = inc_partial(F4, F4, CFG).value
+        v = inc_partial(F4, consonant_from_normal(4.0, 0.5), CFG).value
         assert v == pytest.approx(HALF_PLUS_INV_PI, abs=1e-5)
         assert_same_at_extreme_scales(lambda f, g: inc_partial(f, g, CFG).value, HALF_PLUS_INV_PI)
 
@@ -228,6 +230,23 @@ class TestInclusionProperties:
         assert inc_partial(fa, fb, LIGHT).value == pytest.approx(
             inc_partial(ga, gb, LIGHT).value, abs=1e-9)
 
+    @given(st.booleans(), st.booleans(), st.floats(min_value=-3.0, max_value=3.0),
+           st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-10.0, max_value=10.0),
+           st.floats(min_value=-100.0, max_value=100.0))
+    @settings(max_examples=200)
+    def test_joint_scale_invariance(self, normal1, normal2, log_ratio, t1, t2, log_c):
+        # both families in both roles, scale ratios 1e-3 to 1e3, normals up
+        # to 10 scales from the origin; scaling both operands and their
+        # offset by c moves no measure beyond rounding (the self-pair cache
+        # rests on this)
+        def make(normal, t, s):
+            return consonant_from_normal(t * s, s) if normal else consonant_from_exponential(1.0 / s)
+
+        c, s2 = 10.0 ** log_c, 10.0 ** log_ratio
+        base = make(normal1, t1, 1.0), make(normal2, t2, s2)
+        scaled = make(normal1, t1, c), make(normal2, t2, c * s2)
+        for name, measure in MEASURES.items():
+            assert abs(measure(*scaled) - measure(*base)) <= 1e-15, (name, base[0].label, base[1].label, c)
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 8.0])
     def test_strict_below_partial_at_any_truncation(self, k):
@@ -241,7 +260,8 @@ class TestInclusionProperties:
             return consonant_from_exponential(10 ** rng.uniform(-1, 1), k)
 
         pairs = [(draw(), draw()) for _ in range(30)]
-        pairs += [(f, f) for f in (consonant_from_normal(0.0, 1.0, k), consonant_from_exponential(2.0, k))]
+        pairs += [(consonant_from_normal(0.0, 1.0, k), consonant_from_normal(0.0, 1.0, k)),
+                  (consonant_from_exponential(2.0, k), consonant_from_exponential(2.0, k))]
         for fa, fb in pairs:
             assert inc_strict(fa, fb, CFG).value <= inc_partial(fa, fb, CFG).value + 1e-12
 
@@ -254,6 +274,81 @@ class TestInclusionProperties:
         assert partial == pytest.approx(0.99387680, abs=1e-8)
         # N(8, 0.1) lies in focals of exp:1 that reach past its support bound
         assert inc_strict(consonant_from_normal(8.0, 0.1), wide, CFG).value == 0.0
+
+
+# the three measures of an ordered pair, by the names the self-pair cache keys on
+MEASURES = {"strict": lambda f, g: inc_strict(f, g, CFG).value,
+            "partial": lambda f, g: inc_partial(f, g, CFG).value,
+            "scalar": lambda f, g: scalar_product(f, g, CFG)}
+
+
+class TestSelfPairCache:
+    """A measure of one object with itself is read from a cache kept per
+    (shape, truncation in scales), filled by the rule on unit-scale operands."""
+
+    @staticmethod
+    def _twins(normal, location, scale, k):
+        # two equal operands built by the same constructor call
+        if normal:
+            return tuple(consonant_from_normal(location, scale, k) for _ in range(2))
+        return tuple(consonant_from_exponential(1.0 / scale, k) for _ in range(2))
+
+    @pytest.mark.parametrize("k", [0.5, 3.7, 8.0, 20.0, 40.0, 1000.0])
+    def test_self_pair_agrees_with_an_equal_pair(self, k):
+        rng = np.random.default_rng(int(10 * k))
+        scales = [*10.0 ** rng.uniform(-6.0, 6.0, 60), 1e-300, 1e300]
+        for normal in (True, False):
+            for scale in scales:
+                f, g = self._twins(normal, rng.uniform(-10.0, 10.0) * scale, scale, k)
+                for name, measure in MEASURES.items():
+                    assert abs(measure(f, f) - measure(f, g)) <= 2.5e-16, (name, f.label, k)
+
+    @pytest.mark.filterwarnings("error")
+    def test_truncation_that_rounds_past_the_largest(self):
+        # 1000 * 0.7 / 0.7 rounds above 1000, which the constructors refuse
+        anchors = {True: {"strict": 0.5, "partial": HALF_PLUS_INV_PI, "scalar": 2.0 / math.pi},
+                   False: {"strict": 0.5, "partial": 0.75, "scalar": 0.5}}
+        for normal, values in anchors.items():
+            f, _ = self._twins(normal, 3.0, 0.7, 1000.0)
+            assert f.support_bound / f.scale > 1000.0
+            for name, measure in MEASURES.items():
+                assert measure(f, f) == pytest.approx(values[name], abs=1e-15), (name, f.label)
+
+    def test_cache_holds_one_entry_per_measure(self):
+        cache = cbf.measures._self
+        assert cache.cache_info().maxsize is not None and cache.cache_info().maxsize <= 64
+        cache.cache_clear()
+        rng = np.random.default_rng(17)
+        for scale in 10.0 ** rng.uniform(-6.0, 6.0, 10_000):
+            f = consonant_from_normal(rng.uniform(-10.0, 10.0) * scale, scale)
+            for measure in MEASURES.values():
+                measure(f, f)
+        assert cache.cache_info().currsize == 3
+
+    def test_equal_operands_are_at_distance_zero(self):
+        # the cached self products are taken at unit scale and the pair's
+        # product at the operands' own: without a check for equal operands
+        # their last bits left distances up to 1e-8 at some scales
+        rng = np.random.default_rng(3)
+        for scale in 10.0 ** rng.uniform(-6.0, 6.0, 200):
+            for normal in (True, False):
+                f, g = self._twins(normal, rng.uniform(-10.0, 10.0) * scale, scale, 8.0)
+                assert distance(f, g, CFG) == 0.0, f.label
+
+    def test_distance_runs_one_pair_rule(self, monkeypatch):
+        f1, f2 = consonant_from_exponential(2.0), consonant_from_normal(0.5, 1.0)
+        warm = distance(f1, f2, CFG)
+        calls = []
+
+        def counted(*args, _pieces=cbf.measures._pieces):
+            calls.append(args)
+            return _pieces(*args)
+
+        monkeypatch.setattr(cbf.measures, "_pieces", counted)
+        assert distance(f1, f2, CFG) == warm
+        assert len(calls) == 1
+        assert distance(f1, f1, CFG) == distance(f2, f2, CFG) == 0.0
+        assert len(calls) == 1
 
 
 class TestAverages:
@@ -394,10 +489,10 @@ class TestExtremePairs:
     def test_self_anchors_at_the_largest_normal_scale(self):
         # the focal [-8 sigma, 8 sigma] is 1.76e308 long, just below the
         # float maximum, and so is the hull of two such focals
-        f = consonant_from_normal(0.0, 1.1e307)
-        assert inc_strict(f, f, CFG).value == pytest.approx(0.5, abs=1e-12)
-        assert inc_partial(f, f, CFG).value == pytest.approx(HALF_PLUS_INV_PI, abs=1e-12)
-        assert scalar_product(f, f, CFG) == pytest.approx(2.0 / math.pi, abs=1e-12)
+        f, g = consonant_from_normal(0.0, 1.1e307), consonant_from_normal(0.0, 1.1e307)
+        assert inc_strict(f, g, CFG).value == pytest.approx(0.5, abs=1e-12)
+        assert inc_partial(f, g, CFG).value == pytest.approx(HALF_PLUS_INV_PI, abs=1e-12)
+        assert scalar_product(f, g, CFG) == pytest.approx(2.0 / math.pi, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("measure", [inc_partial, inc_partial_reversed, scalar_product])

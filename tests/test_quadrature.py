@@ -49,9 +49,9 @@ class TestConfigValidation:
             QuadratureConfig(target_rel_tol=1e-6)
 
     def test_accepts_numpy_integers(self):
-        f = consonant_from_normal(0.0, 1.0)
+        f, g = consonant_from_normal(0.0, 1.0), consonant_from_normal(0.0, 1.0)
         cfg = QuadratureConfig(points_per_axis=np.int64(32), refine_max_doublings=np.int32(1))
-        assert scalar_product(f, f, cfg) == scalar_product(f, f, QuadratureConfig(32, refine_max_doublings=1))
+        assert scalar_product(f, g, cfg) == scalar_product(f, g, QuadratureConfig(32, refine_max_doublings=1))
 
     def test_accepts_a_numpy_truncation(self):
         # a numpy float truncation_k made every support bound a numpy float,
