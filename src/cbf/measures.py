@@ -2,10 +2,12 @@
 
 Every measure is an expectation of an interval degree delta(I1(z1), I2(z2))
 under the product of the two mass densities.  For consonant operands the
-integral is taken over the nesting parameters, which keeps the domain a
-rectangle [0, Z1_max] x [0, Z2_max] regardless of the focal geometry:
-
-    E[delta] = integral m1(z1) m2(z2) delta(I1(z1), I2(z2)) dz1 dz2
+expectation over z1 is a function of f1 at the interval I2, elementary in
+its ends: f1's belief of I2 for strict inclusion, its pignistic probability
+of I2 for partial inclusion (``_inclusion``), and its mean Jaccard degree
+against I2 for the scalar product (``_jaccard``).  So every measure is one
+expectation over f2's nesting variable u = z2 / s2, taken by one
+Gauss-Legendre rule on the pieces of ``_pieces``, the one table of u's kinks.
 
 Focal endpoints are expressed relative to each operand's location and only
 the location offset enters the degree, so translating both operands by the
@@ -14,13 +16,6 @@ shapes stretched by each operand's scale, so scaling both operands by the
 same factor changes no measure beyond rounding, so a measure of an operand
 with itself is taken once per (shape, truncation in scales) at unit scale
 (``_self``): exact to rounding, within 2.5e-16 of the rule at its own scale.
-
-Every consonant measure is one expectation over f2's nesting variable u of
-a function of f1 at the interval I2(u), each elementary in the ends of I2
-and taken by one Gauss-Legendre rule on pieces cut at its kinks: f1's
-belief of I2 for strict inclusion, its pignistic probability of I2 for
-partial inclusion (``_inclusion``), and its mean Jaccard degree against I2
-for the scalar product (``_jaccard`` on the pieces of ``_pieces``).
 
 Each pair is validated once: the constructors make locations, scales and
 supports finite and ``_offset`` checks the offset, so the hot loops run
@@ -126,8 +121,13 @@ def _order(f: ConsonantBBD):
 
 def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
     """Expected Jaccard degree between the two focal families: the mean over
-    u = z2 / s2 of Jac1(I2(u)), f1's mean Jaccard degree against I2(u)
-    (``_jaccard``), by one Gauss-Legendre rule on the pieces of ``_pieces``.
+    u = z2 / s2 of Jac1(I2(u)), f1's mean Jaccard degree against I2(u) =
+    [a, b] in its unit (``_jaccard``), by one Gauss-Legendre rule on the
+    pieces of ``_pieces``, split into parts at most _WIDTH wide in u and in
+    f1's unit and graded toward a log singularity of Jac1 unless both operands
+    are normal: where the pole of 1 / hull meets its straddling part, at u = 0
+    on the pieces where I2 holds f1's centre or end, elsewhere where a + b = 0
+    (normal f1) or b = 0 (exponential f1), unless off = 0.
 
     The product is symmetric, so f1 is always the operand of ``_order``, the
     one with the wider focals per unit of nesting: both operand orders give
@@ -140,17 +140,30 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
         return _self(f1.shape, f1.support_bound / f1.scale, "scalar")
     if _order(f2) > _order(f1):
         f1, f2, off = f2, f1, -off
-    k1, rows = _pieces(f1, f2, off)
-    if not rows:  # I2 never meets f1's support
+    _, pieces = _pieces(f1, f2, off)
+    if not pieces:  # I2 never meets f1's support
         return 0.0
+    s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
+    k1, rows = min(f1.support_bound / s1, f1.shape.reach), []  # Z1 / s1 less its rounding where f1 ends at its reach
+    for u0, u1, lo, hi in pieces:
+        m = math.ceil((u1 - u0) * max(1.0, s2 / s1) / _WIDTH)
+        edges = {u0 + j * (u1 - u0) / m for j in range(m)} | {u1}
+        if not (lo1 and lo2):  # p, the singularity, is a cut or 0 (inf if there is none): never inside
+            p = 0.0 if lo < 0.0 < hi else math.inf if not off else (1.0 - lo1) * (-off / s2)
+            d, far = max(u0 - p, p - u1, (u1 - u0) * _GRADE ** -_DEPTH), max(u1 - p, p - u0)
+            while 0.0 < d < far:
+                q = p + d if p <= u0 else p - d
+                if u0 < q < u1:
+                    edges.add(q)
+                d *= _GRADE
+        edges = sorted(edges)
+        rows += [(e0, e1 - e0) for e0, e1 in zip(edges, edges[1:])]
     x, w = nodes_and_weights(_NODES, 0.0, 1.0)
-    rows = np.array(rows)
-    u = (rows[:, :1] + rows[:, 1:] * x).ravel()
-    # f1 is the wider, so I2 is at most 2 u long in f1's unit: where it meets f1's support its ends are finite
-    s1, s2 = f1.scale, f2.scale
-    a, b = (off + f2.shape.lo_slope * s2 * u) / s1, (off + s2 * u) / s1
     with np.errstate(invalid="ignore", over="ignore"):  # a sum that is not finite raises below
-        value = float(((rows[:, 1:] * w).ravel() * f2.shape.density(u)) @ _jaccard(f1, a, b, k1, x, w))
+        u, weight = _rule(rows, x, w, f2.shape.density)
+        # f1 is the wider, so I2 is at most 2 u long in f1's unit: where it meets f1's support its ends are finite
+        a, b = (off + lo2 * s2 * u) / s1, (off + s2 * u) / s1
+        value = float(weight @ _jaccard(f1, a, b, k1, x, w))
     if not math.isfinite(value):
         raise ValueError(f"scalar product of {labels[0]} and {labels[1]}: estimate is {value}")
     return value
@@ -169,13 +182,12 @@ def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = 
     ``_self``'s cache, so a warm call runs one pair rule, not three.  Equal
     operands are at distance 0, where the rule and the cache may differ in
     the last bit."""
-    cfg = cfg or QuadratureConfig()
     products = (scalar_product(f1, f1, cfg), scalar_product(f2, f2, cfg), scalar_product(f1, f2, cfg))
     return 0.0 if f1 == f2 else float(gram_distance(*products))
 
 
 # The rule of every consonant measure: _NODES Gauss-Legendre nodes on each
-# piece, pieces at most _WIDTH units wide in f2's unit and in f1's
+# part of a piece, parts at most _WIDTH units wide in f2's unit and in f1's
 _NODES, _WIDTH = 32, 8.0
 _SQRT_HALF, _SQRT_2PI, _SQRT_2_OVER_PI = math.sqrt(0.5), math.sqrt(2.0 * math.pi), math.sqrt(2.0 / math.pi)
 _RULE = QuadratureMeta(_NODES, math.nan)
@@ -188,6 +200,42 @@ _SERIES = _SQRT_2_OVER_PI * np.array([(-0.5) ** n / math.factorial(n) / (2 * n +
 _TAIL = {"phi": lambda u: _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u) + math.erfc(u * _SQRT_HALF) if u > 1.0
          else 1.0 - (math.erf(u * _SQRT_HALF) - _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u)),
          "exp": lambda u: (1.0 + u) * math.exp(-u) if u > 1.0 else 1.0 + (math.expm1(-u) + u * math.exp(-u))}
+# The scalar product's rule grades its parts at ratio _GRADE toward a log
+# singularity of Jac1, down to _GRADE^-_DEPTH of a piece that ends at one
+_GRADE, _DEPTH = 8.0, 4
+_TINY = 1e-300  # a floor for denominators whose numerators vanish with them
+
+
+def _pieces(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
+    """f1's support Z1, and the pieces (u0, u1, lo, hi) of every consonant
+    measure's rule over u = z2 / s2 on which I2 meets f1's support, with lo
+    and hi I2's ends from mu1 at the piece's midpoint.
+
+    u is cut at the kinks of Bel1, BetP1 and Jac1 of I2: where an end of I2,
+    off + lo2 s2 u or off + s2 u, crosses 0 or +-Z1 and, for a normal f1,
+    where lo + hi = 0.  All is in absolute units, before any division by s1,
+    which may overflow.
+    """
+    s2, lo1, lo2 = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
+    z1, u_max = min(f1.support_bound, f1.shape.reach * f1.scale), min(f2.support_bound / s2, f2.shape.reach)
+    cuts = (-off / s2, (z1 - off) / s2, (lo1 * z1 - off) / s2)  # hi at 0, Z1 and lo1 Z1; lo2 is 0 or -1, so
+    cuts += (-cuts[0], -cuts[1], -cuts[2]) if lo2 else (2.0 * cuts[0],) if lo1 else ()  # lo there, or -lo = hi
+    cuts = sorted({0.0, u_max, *[u for u in cuts if 0.0 < u < u_max]})
+    pieces = []
+    for u0, u1 in zip(cuts, cuts[1:]):
+        mid = 0.5 * (u0 + u1)
+        lo, hi = off + lo2 * s2 * mid, off + s2 * mid
+        if lo < z1 and hi > lo1 * z1:  # I2 meets f1's support
+            pieces.append((u0, u1, lo, hi))
+    return z1, pieces
+
+
+def _rule(rows, x, w, density):
+    """The rule's points u and mass weights on parts (u0, width), from unit nodes x, w and f2's ``density``."""
+    rows = np.array(rows).reshape(-1, 2)
+    u, weight = (rows[:, :1] + rows[:, 1:] * x).ravel(), (rows[:, 1:] * w).ravel()
+    weight *= density(u)
+    return u, weight
 
 
 def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
@@ -206,16 +254,12 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     if f1 is f2:
         return _self(f1.shape, f1.support_bound / f1.scale, kind)
     s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
-    z1, u_max = min(f1.support_bound, f1.shape.reach * s1), min(f2.support_bound / s2, f2.shape.reach)
-    k1, bottom, cuts = z1 / s1, lo1 * z1, [(lo1 * z1 - off) / s2, -off / s2, (z1 - off) / s2]  # y_hi at lo1 K1, 0, K1
-    cuts = sorted({0.0, u_max, *[u for u in cuts + ([-c for c in cuts] if lo2 else [2.0 * cuts[1]] if lo1 else [])
-                                 if 0.0 < u < u_max]})  # and y_lo there, or -y_lo = y_hi
+    z1, pieces = _pieces(f1, f2, off)
+    k1, bottom = z1 / s1, lo1 * z1
     # strict inclusion reads a point per run of pieces where Bel1 > 0 is one constant, then the parts where it
     # moves; partial inclusion those parts, the other parts where BetP1 moves and the midpoints of the rest
     runs, moving, parts, (pu, pw), tail = {}, [], [], ([], []), _TAIL[f2.shape.kernel]
-    for u0, u1 in zip(cuts, cuts[1:]):
-        mid = 0.5 * (u0 + u1)
-        lo, hi = off + lo2 * s2 * mid, off + s2 * mid
+    for u0, u1, lo, hi in pieces:
         r = min(-lo, hi, z1) if lo1 else min(hi, z1) if lo <= 0.0 else 0.0  # Bel1's r about mu1
         bel_moves = 0.0 < r < z1 and (hi <= -lo or lo2 or not lo1)  # the end r is read from moves
         if r > 0.0 and not bel_moves:  # Bel1 is constant, and as r never falls while u grows, one run per r
@@ -226,15 +270,12 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
             m = max(1, math.ceil(max(u1 - u0, (u1 - u0) * s2 / s1) / _WIDTH))
             (moving if bel_moves else parts).extend([(u0 + j * (u1 - u0) / m, (u1 - u0) / m) for j in range(m)])
         else:
-            pu.append(mid)
+            pu.append(0.5 * (u0 + u1))
             pw.append(tail(u0) - tail(u1))
     if kind == "strict" and not (runs or moving):  # no focal of f2 holds one of f1
         return 0.0
     ru, rw = [0.5 * (a + b) for a, b in runs.values()], [tail(a) - tail(b) for a, b in runs.values()]
-    rows = np.array(moving + parts).reshape(-1, 2)
-    (x, w), h = _unit_nodes(_NODES), rows[:, 1:]
-    u, weight = (rows[:, :1] + h * x).ravel(), (h * w).ravel()
-    weight *= f2.shape.density(u)
+    u, weight = _rule(moving + parts, *_unit_nodes(_NODES), f2.shape.density)
     if ru or pu:
         u, weight = np.concatenate((ru, u, pu)), np.concatenate((rw, weight, pw))
     k, n, e, value = len(ru), len(ru) + _NODES * len(moving), s2 * u, 0.0  # strict's n points; partial's from k
@@ -263,52 +304,6 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{kind} inclusion of {f1.label} in {f2.label}: estimate is {value}")
     return value
-
-
-# The scalar product's rule grades its pieces at ratio _GRADE toward a log
-# singularity of Jac1, down to _GRADE^-_DEPTH of a piece that ends at one
-_GRADE, _DEPTH = 8.0, 4
-_TINY = 1e-300  # a floor for denominators whose numerators vanish with them
-
-
-def _pieces(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
-    """f1's support K1 in its unit, and the pieces (u0, width) of the scalar
-    product's rule over u = z2 / s2 on which I2 meets f1's support.
-
-    I2's ends lie at A = (off + lo2 s2 u) / s1 and B = (off + s2 u) / s1 in
-    f1's unit.  Jac1 has kinks where A or B crosses 0 or +-K1 and, for a
-    normal f1, where A + B = 0 and ``_jaccard`` reflects I2.  Pieces are at
-    most _WIDTH wide in u and in f1's unit.  Unless both operands are normal,
-    Jac1 has a log singularity where the pole of 1 / hull on its straddling
-    part meets that part: where b - a = 0, at u = 0, on the pieces where I2
-    holds f1's centre or end; elsewhere, unless off = 0, where a + b = 0
-    (normal f1) or b = 0 (exponential f1).  Each piece is graded toward it.
-    """
-    s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
-    k1, u_max = min(f1.support_bound / s1, f1.shape.reach), min(f2.support_bound / s2, f2.shape.reach)
-    levels = (0.0, k1, -k1) if lo1 else (0.0, k1)
-    reflect = -2.0 * off / ((1.0 + lo2) * s2) if lo2 != -1.0 else math.nan  # where A + B = 0
-    cuts = [(c * s1 - off) / s2 for c in levels] + [(c * s1 - off) / (lo2 * s2) for c in levels if lo2]
-    cuts = sorted({0.0, u_max, *[u for u in cuts + [reflect] * bool(lo1) if 0.0 < u < u_max]})
-    rows = []
-    for u0, u1 in zip(cuts, cuts[1:]):
-        mid = 0.5 * (u0 + u1)
-        a, b = (off + lo2 * s2 * mid) / s1, (off + s2 * mid) / s1
-        if a >= k1 or b <= lo1 * k1:  # I2 misses f1's support
-            continue
-        m = math.ceil((u1 - u0) * max(1.0, s2 / s1) / _WIDTH)
-        edges = {u0 + j * (u1 - u0) / m for j in range(m)} | {u1}
-        if not (lo1 and lo2):  # p, the singularity, is a cut or 0 (inf if there is none): never inside
-            p = 0.0 if a < 0.0 < b else math.inf if not off else reflect if lo1 else -off / s2
-            d, far = max(u0 - p, p - u1, (u1 - u0) * _GRADE ** -_DEPTH), max(u1 - p, p - u0)
-            while 0.0 < d < far:
-                q = p + d if p <= u0 else p - d
-                if u0 < q < u1:
-                    edges.add(q)
-                d *= _GRADE
-        edges = sorted(edges)
-        rows += [(e0, e1 - e0) for e0, e1 in zip(edges, edges[1:])]
-    return k1, rows
 
 
 def _jaccard(f1: ConsonantBBD, a, b, k1: float, x, w):

@@ -16,8 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _special
-
 __all__ = [
     "QuadratureConfig",
     "nodes_and_weights",
@@ -74,12 +72,8 @@ class QuadratureConfig:
 
 @lru_cache(maxsize=64)
 def _unit_nodes(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]; cached read-only arrays.
-
-    numpy's weights err less than scipy's and need no ``scipy.linalg``, but its
-    eigenvalue solve grows as n^3, so past 512 nodes scipy's asymptotic ones serve.
-    """
-    x, w = np.polynomial.legendre.leggauss(n) if n <= 512 else _special.roots_legendre(n)
+    """Gauss-Legendre nodes and weights on [0, 1]; cached read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     x.setflags(write=False)
@@ -89,8 +83,8 @@ def _unit_nodes(n: int):
 
 def nodes_and_weights(n: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights for [lo, hi] with n points."""
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
+    if not 1 <= n <= 512:  # numpy's eigenvalue solve holds an n x n matrix
+        raise ValueError(f"need 1 to 512 nodes, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got ({lo}, {hi})")
     if hi < lo:

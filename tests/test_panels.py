@@ -194,8 +194,9 @@ def test_jaccard_matches_the_degree_on_every_piece(family):
         if _order(f2) > _order(f1):
             continue
         off, lo1 = f2.location - f1.location, f1.shape.lo_slope
-        k1, rows = _pieces(f1, f2, off)
-        u = np.array([u0 + h * rng.uniform(0.0, 1.0, 3) for u0, h in rows]).ravel()
+        _, pieces = _pieces(f1, f2, off)
+        k1 = min(f1.support_bound / f1.scale, f1.shape.reach)  # the scalar product's
+        u = np.array([rng.uniform(u0, u1, 3) for u0, u1, _, _ in pieces]).ravel()
         a, b = (off + f2.shape.lo_slope * f2.scale * u) / f1.scale, (off + f2.scale * u) / f1.scale
         jac = _jaccard(f1, a, b, k1, x, w)
         for ai, bi, value in zip(a, b, jac):
@@ -208,20 +209,19 @@ def test_jaccard_matches_the_degree_on_every_piece(family):
 
 def test_kinks_of_offset_normals():
     # equal supports 8, offset 1: I2's ends in f1's unit are 1 - u and 1 + u,
-    # which cross 0 at u = 1 and 8 at u = 7; two normals are not graded
-    k1, rows = _pieces(N01, consonant_from_normal(1.0, 1.0), 1.0)
-    assert k1 == 8.0
-    assert [u0 for u0, _ in rows] + [sum(rows[-1])] == [0.0, 1.0, 7.0, 8.0]
+    # which cross 0 at u = 1 and 8 at u = 7
+    z1, pieces = _pieces(N01, consonant_from_normal(1.0, 1.0), 1.0)
+    assert z1 == 8.0
+    assert [u0 for u0, *_ in pieces] + [pieces[-1][1]] == [0.0, 1.0, 7.0, 8.0]
 
 
 def test_kinks_of_normal_in_exponential_are_vertical():
     # I2 = [0, z2] has a fixed lower end, 6 of f1's scales below its centre:
     # the kink of Jac1 at t = |A| stays put, and u is cut only where B
     # crosses 0 (u = 3) and K1 (u = 7) and where I2 is reflected, A + B = 0
-    # (u = 6); Jac1's log singularities, u = 0 and 6, lie too far from the
-    # pieces they bear on for any grading
-    _, rows = _pieces(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
-    assert rows == [(0.0, 3.0), (3.0, 3.0), (6.0, 1.0), (7.0, 1.0)]
+    # (u = 6); I2's ends at each piece's midpoint are -3 and u - 3
+    _, pieces = _pieces(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
+    assert pieces == [(0.0, 3.0, -3.0, -1.5), (3.0, 6.0, -3.0, 1.5), (6.0, 7.0, -3.0, 3.5), (7.0, 8.0, -3.0, 4.5)]
 
 
 def test_scalar_product_rule_runs_in_bounded_memory():
@@ -471,16 +471,44 @@ def test_scalar_product_operand_order_gap_holds_at_random(f1, f2):
     assert _scalar(f1, f2) == _scalar(f2, f1), (f1.label, f2.label)
 
 
+@settings(max_examples=200)
+@given(PAIRS)
+def test_pieces_meet_f1_and_hold_no_kink(pair):
+    # in both operand orders, I2 meets f1's support on every piece of the
+    # table that all three rules read, and just inside either end of a piece
+    # each end of I2 lies on the same side of 0 and +-Z1 (0 and Z1 for an
+    # exponential f1), as does lo + hi for a normal f1: no kink of Bel1,
+    # BetP1 or Jac1 lies inside a piece.  A side within rounding of its
+    # level is not compared
+    for f1, f2 in (pair, pair[::-1]):
+        off, lo1, lo2, s2 = f2.location - f1.location, f1.shape.lo_slope, f2.shape.lo_slope, f2.scale
+        z1, pieces = _pieces(f1, f2, off)
+
+        def sides(u):
+            lo, hi = off + lo2 * s2 * u, off + s2 * u
+            gaps = [end - level for end in (lo, hi) for level in ((0.0, z1, -z1) if lo1 else (0.0, z1))]
+            gaps += [lo + hi] if lo1 else []
+            tol = 1e-9 * (abs(off) + s2 * u + z1)
+            return [gap > 0.0 if abs(gap) > tol else None for gap in gaps]
+
+        for u0, u1, lo, hi in pieces:
+            mid = 0.5 * (u0 + u1)
+            assert (lo, hi) == (off + lo2 * s2 * mid, off + s2 * mid)
+            assert lo < z1 and hi > lo1 * z1, (f1.label, f2.label, u0, u1)
+            first, last = sides(u0 + 1e-6 * (u1 - u0)), sides(u1 - 1e-6 * (u1 - u0))
+            assert all(a is None or b is None or a == b for a, b in zip(first, last)), (f1.label, f2.label, u0, u1)
+
+
 @given(PAIRS)
 def test_contour_inclusions_take_no_cells_and_no_nodes(pair):
     # both inclusions are one pass of their own rule at every scale ratio:
-    # no request for the scalar product's pieces, kernel or nodes
+    # no request for the scalar product's kernel or nodes
     def forbidden(*args, **kwargs):
-        raise AssertionError("an inclusion took the scalar product's pieces, kernel or nodes")
+        raise AssertionError("an inclusion took the scalar product's kernel or nodes")
 
     f1, f2 = pair
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_pieces", "_jaccard", "nodes_and_weights"):
+        for name in ("_jaccard", "nodes_and_weights"):
             patch.setattr(cbf.measures, name, forbidden)
         metas = [inc_strict(f1, f2).quadrature_meta, inc_partial(f1, f2).quadrature_meta]
     for meta in metas:
@@ -493,10 +521,11 @@ def test_partial_inclusion_is_continuous_across_the_switch_to_the_walk(monkeypat
     # n2 s2 = 16 n1 s1 at s1 = 1, and 1e-9 and one float either side: the
     # closed form takes each s2 without the cell map, agrees with the
     # reference and moves by no more than the reference gap across a float
-    def forbidden(*args):
-        raise AssertionError("a partial inclusion took the scalar product's pieces")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a partial inclusion took the scalar product's kernel or nodes")
 
-    monkeypatch.setattr(cbf.measures, "_pieces", forbidden)
+    for name in ("_jaccard", "nodes_and_weights"):
+        monkeypatch.setattr(cbf.measures, name, forbidden)
     switch = 16.0 * (1.0 + normal1) / (1.0 + normal2)
     values = {}
     for s2 in (switch * (1.0 - 1e-9), switch, math.nextafter(switch, math.inf), switch * (1.0 + 1e-9)):
