@@ -8,21 +8,20 @@ of I2 for partial inclusion (``_inclusion``), and its mean Jaccard degree
 against I2 for the scalar product (``_jaccard``).  So every measure is one
 expectation over f2's nesting variable u = z2 / s2, taken by one
 Gauss-Legendre rule on the pieces of ``_pieces``, the one table of u's kinks.
+On a piece the ends of I2 are affine in the rule's node, so ``_table``
+builds every row of a call, ends, weights and kernels, by one matrix product.
 
-Focal endpoints are expressed relative to each operand's location and only
-the location offset enters the degree, so translating both operands by the
-same amount reproduces results exactly.  Densities and tails are unit-scale
-shapes stretched by each operand's scale, so scaling both operands by the
-same factor changes no measure beyond rounding, so a measure of an operand
-with itself is taken once per (shape, truncation in scales) at unit scale
-(``_self``): exact to rounding, within 2.5e-16 of the rule at its own scale.
+Focal endpoints are relative to each operand's location and only the offset
+enters the degree, so translating both operands reproduces results exactly.
+Densities and tails are unit-scale shapes stretched by each operand's scale,
+so scaling both operands changes no measure beyond rounding, and a measure
+of an operand with itself is taken once per (shape, truncation in scales) at
+unit scale (``_self``): within 2.5e-16 of the rule at its own scale.
 
-Each pair is validated once: the constructors make locations, scales and
-supports finite and ``_offset`` checks the offset, so the hot loops run
-unchecked unit-scale kernels.
-
-The Monte Carlo and generic-representation paths below rebuild the same
-quantities from raw interval operations and serve as cross-checks.
+Each pair is validated once (the constructors and ``_offset``), so the hot
+loops run unchecked unit-scale kernels.  The Monte Carlo and generic paths
+below rebuild the same quantities from raw interval operations and serve as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -90,9 +89,12 @@ class InclusionResult:
     quadrature_meta: QuadratureMeta
 
 
-def _unit(value: float) -> float:
-    """Clamp an inclusion estimate into [0, 1] against rounding."""
-    return min(1.0, max(0.0, value))
+def _result(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> InclusionResult:
+    """The inclusion of f1 in f2, clamped into [0, 1], built without the frozen __init__'s object.__setattr__ calls."""
+    value, result = _inclusion(f1, f2, kind), object.__new__(InclusionResult)
+    result.__dict__.update(value=1.0 if value > 1.0 else value if value > 0.0 else 0.0, direction=(f1.label, f2.label),
+                           kind=kind, quadrature_meta=_RULE)
+    return result
 
 
 def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
@@ -140,11 +142,12 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
         return _self(f1.shape, f1.support_bound / f1.scale, "scalar")
     if _order(f2) > _order(f1):
         f1, f2, off = f2, f1, -off
-    _, pieces = _pieces(f1, f2, off)
+    z1, k1, pieces = _pieces(f1, f2, off)
     if not pieces:  # I2 never meets f1's support
         return 0.0
     s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
-    k1, rows = min(f1.support_bound / s1, f1.shape.reach), []  # Z1 / s1 less its rounding where f1 ends at its reach
+    # the parts where Jac1 straddles or I2 holds f1's end come first; f1 is the wider, so I2's ends are finite
+    first, rest = [], []
     for u0, u1, lo, hi in pieces:
         m = math.ceil((u1 - u0) * max(1.0, s2 / s1) / _WIDTH)
         edges = {u0 + j * (u1 - u0) / m for j in range(m)} | {u1}
@@ -157,13 +160,15 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
                     edges.add(q)
                 d *= _GRADE
         edges = sorted(edges)
-        rows += [(e0, e1 - e0) for e0, e1 in zip(edges, edges[1:])]
+        (c0, d0, a), (c1, d1, b) = ((-off, -s2, -hi), (-off, -lo2 * s2, -lo)) if lo1 and lo + hi < 0.0 else (
+            (off, lo2 * s2, lo), (off, s2, hi))
+        rows = first if (abs(a) < min(b, z1) if lo1 else a < 0.0) else rest
+        for e0, e1 in zip(edges, edges[1:]):
+            rows.extend((1.0, e0, e1 - e0, *_affine(c0, d0, e0, e1, s1), *_affine(c1, d1, e0, e1, s1), 0.0, 0.0))
     x, w = nodes_and_weights(_NODES, 0.0, 1.0)
     with np.errstate(invalid="ignore", over="ignore"):  # a sum that is not finite raises below
-        u, weight = _rule(rows, x, w, f2.shape.density)
-        # f1 is the wider, so I2 is at most 2 u long in f1's unit: where it meets f1's support its ends are finite
-        a, b = (off + lo2 * s2 * u) / s1, (off + s2 * u) / s1
-        value = float(weight @ _jaccard(f1, a, b, k1, x, w))
+        t, _, weight = _table(first + rest, f1, f2)
+        value = float(np.vdot(weight, _jaccard(f1, t[5], t[6], k1, x, w, len(first) // 9)))
     if not math.isfinite(value):
         raise ValueError(f"scalar product of {labels[0]} and {labels[1]}: estimate is {value}")
     return value
@@ -194,12 +199,16 @@ _RULE = QuadratureMeta(_NODES, math.nan)
 # Bel1 of a normal f1, erf(r / sqrt 2) - sqrt(2 / pi) r e^(-r^2 / 2), cancels below r = 0.5 to errors of 1.5e-16: in
 # sums below _SERIES_BELOW those points take ten terms of sqrt(2 / pi) sum (-1)^n r^(2n+3) / (2^n n! (2n+3))
 _POWERS, _SERIES_BELOW = np.arange(3.0, 23.0, 2.0), 0.0625
-_SIGNS, _EDGE = np.array([[-1.0], [1.0]]), np.array([[0.0], [1.0]])  # rows for the two ends of I2
 _SERIES = _SQRT_2_OVER_PI * np.array([(-0.5) ** n / math.factorial(n) / (2 * n + 3) for n in range(10)])
 # f2's mass beyond u in floats, below u = 1 as 1 less the mass below u: it rounds as the exact value does
 _TAIL = {"phi": lambda u: _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u) + math.erfc(u * _SQRT_HALF) if u > 1.0
          else 1.0 - (math.erf(u * _SQRT_HALF) - _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u)),
          "exp": lambda u: (1.0 + u) * math.exp(-u) if u > 1.0 else 1.0 + (math.expm1(-u) + u * math.exp(-u))}
+# Bel1 at r, and BetP1 of [y0, y1] but for its - (y1 - y0) g(K1), in f1's unit in floats where they are constant
+_BEL = {"phi": lambda r: float(r ** _POWERS @ _SERIES) if r < 0.5 else 1.0 - _TAIL["phi"](r),
+        "exp": lambda r: 1.0 - _TAIL["exp"](r)}
+_BETP = {"phi": lambda y0, y1: 0.5 * (math.erfc(-y1 * _SQRT_HALF) - math.erfc(-y0 * _SQRT_HALF)),
+         "exp": lambda y0, y1: -math.exp(-y0) * math.expm1(y0 - y1)}
 # The scalar product's rule grades its parts at ratio _GRADE toward a log
 # singularity of Jac1, down to _GRADE^-_DEPTH of a piece that ends at one
 _GRADE, _DEPTH = 8.0, 4
@@ -207,14 +216,15 @@ _TINY = 1e-300  # a floor for denominators whose numerators vanish with them
 
 
 def _pieces(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
-    """f1's support Z1, and the pieces (u0, u1, lo, hi) of every consonant
-    measure's rule over u = z2 / s2 on which I2 meets f1's support, with lo
-    and hi I2's ends from mu1 at the piece's midpoint.
+    """f1's support Z1 and K1 in its unit, and the pieces (u0, u1, lo, hi) of
+    every consonant measure's rule over u = z2 / s2 on which I2 meets f1's
+    support, with lo and hi I2's ends from mu1 at the piece's midpoint.
 
     u is cut at the kinks of Bel1, BetP1 and Jac1 of I2: where an end of I2,
     off + lo2 s2 u or off + s2 u, crosses 0 or +-Z1 and, for a normal f1,
-    where lo + hi = 0.  All is in absolute units, before any division by s1,
-    which may overflow.
+    where lo + hi = 0, so on a piece its clips and mirror are constant.  All
+    is in absolute units, before any division by s1, which may overflow; K1
+    is min(k, reach), not Z1 / s1, one ulp past it where f1 ends at reach.
     """
     s2, lo1, lo2 = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
     z1, u_max = min(f1.support_bound, f1.shape.reach * f1.scale), min(f2.support_bound / s2, f2.shape.reach)
@@ -227,15 +237,35 @@ def _pieces(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
         lo, hi = off + lo2 * s2 * mid, off + s2 * mid
         if lo < z1 and hi > lo1 * z1:  # I2 meets f1's support
             pieces.append((u0, u1, lo, hi))
-    return z1, pieces
+    return z1, min(f1.support_bound / f1.scale, f1.shape.reach), pieces
 
 
-def _rule(rows, x, w, density):
-    """The rule's points u and mass weights on parts (u0, width), from unit nodes x, w and f2's ``density``."""
-    rows = np.array(rows).reshape(-1, 2)
-    u, weight = (rows[:, :1] + rows[:, 1:] * x).ravel(), (rows[:, 1:] * w).ravel()
-    weight *= density(u)
-    return u, weight
+def _affine(c: float, d: float, u0: float, u1: float, s1: float, span=(-math.inf, math.inf)):
+    """I2's end c + d u on [u0, u1] as alpha + beta x in f1's unit, alpha 0 exactly where it crosses 0 at u0, held in
+    ``span``, its range on the piece, which a piece narrower than the rounding of its cuts may leave."""
+    (lo, hi), a, b = span, 0.0 if d and u0 == -c / d else (c + d * u0) / s1, d * (u1 - u0) / s1
+    if lo <= a <= hi and lo <= a + b <= hi:
+        return a, b
+    return min(max(a, lo), hi), min(max(a + b, lo), hi) - min(max(a, lo), hi)
+
+
+@lru_cache(maxsize=4)
+def _rows(kernel1: str, kernel2: str):
+    """``_table``'s matrix from a part's floats (1, u0, h, a0, b0, a1, b1, d0, d1) to its rows at the unit nodes."""
+    one, u, y0, y1, dy, hw = np.zeros((6, 9, 3))
+    one[0, 0] = u[1, 0] = u[2, 1] = y0[3, 0] = y0[4, 1] = y1[5, 0] = y1[6, 1] = dy[7, 0] = dy[8, 1] = hw[2, 2] = 1.0
+    a2, b2, g = (_SQRT_HALF * u, -_SQRT_HALF * u, -2.0 * _SQRT_2_OVER_PI * hw) if kernel2 == "phi" else (-u, one, -hw)
+    a1, b1, q = (_SQRT_HALF * y1, -_SQRT_HALF * y1, -_SQRT_2_OVER_PI * y1) if kernel1 == "phi" else (-y0, one, 0 * one)
+    return np.stack((a2, a1, b2, b1, g, y0, y1, dy, q)) @ np.stack((np.ones(_NODES), *_unit_nodes(_NODES)))
+
+
+def _table(parts, f1: ConsonantBBD, f2: ConsonantBBD):
+    """The rows of ``parts`` (nine floats each) at the unit nodes x, w by one matrix product, u = u0 + h x: A2, A1, B2,
+    B1; G, with f2's mass weights G A2 B2 exp(A2 B2); I2's ends y0 = a0 + b0 x, y1 = a1 + b1 x, y0 - y1 = d0 + d1 x in
+    f1's unit; Q, with a normal f1's Bel1 = erf(A1) + Q exp(A1 B1).  Returns them, exp(A1 B1) and the weights."""
+    t = np.array(parts).reshape(-1, 9) @ _rows(f1.shape.kernel, f2.shape.kernel)
+    e = np.exp(arg := t[0:2] * t[2:4])
+    return t, e[1], t[4] * arg[0] * e[0]
 
 
 def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
@@ -246,109 +276,103 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     In u = z2 / s2 the ends of I2 lie off + lo2 s2 u and off + s2 u from
     mu1, y_lo and y_hi in f1's unit once clipped to its support.  A normal
     f1 has Bel1 = P(3/2, r^2 / 2), r = min(-y_lo, y_hi), and BetP1 =
-    Phi(y_hi) - Phi(y_lo) - (y_hi - y_lo) phi(K1); an exponential one Bel1 =
-    P(2, y_hi) where y_lo <= 0 and BetP1 = e^-y_lo - e^-y_hi - (y_hi - y_lo)
-    e^-K1.  Ends are clipped before they are divided by s1, which may overflow.
+    Phi(y_hi) - Phi(y_lo) - (y_hi - y_lo) phi(K1) on I2 mirrored to y_lo +
+    y_hi <= 0; an exponential one Bel1 = P(2, y_hi) where y_lo <= 0 and
+    BetP1 = e^-y_lo - e^-y_hi - (y_hi - y_lo) e^-K1.  The ends are clipped,
+    before any division by s1, and are affine on each part (``_affine``), so
+    ``_table`` builds every point at once for one pass of each function;
+    where Bel1 or BetP1 is constant a piece adds a float term.
     """
     off = _offset(f1, f2)
     if f1 is f2:
         return _self(f1.shape, f1.support_bound / f1.scale, kind)
     s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
-    z1, pieces = _pieces(f1, f2, off)
-    k1, bottom = z1 / s1, lo1 * z1
-    # strict inclusion reads a point per run of pieces where Bel1 > 0 is one constant, then the parts where it
-    # moves; partial inclusion those parts, the other parts where BetP1 moves and the midpoints of the rest
-    runs, moving, parts, (pu, pw), tail = {}, [], [], ([], []), _TAIL[f2.shape.kernel]
+    z1, k1, pieces = _pieces(f1, f2, off)
+    strict, kernel, tail, bottom = kind == "strict", f1.shape.kernel, _TAIL[f2.shape.kernel], lo1 * z1
+    # float terms where Bel1 > 0 is constant, rule parts where it moves first, then partial's; g: f1's kernel at K1
+    runs, moving, parts, value, g = {}, [], [], 0.0, math.exp(-0.5 * k1 * k1) / _SQRT_2PI if lo1 else math.exp(-k1)
     for u0, u1, lo, hi in pieces:
-        r = min(-lo, hi, z1) if lo1 else min(hi, z1) if lo <= 0.0 else 0.0  # Bel1's r about mu1
-        bel_moves = 0.0 < r < z1 and (hi <= -lo or lo2 or not lo1)  # the end r is read from moves
-        if r > 0.0 and not bel_moves:  # Bel1 is constant, and as r never falls while u grows, one run per r
-            runs.setdefault(r, [u0, u1])[1] = u1
-        if kind == "strict" and not bel_moves:
-            continue
-        if bottom < hi < z1 or lo2 and bottom < lo < z1:  # an end moves in f1's support, and so does BetP1
+        # I2's ends c + d u, mirrored for a normal f1 so that r = min(hi, -lo) is the upper, clipped to f1's support
+        ends = ((-off, -s2, -hi), (-off, -lo2 * s2, -lo)) if lo1 and lo + hi > 0.0 else (
+            (off, lo2 * s2, lo), (off, s2, hi))
+        (a0, b0), (a1, b1) = [_affine(c, d, u0, u1, s1, (0.0, k1) if y > 0.0 else (lo1 * k1, 0.0)) if bottom < y < z1
+                              else (k1 if y > 0.0 else lo1 * k1, 0.0) for c, d, y in ends]
+        r = ends[1][2] if lo1 or lo <= 0.0 else 0.0  # Bel1 > 0 where r is past f1's centre or I2 holds its start
+        if r > 0.0 and not b1:  # Bel1 is constant, and as r never falls while u grows, one run per r
+            runs.setdefault(a1, [u0, u1])[1] = u1
+        if r > 0.0 and b1 or not strict and (b0 or b1):  # Bel1 moves, or partial and an end moves in f1's support
             m = max(1, math.ceil(max(u1 - u0, (u1 - u0) * s2 / s1) / _WIDTH))
-            (moving if bel_moves else parts).extend([(u0 + j * (u1 - u0) / m, (u1 - u0) / m) for j in range(m)])
-        else:
-            pu.append(0.5 * (u0 + u1))
-            pw.append(tail(u0) - tail(u1))
-    if kind == "strict" and not (runs or moving):  # no focal of f2 holds one of f1
-        return 0.0
-    ru, rw = [0.5 * (a + b) for a, b in runs.values()], [tail(a) - tail(b) for a, b in runs.values()]
-    u, weight = _rule(moving + parts, *_unit_nodes(_NODES), f2.shape.density)
-    if ru or pu:
-        u, weight = np.concatenate((ru, u, pu)), np.concatenate((rw, weight, pw))
-    k, n, e, value = len(ru), len(ru) + _NODES * len(moving), s2 * u, 0.0  # strict's n points; partial's from k
-    if kind == "partial" and lo1:  # BetP1 is even about mu1: rows min(y_lo, -y_hi) and min(y_hi, -y_lo)
-        y = _SIGNS * e[k:] - abs(off) if lo2 else np.minimum(off + _EDGE * e[k:], -off - _EDGE[::-1] * e[k:])
-        y = np.minimum(np.maximum(y, -z1), z1) / s1
-        c = _special.ndtr(y) - y * (math.exp(-0.5 * k1 * k1) / _SQRT_2PI)
-        value = float(weight[k:] @ (c[1] - c[0]))
-    elif kind == "partial":  # rows y_lo and y_hi
-        y = np.minimum(np.maximum(off + (_SIGNS if lo2 else _EDGE) * e[k:], 0.0), z1) / s1
-        value = float(weight[k:] @ (np.exp(-y[0]) * -np.expm1(y[0] - y[1]) - (y[1] - y[0]) * math.exp(-k1)))
-    # strict inclusion's sum, which partial inclusion takes where rounding puts its own below it (BetP1 >= Bel1)
-    # and so needs only where its own is at most the weights, as Bel1 <= 1
-    if n and (kind == "strict" or value <= float(weight[:n].sum()) * (1.0 + 1e-12)):
-        e = e[:n]
-        if lo1:  # r = min(y_hi, -y_lo)
-            r = np.maximum(np.minimum(e - abs(off) if lo2 else np.minimum(off + e, -off), z1), 0.0) / s1
-            bel = _special.erf(r * _SQRT_HALF) - _SQRT_2_OVER_PI * r * np.exp(-0.5 * r * r)
-        else:  # y_lo <= 0 there
-            bel = _special.gammainc(2.0, np.minimum(np.maximum(off + e, 0.0), z1) / s1)
-        strict = float(weight[:n] @ bel)
-        if lo1 and strict < _SERIES_BELOW and np.count_nonzero(small := r < 0.5):
-            bel[small] = r[small][:, None] ** _POWERS @ _SERIES
-            strict = float(weight[:n] @ bel)
-        value = value if strict <= value else strict  # a nan passes on
+            h, b0, b1, rows = (u1 - u0) / m, b0 / m, b1 / m, moving if r > 0.0 and b1 else parts
+            for j in range(m):
+                rows += (1.0, u0 + j * h, h, a0 + j * b0, b0, a1 + j * b1, b1, a0 - a1 + j * (b0 - b1), b0 - b1)
+        elif not strict:
+            value += (tail(u0) - tail(u1)) * (_BETP[kernel](a0, a1) + (a0 - a1) * g)
+    n, bel = len(moving) // 9, sum((tail(u0) - tail(u1)) * _BEL[kernel](r) for r, (u0, u1) in runs.items())
+    # strict inclusion's sum, which partial inclusion takes where rounding puts its own below it (BetP1 >= Bel1), so
+    # only where its own is at most a bound of it: 2 Phi(r) - 1 (normal f1) or 1 - e^-r (exponential) where it moves
+    if moving or parts:
+        t, e1, weight = _table(moving + parts, f1, f2)
+        if not strict and lo1:  # Phi(y1) - Phi(y0) + (y0 - y1) phi(K1)
+            c = _special.ndtr(t[5:7])
+            value += float(np.vdot(weight, c[1] - c[0]) + g * np.vdot(weight, t[7]))
+            bound = bel + 2.0 * float(np.vdot(weight[:n], c[1, :n])) - float(weight[:n].sum()) * (1.0 - 1e-14)
+        elif not strict:  # -e^-y0 expm1(y0 - y1) + (y0 - y1) e^-K1
+            c = e1 * np.expm1(t[7])
+            value += float(g * np.vdot(weight, t[7]) - np.vdot(weight, c))
+            bound = bel - float(np.vdot(weight[:n], c[:n]))
+    if n and (strict or value <= bound * (1.0 + 1e-12)):
+        r = t[6, :n]
+        ys = _special.erf(t[1, :n]) + t[8, :n] * e1[:n] if lo1 else _special.gammainc(2.0, r)
+        bel, constant = bel + float(np.vdot(weight[:n], ys)), bel
+        if lo1 and bel < _SERIES_BELOW and np.count_nonzero(small := r < 0.5):
+            ys[small] = r[small][:, None] ** _POWERS @ _SERIES
+            bel = constant + float(np.vdot(weight[:n], ys))
+    value = value if bel <= value else bel  # a nan passes on
     if not math.isfinite(value):
         raise ValueError(f"{kind} inclusion of {f1.label} in {f2.label}: estimate is {value}")
     return value
 
 
-def _jaccard(f1: ConsonantBBD, a, b, k1: float, x, w):
+def _jaccard(f1: ConsonantBBD, a, b, k1: float, x, w, n: int):
     """Jac1([a, b]), f1's mean Jaccard degree against [a, b] in its unit t
-    over [0, K1], at each point; ``x``, ``w`` are the rule's unit nodes.
+    over [0, K1], at each node of the parts (rows) of a and b; ``x``, ``w``
+    are the rule's unit nodes.
 
-    A normal f1, focal [-t, t], takes [-b, -a] where a + b < 0, so that
-    b >= |a|.  Its degree is 2 t / (b - a) on [0, -a] (I1 inside I2), the
-    straddling (t - a) / (t + b) on [|a|, b] and (b - a) / (2 t) on [b, K1]
-    (I2 inside I1).  An exponential f1, focal [0, t], has (t - a) / b on
+    A normal f1, focal [-t, t], takes [a, b] mirrored where a + b < 0, so
+    that b >= |a|.  Its degree is 2 t / (b - a) on [0, -a] (I1 inside I2),
+    the straddling (t - a) / (t + b) on [|a|, b] and (b - a) / (2 t) on [b,
+    K1] (I2 inside I1).  An exponential f1, focal [0, t], has (t - a) / b on
     [a, b] then (b - a) / t where a >= 0, and t / (b - a) on [0, b] then the
-    straddling b / (t - a) where a < 0.  The nested pieces are moments of
-    g1 in closed form.  The normal's straddling piece takes the rule on
+    straddling b / (t - a) where a < 0; the first ``n`` rows are the parts
+    that straddle (|a| < K1 for a normal f1).  The nested pieces are moments
+    of g1 in closed form.  The normal's straddling piece takes the rule on
     parts at most _WIDTH wide, over which its hull varies by at most 2x; the
     exponential's is b [e^-t + a e^-a E1(t - a)] between its ends, with E1
     the exponential integral.
     """
     if f1.shape.lo_slope:  # g1 = sqrt(2 / pi) t^2 e^(-t^2 / 2)
-        flip = a + b < 0.0
-        a, b = np.where(flip, -b, a), np.where(flip, -a, b)
         hi, inner = np.minimum(b, k1), np.minimum(np.maximum(-a, 0.0), k1)
         # the integral of t g1 over [0, y] is 2 sqrt(2 / pi) P(2, y^2 / 2), of g1 / t beyond y sqrt(2 / pi) e^(-y^2 / 2)
         value = 2.0 * _SQRT_2_OVER_PI * (2.0 * _special.gammainc(2.0, 0.5 * inner * inner) / np.maximum(b - a, _TINY)
                                          + 0.25 * (b - a) * (np.exp(-0.5 * hi * hi) - math.exp(-0.5 * k1 * k1)))
-        on = np.flatnonzero(np.abs(a) < hi)  # the points with a straddling part, where t + b >= b > 0
-        if on.size:
+        if n:  # where t + b >= b > 0
             parts = math.ceil(k1 / _WIDTH)
             if parts > 1:
                 x, w = ((x + np.arange(parts)[:, None]) / parts).ravel(), np.tile(w, parts) / parts
-            a, b, lo = a[on, None], b[on, None], np.abs(a[on])
-            span = hi[on] - lo
-            t = lo[:, None] + span[:, None] * x
+            a, b, lo = a[:n].reshape(-1, 1), b[:n].reshape(-1, 1), np.abs(a[:n]).ravel()
+            t = lo[:, None] + (span := hi[:n].ravel() - lo)[:, None] * x
             tt = t * t
-            value[on] += _SQRT_2_OVER_PI * span * (((t - a) / (t + b) * tt * np.exp(-0.5 * tt)) @ w)
+            value[:n] += (_SQRT_2_OVER_PI * span * (((t - a) / (t + b) * tt * np.exp(-0.5 * tt)) @ w)).reshape(n, -1)
         return value
     # g1 = t e^-t: the integral of t g1 over [0, y] is 2 P(3, y), of (t - a) g1 over [a, a + d]
-    # e^-a [2 P(3, d) + a P(2, d)] and of g1 / t beyond y e^-y
+    # e^-a [2 P(3, d) + a P(2, d)] and of g1 / t beyond y e^-y; ya = 0 where I2 holds f1's end, so d = yb there
     ya, yb = np.clip(a, 0.0, k1), np.clip(b, 0.0, k1)
-    tail, p3 = np.exp(-yb) - math.exp(-k1), _special.gammainc(3.0, np.stack((yb - ya, yb)))
-    right = (np.exp(-ya) * (2.0 * p3[0] + ya * _special.gammainc(2.0, yb - ya)) / np.maximum(b, _TINY)
-             + (b - a) * tail)
-    a, b = np.minimum(a, 0.0), np.maximum(b, 0.0)  # where I2 holds f1's end; the other points take right
-    e1 = _special.exp1(np.maximum(np.stack((yb - a, k1 - a)), _TINY))
-    holds = 2.0 * p3[1] / np.maximum(b - a, _TINY) + b * (tail + a * np.exp(-a) * (e1[0] - e1[1]))
-    return np.where(a < 0.0, holds, right)
+    tail, p = np.exp(-yb) - math.exp(-k1), _special.gammainc(np.array([[[3.0]], [[2.0]]]), yb - ya)
+    value = (b - a) * tail
+    value[n:] += np.exp(-ya[n:]) * (2.0 * p[0, n:] + ya[n:] * p[1, n:]) / np.maximum(b[n:], _TINY)
+    a, b, e1 = a[:n], b[:n], _special.exp1(np.maximum(np.stack((yb[:n] - a[:n], k1 - a[:n])), _TINY))
+    value[:n] = 2.0 * p[0, :n] / np.maximum(b - a, _TINY) + b * (tail[:n] + a * np.exp(-a) * (e1[0] - e1[1]))
+    return value
 
 
 def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
@@ -356,13 +380,13 @@ def inc_strict(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None 
     mass of f1's focals inside I2(z2) (see ``_inclusion``).  The mass beyond
     either support bound is dropped; ``cfg`` is accepted for a uniform signature.
     """
-    return InclusionResult(_unit(_inclusion(f1, f2, "strict")), (f1.label, f2.label), "strict", _RULE)
+    return _result(f1, f2, "strict")
 
 
 def inc_partial(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
     """Expected fraction of I1 covered by I2: the mean over z2 of f1's
     pignistic probability of I2(z2) (see ``_inclusion``)."""
-    return InclusionResult(_unit(_inclusion(f1, f2, "partial")), (f1.label, f2.label), "partial", _RULE)
+    return _result(f1, f2, "partial")
 
 
 def inc_partial_reversed(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> InclusionResult:
@@ -445,8 +469,8 @@ def scalar_product_generic(g1: GenericBBD, g2: GenericBBD, cfg: QuadratureConfig
 
 
 def inc_strict_generic(g1: GenericBBD, g2: GenericBBD, cfg: QuadratureConfig | None = None) -> float:
-    return _unit(_generic_expectation(g1, g2, delta_inc_strict))
+    return min(1.0, max(0.0, _generic_expectation(g1, g2, delta_inc_strict)))
 
 
 def inc_partial_generic(g1: GenericBBD, g2: GenericBBD, cfg: QuadratureConfig | None = None) -> float:
-    return _unit(_generic_expectation(g1, g2, delta_inc_partial))
+    return min(1.0, max(0.0, _generic_expectation(g1, g2, delta_inc_partial)))

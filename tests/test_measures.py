@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from types import SimpleNamespace
@@ -575,12 +576,14 @@ class TestNonFiniteEstimates:
     def test_closed_form_raises(self, monkeypatch):
         # a node of the inclusions' rule that is not finite meets the rule's
         # own check, which names both operands (N(0,1) in N(0,0.5) has a
-        # piece on which the ends of f2's focals move)
+        # piece on which the ends of f2's focals move); the rule's matrix is
+        # built from the nodes once per pair of kernels, so it takes a fresh cache
         def nan_node(n):
             x, w = _unit_nodes(n)
             return np.where(np.arange(n) == 0, math.nan, x), w
 
         monkeypatch.setattr(cbf.measures, "_unit_nodes", nan_node)
+        monkeypatch.setattr(cbf.measures, "_rows", functools.lru_cache(cbf.measures._rows.__wrapped__))
         with pytest.raises(ValueError, match=f"strict inclusion of {re.escape(F1.label)} in "
                                              f"{re.escape(F2.label)}: estimate is nan"):
             inc_strict(F1, F2, CFG)

@@ -13,6 +13,7 @@ import itertools
 import math
 import pathlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_pair_rule_integrates_the_product_density(monkeypatch, f1, f2):
                   points=[z for z in kinks if 0.0 < z < z1_max] or None,
                   epsabs=1e-15, epsrel=1e-13, limit=200)
 
-    def meeting(g1, a, b, k1, x, w):
+    def meeting(g1, a, b, k1, x, w, n):
         # I1(t) = [lo1 t, t] meets [a, b] iff t > a and lo1 t < b
         start = np.maximum(a, -b) if g1.shape.lo_slope else np.where(b > 0.0, a, np.inf)
         return g1.shape.tail(np.clip(start, 0.0, k1)) - g1.shape.tail(k1)
@@ -186,7 +187,10 @@ def test_pair_rule_integrates_the_product_density(monkeypatch, f1, f2):
 def test_jaccard_matches_the_degree_on_every_piece(family):
     # at random points of every piece of every pair, Jac1 of the ends of I2
     # agrees with the Jaccard degree integrated over f1's focals by scipy,
-    # split at the kinks |a| and |b|
+    # split at the kinks |a| and |b|.  As the scalar product does, a normal
+    # f1 takes I2 mirrored where a + b < 0, and a piece's points are one row,
+    # a first row where Jac1 straddles (normal f1) or I2 holds f1's end;
+    # every point of a piece agrees on which
     rng = np.random.default_rng(5)
     x, w = np.polynomial.legendre.leggauss(32)
     x, w = 0.5 * (x + 1.0), 0.5 * w
@@ -194,24 +198,29 @@ def test_jaccard_matches_the_degree_on_every_piece(family):
         if _order(f2) > _order(f1):
             continue
         off, lo1 = f2.location - f1.location, f1.shape.lo_slope
-        _, pieces = _pieces(f1, f2, off)
-        k1 = min(f1.support_bound / f1.scale, f1.shape.reach)  # the scalar product's
-        u = np.array([rng.uniform(u0, u1, 3) for u0, u1, _, _ in pieces]).ravel()
-        a, b = (off + f2.shape.lo_slope * f2.scale * u) / f1.scale, (off + f2.scale * u) / f1.scale
-        jac = _jaccard(f1, a, b, k1, x, w)
-        for ai, bi, value in zip(a, b, jac):
-            def degree(t):
-                return f1.shape.density(t) * jaccard_delta(lo1 * t, t, ai, bi)
-            kinks = [t for t in (abs(ai), abs(bi)) if 0.0 < t < k1]
-            ref, _ = quad(degree, 0.0, k1, points=kinks or None, epsabs=1e-15, epsrel=1e-13, limit=200)
-            assert abs(value - ref) <= 1e-15, (f1.label, f2.label, ai, bi)
+        _, k1, pieces = _pieces(f1, f2, off)
+        assert k1 == min(f1.support_bound / f1.scale, f1.shape.reach)
+        for u0, u1, lo, hi in pieces:
+            u = rng.uniform(u0, u1, 3)
+            a, b = (off + f2.shape.lo_slope * f2.scale * u) / f1.scale, (off + f2.scale * u) / f1.scale
+            if lo1 and lo + hi < 0.0:
+                a, b = -b, -a
+            first = np.abs(a) < np.minimum(b, k1) if lo1 else a < 0.0
+            assert first.all() or not first.any(), (f1.label, f2.label, u0, u1)
+            jac = _jaccard(f1, a[None], b[None], k1, x, w, int(first[0])).ravel()
+            for ai, bi, value in zip(a, b, jac):
+                def degree(t):
+                    return f1.shape.density(t) * jaccard_delta(lo1 * t, t, ai, bi)
+                kinks = [t for t in (abs(ai), abs(bi)) if 0.0 < t < k1]
+                ref, _ = quad(degree, 0.0, k1, points=kinks or None, epsabs=1e-15, epsrel=1e-13, limit=200)
+                assert abs(value - ref) <= 1e-15, (f1.label, f2.label, ai, bi)
 
 
 def test_kinks_of_offset_normals():
     # equal supports 8, offset 1: I2's ends in f1's unit are 1 - u and 1 + u,
     # which cross 0 at u = 1 and 8 at u = 7
-    z1, pieces = _pieces(N01, consonant_from_normal(1.0, 1.0), 1.0)
-    assert z1 == 8.0
+    z1, k1, pieces = _pieces(N01, consonant_from_normal(1.0, 1.0), 1.0)
+    assert z1 == k1 == 8.0
     assert [u0 for u0, *_ in pieces] + [pieces[-1][1]] == [0.0, 1.0, 7.0, 8.0]
 
 
@@ -220,7 +229,7 @@ def test_kinks_of_normal_in_exponential_are_vertical():
     # the kink of Jac1 at t = |A| stays put, and u is cut only where B
     # crosses 0 (u = 3) and K1 (u = 7) and where I2 is reflected, A + B = 0
     # (u = 6); I2's ends at each piece's midpoint are -3 and u - 3
-    _, pieces = _pieces(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
+    _, _, pieces = _pieces(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
     assert pieces == [(0.0, 3.0, -3.0, -1.5), (3.0, 6.0, -3.0, 1.5), (6.0, 7.0, -3.0, 3.5), (7.0, 8.0, -3.0, 4.5)]
 
 
@@ -302,6 +311,24 @@ def test_strict_inclusion_in_a_narrow_normal_keeps_its_relative_digits(q, exact)
 ], ids=["N(0.5,1000)-exp:2", "N(1e-17,1)-exp:10", "N(1e-5,1)-exp:1", "N(0.2,1)-exp:0.1"])
 def test_strict_inclusion_near_an_exponentials_end_keeps_its_relative_digits(f1, f2, exact):
     assert abs(inc_strict(f1, f2).value - exact) <= 1e-15 * exact
+
+
+# 20-digit values (the definitions of scripts/make_reference.py, dps=50) of
+# pairs with a piece, where an end of I2 crosses f1's support, narrower than
+# the rounding of its cuts: the ends of its parts must stay in their range
+# on the piece, or the rule reads up to 4e-13 off
+@pytest.mark.parametrize("spec1, k1, spec2, k2, strict, partial", [
+    ("normal:1.7700975596701837e-17,2.143058523239262e-18", 8.0, "normal:0.08651392117091355,0.01953657011997233",
+     1000.0, 2.0445615123933954042e-4, 2.0445615123933969154e-4),
+    ("exp:5.668284352647255e+18", 40.0, "normal:0.01906877537279455,0.0067298498252782914", 40.0,
+     0.045426185199737642001, 0.045426185199737645033),
+    ("exp:5.549273985723639e+16", 1000.0, "normal:2.878391165342478,4.964866108074797", 8.0,
+     0.95309958758159020201, 0.95309958758159020283),
+], ids=["normal", "exp-k40", "exp-k1000"])
+def test_pieces_narrower_than_rounding_keep_their_ends_in_range(spec1, k1, spec2, k2, strict, partial):
+    f1, f2 = parse_distribution(spec1, k1), parse_distribution(spec2, k2)
+    assert abs(inc_strict(f1, f2).value - strict) <= 1e-15
+    assert abs(inc_partial(f1, f2).value - partial) <= 1e-15
 
 
 # mpmath values (dps=32, the mean of pi2 over I1 and its expectation over z1
@@ -482,7 +509,7 @@ def test_pieces_meet_f1_and_hold_no_kink(pair):
     # level is not compared
     for f1, f2 in (pair, pair[::-1]):
         off, lo1, lo2, s2 = f2.location - f1.location, f1.shape.lo_slope, f2.shape.lo_slope, f2.scale
-        z1, pieces = _pieces(f1, f2, off)
+        z1, _, pieces = _pieces(f1, f2, off)
 
         def sides(u):
             lo, hi = off + lo2 * s2 * u, off + s2 * u
@@ -561,6 +588,37 @@ def test_inclusion_of_a_thin_operand_asks_for_no_nodes(monkeypatch):
     assert result.quadrature_meta.points_per_axis == 32 and math.isnan(result.quadrature_meta.est_error)
     assert inc_partial_reversed(wide, narrow, CFG) == result
     assert abs(result.value - inclusion_by_crossings(narrow, wide, "partial")) <= REFERENCE_GAP
+
+
+def test_an_inclusion_makes_one_pass_of_each_special_function(monkeypatch):
+    # the rule builds every row of a call in one matrix product, so BetP1
+    # takes one ndtr (or exp) pass and Bel1 one erf (or gammainc) pass, and
+    # the pieces where either is constant add float terms, not rows joined
+    # by np.concatenate; for every pair of the reference, stress and random
+    # families, both kinds
+    calls = []
+
+    def counting(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(cbf._special, name)(*args)
+        return call
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an inclusion joined arrays with np.concatenate")
+
+    monkeypatch.setattr(cbf.measures, "_special", types.SimpleNamespace(
+        **{name: counting(name) for name in ("ndtr", "erf", "gammainc", "exp1")}))
+    monkeypatch.setattr(np, "concatenate", forbidden)
+    family = REFERENCE_FAMILY + STRESS_FAMILY + RANDOM_FAMILY
+    passes = 0
+    for f1, f2 in itertools.product(family, repeat=2):
+        for inclusion in (inc_strict, inc_partial):
+            calls.clear()
+            inclusion(f1, f2)
+            assert len(calls) == len(set(calls)), (inclusion.__name__, f1.label, f2.label, calls)
+            passes += len(calls)
+    assert passes > 0
 
 
 @pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(refine_max_doublings=0),

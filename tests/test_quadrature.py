@@ -175,6 +175,19 @@ def test_what_a_fresh_process_imports(tmp_path, code, module, loaded):
     assert out.stdout.splitlines()[-1] == str(loaded)
 
 
+def test_the_loader_skips_the_packages_init():
+    # in a fresh process an inclusion loads scipy.special's ufuncs without
+    # the package's __init__ (some 20 MB resident); importing the package
+    # afterwards runs it and hands back the same ufunc objects
+    code = ("import sys; from cbf import consonant_from_normal as N, inc_partial, _special; "
+            "inc_partial(N(0, 1), N(4, 0.5)); print('scipy.special' in sys.modules); "
+            "import scipy.special; print(scipy.special.ndtr is _special.ndtr, scipy.special.erf is _special.erf)")
+    src = str(pathlib.Path(cbf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-2:] == ["False", "True True"]
+
+
 def test_the_loader_keeps_what_it_loads():
     with pytest.raises(AttributeError):
         _special.no_such_function

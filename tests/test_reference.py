@@ -17,14 +17,21 @@ Normals run at the default truncation k = 8, whose Maxwell tail (8.2e-14)
 sets their inclusion bounds; exponentials run at k = 40, where the Gamma(2)
 tail is below 1e-16.  Each bound is the worst error at introduction rounded
 up to a power of ten; bounds may only tighten.
+
+Pairs with an offset, both families in both roles and scale ratios 1e-3 to
+1e3, are checked against ``data/reference_inclusions.csv``: 30-digit values
+of both inclusions at their own truncations, written by
+``scripts/make_reference.py`` from the definitions with mpmath.
 """
 
+import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from cbf.consonant import consonant_from_exponential, consonant_from_normal
+from cbf.consonant import consonant_from_exponential, consonant_from_normal, parse_distribution
 from cbf.measures import distance, inc_partial, inc_strict, scalar_product
 
 # a location exact in binary, so the offset between the operands is exactly 0
@@ -112,3 +119,21 @@ def test_forms_give_the_known_self_anchors(family):
                "exp": (0.5, 0.75, 0.5, 0.0)}[family]
     forms = FAMILIES[family][1](1.0)
     assert [forms[m] for m in MEASURES] == pytest.approx(anchors, abs=1e-15)
+
+
+REFERENCE_INCLUSIONS = pathlib.Path(__file__).resolve().parent / "data" / "reference_inclusions.csv"
+
+
+def test_inclusions_of_offset_pairs_match_the_mpmath_corpus():
+    # strict within 1e-15 or 1e-14 of its value, partial within 1e-15; at
+    # introduction the worst errors were 2.2e-16 for both
+    with open(REFERENCE_INCLUSIONS, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) >= 100
+    for row in rows:
+        f1, f2 = (parse_distribution(row[f"f{i}"], float(row[f"k{i}"])) for i in (1, 2))
+        strict, partial = float(row["strict"]), float(row["partial"])
+        error = abs(inc_strict(f1, f2).value - strict)
+        assert error <= max(1e-15, 1e-14 * strict), (row["f1"], row["f2"], "strict", error)
+        error = abs(inc_partial(f1, f2).value - partial)
+        assert error <= 1e-15, (row["f1"], row["f2"], "partial", error)
