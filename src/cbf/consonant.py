@@ -68,8 +68,6 @@ class Shape:
     pignistic  closed-form upper tail of g(u) / length(focal(u)) from u >= 0
                to infinity: phi(u) for Maxwell (g / (2 u) = u phi(u)),
                exp(-u) for Gamma(2) (g / u = exp(-u))
-    kernel     the factor of g beside a polynomial, "phi" (the normal density)
-               or "exp" (exp(-u)); the closed forms key on it
     reach      units of u past which g holds no mass in floats (u^2 phi(u)
                and u exp(-u) below 1e-18): every pair measure stops there,
                so that the scalar product's rule keeps its nodes on the mass
@@ -79,7 +77,6 @@ class Shape:
     density: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[np.ndarray], np.ndarray]
     pignistic: Callable[[np.ndarray], np.ndarray]
-    kernel: str
     reach: float
 
 
@@ -88,9 +85,9 @@ def _maxwell(u):
     return 2.0 / _SQRT_2PI * uu * np.exp(-0.5 * uu)
 
 
-_MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + _special.ndtr(-u)), _phi, "phi", 10.0)
+_MAXWELL = Shape(-1.0, _maxwell, lambda u: 2.0 * (np.minimum(u, 40.0) * _phi(u) + _special.ndtr(-u)), _phi, 10.0)
 _GAMMA2 = Shape(0.0, lambda u: u * np.exp(-np.maximum(u, 0.0)), lambda u: (1.0 + np.minimum(u, 800.0)) * np.exp(-u),
-                lambda u: np.exp(-u), "exp", 45.0)
+                lambda u: np.exp(-u), 45.0)
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,14 @@ __all__ = [
     "grid_values",
 ]
 
-# name -> (value of the ordered pair (f1, f2) under cfg, symmetric?).  The
-# lambdas look the measures up in this module when called, so wrappers set
-# on its attributes see every evaluation.
+# name -> (value of the ordered pair (f1, f2), symmetric?).  The lambdas
+# look the measures up in this module when called, so wrappers set on its
+# attributes see every evaluation.
 _TABLE = {
-    "incstr": (lambda f1, f2, cfg: inc_strict(f1, f2, cfg).value, False),
-    "incpar": (lambda f1, f2, cfg: inc_partial(f1, f2, cfg).value, False),
-    "scalar": (lambda f1, f2, cfg: scalar_product(f1, f2, cfg), True),
-    "distance": (lambda f1, f2, cfg: distance(f1, f2, cfg), True),
+    "incstr": (lambda f1, f2: inc_strict(f1, f2).value, False),
+    "incpar": (lambda f1, f2: inc_partial(f1, f2).value, False),
+    "scalar": (lambda f1, f2: scalar_product(f1, f2), True),
+    "distance": (lambda f1, f2: distance(f1, f2), True),
 }
 MEASURES = tuple(_TABLE)
 DIRECTIONS = ("1in2", "2in1")
@@ -152,8 +152,8 @@ def run_tables(s: Scenario) -> TableSet:
     (symmetric ones for i <= j, mirrored; distances off the scalar Gram matrix)."""
     if len(s.distributions) < 2:
         raise ValueError(f"need at least two distributions, got {len(s.distributions)}")
-    cfg = s.quadrature
-    bbds = [parse_distribution(spec, cfg.truncation_k) for spec in s.distributions]
+    k = s.quadrature.truncation_k  # the only field of the config that reaches a measure, through the operands
+    bbds = [parse_distribution(spec, k) for spec in s.distributions]
     labels = tuple(b.label for b in bbds)
     n = len(bbds)
 
@@ -170,7 +170,7 @@ def run_tables(s: Scenario) -> TableSet:
                 mat = computed[meas] = np.empty((n, n))
                 for i in range(n):
                     for j in range(n):
-                        mat[i, j] = mat[j, i] if symmetric and j < i else value(bbds[i], bbds[j], cfg)
+                        mat[i, j] = mat[j, i] if symmetric and j < i else value(bbds[i], bbds[j])
         return computed[meas]
 
     matrices = {meas: matrix(meas) for meas in s.measures}
@@ -191,15 +191,15 @@ def run_sweep(s: Scenario) -> list[tuple[float, float, float]]:
     if s.sweep is None:
         raise ValueError("scenario has no sweep spec")
     spec = s.sweep
-    cfg = s.quadrature
-    fixed = parse_distribution(spec.fixed, cfg.truncation_k)
+    k = s.quadrature.truncation_k
+    fixed = parse_distribution(spec.fixed, k)
     value, _ = _TABLE[spec.measure]
     rows: list[tuple[float, float, float]] = []
     for mu2 in grid_values(spec.mu2):
         for sigma2 in grid_values(spec.sigma2):
-            swept = consonant_from_normal(mu2, sigma2, cfg.truncation_k)
+            swept = consonant_from_normal(mu2, sigma2, k)
             pair = (fixed, swept) if spec.direction == "1in2" else (swept, fixed)
-            rows.append((float(mu2), float(sigma2), value(*pair, cfg)))
+            rows.append((float(mu2), float(sigma2), value(*pair)))
     return rows
 
 

@@ -162,6 +162,11 @@ class TestStrictInclusion:
         # one pass of the rule: its nodes per piece, and no error estimate
         assert r.quadrature_meta.points_per_axis == 32
         assert math.isnan(r.quadrature_meta.est_error)
+        # an immutable NamedTuple: its four fields in order, and their repr
+        with pytest.raises(AttributeError):
+            r.value = 0.5
+        assert InclusionResult._fields == ("value", "direction", "kind", "quadrature_meta")
+        assert repr(r).startswith("InclusionResult(value=")
 
 
 class TestPartialInclusion:

@@ -621,6 +621,27 @@ def test_an_inclusion_makes_one_pass_of_each_special_function(monkeypatch):
     assert passes > 0
 
 
+@pytest.mark.parametrize("f1, f2, calls", [
+    (consonant_from_normal(0.0, 0.001), consonant_from_exponential(2.0), 0),
+    (N01, consonant_from_normal(2.0, 0.5), 2),
+    (consonant_from_normal(2.0, 0.5), N01, 1),
+], ids=["narrow-normal-in-exp", "N(0,1)-in-N(2,0.5)", "N(2,0.5)-in-N(0,1)"])
+def test_strict_inclusion_builds_no_ends_where_bel1_is_zero(monkeypatch, f1, f2, calls):
+    # a strict inclusion skips the pieces on which Bel1 is 0 before it
+    # builds their ends, so _affine runs only on pieces that hold belief:
+    # none for the narrow normal beside exp:2, which reads 0.0
+    real, seen = cbf.measures._affine, []
+
+    def counting(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cbf.measures, "_affine", counting)
+    value = inc_strict(f1, f2).value
+    assert len(seen) == calls
+    assert value == 0.0 if not calls else value > 0.0
+
+
 @pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(refine_max_doublings=0),
                                  QuadratureConfig(points_per_axis=512, refine_max_doublings=0)],
                          ids=["default", "no-refinement", "fine-grid"])
