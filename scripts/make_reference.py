@@ -1,9 +1,15 @@
-"""Write tests/data/reference_inclusions.csv: strict and partial inclusion
-of about 100 ordered pairs of consonant densities, to 30 digits by mpmath.
+"""Write the mpmath reference tables of tests/data, from the definitions alone.
 
     python3 scripts/make_reference.py [--out PATH] [--pairs N] [--seed S]
+    python3 scripts/make_reference.py --scalar [--out PATH] [--pairs N] [--seed S]
+    python3 scripts/make_reference.py --nodes [--out PATH]
 
-The values are computed from the definitions alone, without ``cbf``:
+The default writes tests/data/reference_inclusions.csv: strict and partial
+inclusion of about 100 ordered pairs of consonant densities, to 30 digits.
+``--scalar`` writes tests/data/reference_scalar.csv: the scalar product of
+72 pairs and both self products, to 25 digits.  ``--nodes`` writes
+tests/data/gauss_legendre_32.csv: the 32 Gauss-Legendre nodes and weights
+on [0, 1], to 30 digits.  No value comes from ``cbf`` or numpy:
 
 * A normal N(mu, sigma) has focals [mu - z, mu + z] with the Maxwell mass
   density 2 (z / sigma)^2 phi(z / sigma) / sigma; an exponential of rate
@@ -21,6 +27,15 @@ The values are computed from the definitions alone, without ``cbf``:
   crosses f1's centre or start or an end of f1's support and, for strict
   inclusion under a normal f1, where I2's midpoint crosses mu1: the
   integrand is analytic between those points.
+* The scalar product is the mean over both focals of their Jaccard degree
+  |I1 & I2| / |hull|: a nested ``mpmath.quad``, over z2 split at the same
+  points as strict inclusion (there also sit the log singularities of the
+  inner mean), and over z1 split where an end of I1 crosses an end of I2.
+  A self product depends only on the family and k (substitute z = scale u),
+  so it is taken once per (family, k), on the unit-scale operand.
+* The nodes are the roots of the Legendre polynomial P_32 by Newton's
+  method from the asymptotic guesses cos(pi (i - 1/4) / (n + 1/2)), the
+  weights 2 / ((1 - x^2) P_32'(x)^2); both are mapped to [0, 1].
 
 The pairs are drawn from a seeded generator: both families in both roles,
 normals up to 10 of the larger scale from each other or from an
@@ -36,12 +51,14 @@ import csv
 import random
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath as mp
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGITS = 30
+SCALAR_DIGITS = 25  # nested quadrature at 30 digits agrees with 20 to 1e-21
 
 
 def operand(spec: str, k: float):
@@ -120,8 +137,46 @@ def inclusion(f1, f2, strict: bool):
     return value
 
 
-def pairs(count: int, seed: int):
-    """``count`` ordered pairs of (spec, k): both families in both roles."""
+def jaccard(a1, b1, a2, b2):
+    """|[a1, b1] & [a2, b2]| / |hull of both|."""
+    inter = min(b1, b2) - max(a1, a2)
+    return inter / (max(b1, b2) - min(a1, a2)) if inter > 0 else mp.mpf(0)
+
+
+def scalar(f1, f2):
+    """The mean Jaccard degree of f1's and f2's focals."""
+    family1, loc1, _, z1 = f1
+
+    def integrand(z):
+        a, b = ends(f2, z)
+        cuts = (loc1 - a, loc1 - b, a - loc1, b - loc1) if family1 == "normal" else (a - loc1, b - loc1)
+        inner = mp.quad(lambda t: density(f1, t) * jaccard(*ends(f1, t), a, b),
+                        [0, *sorted({c for c in cuts if 0 < c < z1}), z1])
+        return density(f2, z) * inner
+
+    value, error = mp.quad(integrand, [0, *kinks(f1, f2, True), f2[3]], error=True)
+    if error > mp.mpf(10) ** -(SCALAR_DIGITS + 2):
+        raise RuntimeError(f"quadrature error {error} above the target")
+    return value
+
+
+def gauss_legendre(n: int):
+    """The n nodes and weights of Gauss-Legendre on [0, 1], ascending."""
+    rows = []
+    for i in range(n, 0, -1):
+        x, step = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2)), 1
+        while abs(step) > mp.mpf(10) ** -(mp.mp.dps - 5):
+            p, q = mp.legendre(n, x), mp.legendre(n - 1, x)
+            step = p / (n * (x * p - q) / (x * x - 1))
+            x -= step
+        dp = n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+        rows.append(((x + 1) / 2, 1 / ((1 - x * x) * dp * dp)))
+    return rows
+
+
+def pairs(count: int, seed: int, concentric: int = 5):
+    """``count`` ordered pairs of (spec, k): both families in both roles, every
+    ``concentric``-th pair at offset 0 (none if 0), as exponentials always are."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -129,7 +184,7 @@ def pairs(count: int, seed: int):
         scales = [1.0, 10.0 ** rng.uniform(-3.0, 3.0)]
         rng.shuffle(scales)
         base = 10.0 ** rng.uniform(-2.0, 2.0)
-        offset = 0.0 if i % 5 == 0 else rng.uniform(-10.0, 10.0) * max(scales)
+        offset = 0.0 if concentric and i % concentric == 0 else rng.uniform(-10.0, 10.0) * max(scales)
         locations = [offset * base, 0.0] if families[1] == "exp" else [0.0, offset * base]
         specs = [f"exp:{1.0 / (base * scale)!r}" if family == "exp" else f"normal:{mu!r},{base * scale!r}"
                  for family, scale, mu in zip(families, scales, locations)]
@@ -137,25 +192,60 @@ def pairs(count: int, seed: int):
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "tests" / "data" / "reference_inclusions.csv")
-    parser.add_argument("--pairs", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=2015)
-    args = parser.parse_args(argv)
-    mp.mp.dps = 50
-    start = time.perf_counter()
-    rows = []
+def _inclusion_rows(args):
     for (spec1, k1), (spec2, k2) in pairs(args.pairs, args.seed):
         f1, f2 = operand(spec1, k1), operand(spec2, k2)
-        values = [mp.nstr(inclusion(f1, f2, strict), DIGITS, min_fixed=0, max_fixed=0)
-                  for strict in (True, False)]
-        rows.append([spec1, k1, spec2, k2, *values])
+        yield [spec1, k1, spec2, k2, *[_digits(inclusion(f1, f2, strict)) for strict in (True, False)]]
+
+
+@lru_cache(maxsize=None)
+def _self_product(family: str, k: float):
+    """The scalar product of any density of ``family`` at k with itself."""
+    unit = operand("normal:0.0,1.0" if family == "normal" else "exp:1.0", k)
+    return scalar(unit, unit)
+
+
+def _scalar_rows(args):
+    for (spec1, k1), (spec2, k2) in pairs(args.pairs, args.seed, concentric=0):
+        values = (scalar(operand(spec1, k1), operand(spec2, k2)),
+                  *[_self_product(spec.partition(":")[0], k) for spec, k in ((spec1, k1), (spec2, k2))])
+        yield [spec1, k1, spec2, k2, *[_digits(v, SCALAR_DIGITS) for v in values]]
+
+
+def _digits(value, digits=DIGITS):
+    return mp.nstr(value, digits, min_fixed=0, max_fixed=0)
+
+
+TABLES = {  # option: (default file, default pairs, header, rows)
+    "inclusions": ("reference_inclusions.csv", 100, ["f1", "k1", "f2", "k2", "strict", "partial"], _inclusion_rows),
+    "scalar": ("reference_scalar.csv", 72, ["f1", "k1", "f2", "k2", "scalar", "self1", "self2"], _scalar_rows),
+    "nodes": ("gauss_legendre_32.csv", 0, ["node", "weight"],
+              lambda args: ([_digits(x), _digits(w)] for x, w in gauss_legendre(32))),
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--scalar", dest="table", action="store_const", const="scalar",
+                       help="the scalar product corpus instead of the inclusions'")
+    which.add_argument("--nodes", dest="table", action="store_const", const="nodes",
+                       help="the 32-node Gauss-Legendre table instead of the inclusions'")
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--seed", type=int, default=2015)
+    args = parser.parse_args(argv)
+    name, count, header, rows = TABLES[args.table or "inclusions"]
+    args.out = args.out or ROOT / "tests" / "data" / name
+    args.pairs = count if args.pairs is None else args.pairs
+    mp.mp.dps = 50 if args.table != "scalar" else 30
+    start = time.perf_counter()
+    rows = list(rows(args))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["f1", "k1", "f2", "k2", "strict", "partial"])
+        writer.writerow(header)
         writer.writerows(rows)
-    print(f"wrote {len(rows)} pairs to {args.out} in {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {args.out} in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
 

@@ -77,8 +77,8 @@ class InclusionResult(NamedTuple):
     direction        (label of included operand, label of including operand)
     kind             "strict" or "partial"
     quadrature_meta  (nodes per piece of the rule, nan): it runs once, with no
-                     error estimate.  The value agrees with an independent
-                     2-D quadrature within 1e-14 (see the README numerical notes)
+                     error estimate; within 2.2e-16 of 30-digit mpmath on 100
+                     offset pairs (see the README numerical notes)
     """
 
     value: float
@@ -200,11 +200,9 @@ _SERIES = _SQRT_2_OVER_PI * np.array([(-0.5) ** n / math.factorial(n) / (2 * n +
 _TAIL = {-1.0: lambda u: _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u) + math.erfc(u * _SQRT_HALF) if u > 1.0
          else 1.0 - (math.erf(u * _SQRT_HALF) - _SQRT_2_OVER_PI * u * math.exp(-0.5 * u * u)),
          0.0: lambda u: (1.0 + u) * math.exp(-u) if u > 1.0 else 1.0 + (math.expm1(-u) + u * math.exp(-u))}
-# Bel1 at r, and BetP1 of [y0, y1] but for its - (y1 - y0) g(K1), in f1's unit in floats where they are constant
+# Bel1 at r in f1's unit, in floats where it is constant
 _BEL = {-1.0: lambda r: float(r ** _POWERS @ _SERIES) if r < 0.5 else 1.0 - _TAIL[-1.0](r),
         0.0: lambda r: 1.0 - _TAIL[0.0](r)}
-_BETP = {-1.0: lambda y0, y1: 0.5 * (math.erfc(-y1 * _SQRT_HALF) - math.erfc(-y0 * _SQRT_HALF)),
-         0.0: lambda y0, y1: -math.exp(-y0) * math.expm1(y0 - y1)}
 # The scalar product's rule grades its parts at ratio _GRADE toward a log
 # singularity of Jac1, down to _GRADE^-_DEPTH of a piece that ends at one
 _GRADE, _DEPTH = 8.0, 4
@@ -277,7 +275,7 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     BetP1 = e^-y_lo - e^-y_hi - (y_hi - y_lo) e^-K1.  The ends are clipped,
     before any division by s1, and are affine on each part (``_affine``), so
     ``_table`` builds every point at once for one pass of each function;
-    where Bel1 or BetP1 is constant a piece adds a float term.
+    where Bel1 is constant strict inclusion adds a float term per run.
     """
     off = _offset(f1, f2)
     if f1 is f2:
@@ -294,17 +292,17 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
         r = ends[1][2] if lo1 or lo <= 0.0 else 0.0  # Bel1 > 0 where r is past f1's centre or I2 holds its start
         if strict and r <= 0.0:  # Bel1 is 0 on the piece
             continue
-        (a0, b0), (a1, b1) = [_affine(c, d, u0, u1, s1, (0.0, k1) if y > 0.0 else (lo1 * k1, 0.0)) if bottom < y < z1
-                              else (k1 if y > 0.0 else lo1 * k1, 0.0) for c, d, y in ends]
+        # strict reads only the upper end, so the lower end's floats stay 0
+        (a0, b0), (a1, b1) = [(0.0, 0.0)] * strict + [
+            _affine(c, d, u0, u1, s1, (0.0, k1) if y > 0.0 else (lo1 * k1, 0.0)) if bottom < y < z1
+            else (k1 if y > 0.0 else lo1 * k1, 0.0) for c, d, y in ends[strict:]]
         if r > 0.0 and not b1:  # Bel1 is constant, and as r never falls while u grows, one run per r
             runs.setdefault(a1, [u0, u1])[1] = u1
-        if b1 or not strict and b0:  # Bel1 moves (strict has r > 0), or partial and an end moves in f1's support
-            m = max(1, math.ceil(max(u1 - u0, (u1 - u0) * s2 / s1) / _WIDTH))
+        if b1 or not strict:  # Bel1 moves (strict has r > 0), or partial: BetP1 takes the rule where it is constant too
+            m = max(1, math.ceil(max(u1 - u0, abs(b0), abs(b1)) / _WIDTH))
             h, b0, b1, rows = (u1 - u0) / m, b0 / m, b1 / m, moving if r > 0.0 and b1 else parts
             for j in range(m):
                 rows += (1.0, u0 + j * h, h, a0 + j * b0, b0, a1 + j * b1, b1, a0 - a1 + j * (b0 - b1), b0 - b1)
-        elif not strict:
-            value += (tail(u0) - tail(u1)) * (_BETP[lo1](a0, a1) + (a0 - a1) * g)
     n, bel = len(moving) // 9, sum((tail(u0) - tail(u1)) * _BEL[lo1](r) for r, (u0, u1) in runs.items())
     # strict inclusion's sum, which partial inclusion takes where rounding puts its own below it (BetP1 >= Bel1), so
     # only where its own is at most a bound of it: 2 Phi(r) - 1 (normal f1) or 1 - e^-r (exponential) where it moves

@@ -72,10 +72,18 @@ class QuadratureConfig:
 
 @lru_cache(maxsize=64)
 def _unit_nodes(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]; cached read-only arrays."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    """Gauss-Legendre nodes and weights on [0, 1], correctly rounded where
+    np.longdouble is wider than double: numpy's nodes take one Newton step on
+    P_n's three-term recurrence in long double, and the weights 2 / ((1 - x^2)
+    P_n'(x)^2) one more pass.  Cached read-only arrays."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for newton in (True, False):
+        p0, p1 = np.ones_like(x), x  # P_(j-1), P_j at x, up to P_(n-1), P_n
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1)  # P_n'
+        x = x - p1 / dp if newton else x
+    x, w = ((x + 1) / 2).astype(float), (1 / ((1 - x * x) * dp * dp)).astype(float)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

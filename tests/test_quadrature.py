@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import pathlib
@@ -133,12 +134,39 @@ def test_weights_are_positive_where_expected(n):
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,bound", [(16, 2e-15), (32, 2e-14), (64, 1e-13), (512, 5e-12)])
+@pytest.mark.parametrize("n,bound", [(16, 1e-15), (32, 1e-15), (64, 1e-15), (512, 1e-14)])
 def test_unit_nodes_integrate_their_highest_exact_degree(n, bound):
-    # n nodes integrate x^(2n-1) on [0, 1] exactly but for rounding: numpy's
-    # leggauss measured 1.3e-15, 1.4e-14, 5.0e-14 and 2.4e-12 here
+    # n nodes integrate x^(2n-1) on [0, 1] exactly but for rounding: the
+    # polished nodes measure 0, 0, 4.4e-16 and 1.3e-15 here, numpy's leggauss
+    # measured 1.3e-15, 1.4e-14, 5.0e-14 and 2.4e-12
     x, w = _unit_nodes(n)
     assert abs(2 * n * float(w @ x ** (2 * n - 1)) - 1.0) <= bound
+
+
+GAUSS_LEGENDRE_32 = pathlib.Path(__file__).resolve().parent / "data" / "gauss_legendre_32.csv"
+
+
+def test_unit_nodes_are_the_mpmath_table_rounded():
+    # the 32 nodes and weights on [0, 1] to 30 digits by mpmath
+    # (scripts/make_reference.py --nodes), each within an ulp once rounded to
+    # a double; numpy's leggauss(32) weights are up to 472 ulps (5.8e-14) off
+    with open(GAUSS_LEGENDRE_32, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 32
+    for got, column in zip(_unit_nodes(32), ("node", "weight")):
+        want = np.array([float(row[column]) for row in rows])
+        assert np.all(np.abs(got - want) <= np.spacing(want)), column
+
+
+def test_import_builds_no_rule():
+    # the rule's constants are polished in long double on first use, not
+    # when cbf is imported, and nothing in cbf imports mpmath
+    code = "import sys, cbf.quadrature as q; print(q._unit_nodes.cache_info().currsize, 'mpmath' in sys.modules)"
+    src = str(pathlib.Path(cbf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", "import cbf; " + code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_nodes_past_512_raise():

@@ -16,15 +16,22 @@ draws.
 Normals run at the default truncation k = 8, whose Maxwell tail (8.2e-14)
 sets their inclusion bounds; exponentials run at k = 40, where the Gamma(2)
 tail is below 1e-16.  Each bound is the worst error at introduction rounded
-up to a power of ten; bounds may only tighten.
+up to a power of ten; bounds may only tighten.  With correctly rounded rule
+constants the exponential scalar product errs by at most 1.1e-16 and its
+distance by 3.5e-16 (5.0e-16 and 3.3e-16 with numpy's leggauss weights), so
+both are bounded by 1e-15.
 
 Pairs with an offset, both families in both roles and scale ratios 1e-3 to
 1e3, are checked against ``data/reference_inclusions.csv``: 30-digit values
 of both inclusions at their own truncations, written by
-``scripts/make_reference.py`` from the definitions with mpmath.
+``scripts/make_reference.py`` from the definitions with mpmath.  The scalar
+product and the distance of such pairs are checked against
+``data/reference_scalar.csv``: 25-digit values of each pair's scalar product
+and both self products, from the same script (``--scalar``).
 """
 
 import csv
+import decimal
 import math
 import pathlib
 
@@ -89,8 +96,8 @@ BOUNDS = {
     ("normal", "distance"): 1e-13,
     ("exp", "strict"): 1e-15,
     ("exp", "partial"): 1e-15,
-    ("exp", "scalar"): 1e-14,
-    ("exp", "distance"): 1e-14,
+    ("exp", "scalar"): 1e-15,
+    ("exp", "distance"): 1e-15,
 }
 
 
@@ -137,3 +144,25 @@ def test_inclusions_of_offset_pairs_match_the_mpmath_corpus():
         assert error <= max(1e-15, 1e-14 * strict), (row["f1"], row["f2"], "strict", error)
         error = abs(inc_partial(f1, f2).value - partial)
         assert error <= 1e-15, (row["f1"], row["f2"], "partial", error)
+
+
+REFERENCE_SCALAR = pathlib.Path(__file__).resolve().parent / "data" / "reference_scalar.csv"
+
+
+def test_scalar_products_and_distances_of_offset_pairs_match_the_mpmath_corpus():
+    # 72 pairs, 54 of them offset (two exponentials share location 0); the
+    # distance is sqrt((self1 + self2 - 2 scalar) / 2) of the corpus values,
+    # in decimal, since the radicand cancels.  At introduction the worst
+    # errors were 3.8e-17 for the scalar product and 1.1e-16 for the distance
+    # (3.9e-16 and 5.2e-16 with numpy's leggauss weights)
+    with open(REFERENCE_SCALAR, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) >= 50
+    with decimal.localcontext(decimal.Context(prec=30)):
+        for row in rows:
+            f1, f2 = (parse_distribution(row[f"f{i}"], float(row[f"k{i}"])) for i in (1, 2))
+            scalar, self1, self2 = (decimal.Decimal(row[name]) for name in ("scalar", "self1", "self2"))
+            error = abs(scalar_product(f1, f2) - float(scalar))
+            assert error <= 1e-16, (row["f1"], row["f2"], "scalar", error)
+            error = abs(distance(f1, f2) - float(max(0, (self1 + self2 - 2 * scalar) / 2).sqrt()))
+            assert error <= 1e-15, (row["f1"], row["f2"], "distance", error)
