@@ -134,11 +134,18 @@ def test_weights_are_positive_where_expected(n):
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,bound", [(16, 1e-15), (32, 1e-15), (64, 1e-15), (512, 1e-14)])
+@pytest.mark.parametrize("n,bound", [(16, 2e-15), (32, 2e-14), (64, 1e-13), (512, 5e-12)])
 def test_unit_nodes_integrate_their_highest_exact_degree(n, bound):
-    # n nodes integrate x^(2n-1) on [0, 1] exactly but for rounding: the
-    # polished nodes measure 0, 0, 4.4e-16 and 1.3e-15 here, numpy's leggauss
-    # measured 1.3e-15, 1.4e-14, 5.0e-14 and 2.4e-12
+    # n nodes integrate x^(2n-1) on [0, 1] exactly but for rounding: numpy's
+    # leggauss measured 1.3e-15, 1.4e-14, 5.0e-14 and 2.4e-12 here
+    x, w = _unit_nodes(n)
+    assert abs(2 * n * float(w @ x ** (2 * n - 1)) - 1.0) <= bound
+
+
+@pytest.mark.parametrize("n,bound", [(16, 1e-15), (32, 1e-15), (64, 1e-15), (512, 1e-14)])
+def test_polished_nodes_integrate_their_highest_exact_degree(n, bound):
+    # the same check held to the polished nodes, which measure 0, 0, 4.4e-16
+    # and 1.3e-15
     x, w = _unit_nodes(n)
     assert abs(2 * n * float(w @ x ** (2 * n - 1)) - 1.0) <= bound
 
