@@ -1,42 +1,18 @@
 #!/usr/bin/env python
 """Reproduce the benchmark measure tables for the four reference densities.
 
-Runs every measure (strict and partial inclusion, scalar product, distance)
-over the family N(0,1), N(0,0.5), N(4,1), N(4,0.5) and prints the resulting
-matrices with their row averages.
+Runs ``cbf tables`` with every measure (strict and partial inclusion, scalar
+product, distance) over N(0,1), N(0,0.5), N(4,1), N(4,0.5), which prints the
+matrices with their row averages.  Further arguments go to ``cbf tables``.
 
 Usage:
     python scripts/reproduce_tables.py [--format {markdown,csv}] [--out PATH]
 """
 
-import argparse
-import pathlib
+import sys
 
-from cbf.experiments import MEASURES, Scenario, render_tables, run_tables
-
-REFERENCE_DISTRIBUTIONS = (
-    "normal:0,1",
-    "normal:0,0.5",
-    "normal:4,1",
-    "normal:4,0.5",
-)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--format", choices=("markdown", "csv"), default="markdown")
-    parser.add_argument("--out", default=None, help="write the tables to this file")
-    args = parser.parse_args()
-
-    scenario = Scenario(distributions=REFERENCE_DISTRIBUTIONS, measures=MEASURES)
-    text = render_tables(run_tables(scenario), args.format)
-    if args.out is None:
-        print(text)
-    else:
-        pathlib.Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {args.out}")
-    return 0
-
+from cbf.cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(["tables", "--dists", "normal:0,1", "normal:0,0.5", "normal:4,1", "normal:4,0.5",
+                           "--measures", "incstr,incpar,scalar,distance", *sys.argv[1:]]))

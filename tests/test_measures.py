@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cbf.measures
@@ -225,16 +225,21 @@ class TestInclusionProperties:
         assert 0.0 <= p <= 1.0
         assert s <= p + 1e-3
 
-    @given(norm_params, st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-    @settings(max_examples=20)
-    def test_translation_invariance(self, p, shift):
+    @given(norm_params, st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-10.0, max_value=10.0),
+           st.floats(min_value=-10.0, max_value=10.0))
+    @settings(max_examples=200)
+    def test_translation_invariance(self, p, log_ratio, t, shift):
+        # scale ratios 1e-3 to 1e3, offsets up to 10 of the larger scale: the
+        # measures read the operands' offset alone, so a shift that leaves its
+        # float as it was leaves every measure's float as it was
         mu, sigma = p
-        fa, fb = consonant_from_normal(mu, sigma), consonant_from_normal(mu + 1.0, 0.8)
-        ga, gb = consonant_from_normal(mu + shift, sigma), consonant_from_normal(mu + 1.0 + shift, 0.8)
-        assert inc_strict(fa, fb, LIGHT).value == pytest.approx(
-            inc_strict(ga, gb, LIGHT).value, abs=1e-9)
-        assert inc_partial(fa, fb, LIGHT).value == pytest.approx(
-            inc_partial(ga, gb, LIGHT).value, abs=1e-9)
+        sigma2 = sigma * 10.0 ** log_ratio
+        mu2 = mu + t * max(sigma, sigma2)
+        assume((mu2 + shift) - (mu + shift) == mu2 - mu)
+        base = consonant_from_normal(mu, sigma), consonant_from_normal(mu2, sigma2)
+        shifted = consonant_from_normal(mu + shift, sigma), consonant_from_normal(mu2 + shift, sigma2)
+        for name, measure in MEASURES.items():
+            assert measure(*shifted) == measure(*base), name
 
     @given(st.booleans(), st.booleans(), st.floats(min_value=-3.0, max_value=3.0),
            st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-10.0, max_value=10.0),

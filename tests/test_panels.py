@@ -350,12 +350,17 @@ def test_tiny_partial_inclusions_hold_an_absolute_floor(k, exact):
 
 # 18-digit values (mpmath, dps=20: a nested mp.quad split at the inner kinks
 # +-a, +-b and at the outer cuts) of the scalar products of offset pairs,
-# which the concentric forms of tests/test_reference.py do not reach
+# which the concentric forms of tests/test_reference.py do not reach.  The
+# last two, 20-digit values of scripts/make_reference.py's scalar() at
+# dps=30, pin the mesh graded toward Jac1's log singularity: on even parts
+# alone they read 2.0e-11 and 7.3e-14 off
 @pytest.mark.parametrize("spec1, spec2, exact", [
     ("exp:2", "normal:0,1", 0.264119561359298136),
     ("normal:0,1", "normal:0.5,0.7", 0.526840003027276427),
     ("normal:0,1", "normal:4,0.5", 0.00100991161732234966),
     ("normal:0.5,1", "normal:0,0.001", 0.00112362789800366995),
+    ("exp:0.5", "normal:0,1", 0.27770100576661634766),
+    ("exp:0.00116", "normal:-5.37,545", 0.29363651559432566537),
 ])
 def test_scalar_product_of_offset_pairs_against_mpmath(spec1, spec2, exact):
     f1, f2 = parse_distribution(spec1), parse_distribution(spec2)
