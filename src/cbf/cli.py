@@ -48,16 +48,6 @@ def _parse_measures(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _add_quadrature_flags(parser: argparse.ArgumentParser):
-    group = parser.add_argument_group("quadrature")
-    group.add_argument("--trunc-k", type=float, default=QuadratureConfig.truncation_k, metavar="K",
-                       help="domain truncation in scale units (default %(default)s)")
-
-
-def _config_from_args(args) -> QuadratureConfig:
-    return QuadratureConfig(truncation_k=args.trunc_k)
-
-
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -70,7 +60,7 @@ def _cmd_tables(args) -> int:
     scenario = Scenario(
         distributions=tuple(args.dists),
         measures=args.measures,
-        quadrature=_config_from_args(args),
+        quadrature=QuadratureConfig(truncation_k=args.trunc_k),
     )
     tset = run_tables(scenario)
     _emit(render_tables(tset, args.format), args.out)
@@ -86,7 +76,7 @@ def _cmd_sweep(args) -> int:
             measure=args.measure,
             direction=args.direction,
         ),
-        quadrature=_config_from_args(args),
+        quadrature=QuadratureConfig(truncation_k=args.trunc_k),
     )
     rows = run_sweep(scenario)
     _emit(sweep_csv(rows), args.out)
@@ -116,25 +106,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inclusion, distance and conflict measures for belief functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument_group("quadrature").add_argument(
+        "--trunc-k", type=float, default=QuadratureConfig.truncation_k, metavar="K",
+        help="domain truncation in scale units (default %(default)s)")
 
-    p_tables = sub.add_parser("tables", help="pairwise measure tables")
+    p_tables = sub.add_parser("tables", parents=[quadrature], help="pairwise measure tables")
     p_tables.add_argument("--dists", nargs="+", required=True, metavar="SPEC",
                           help="distribution specs, e.g. normal:0,1 exp:2")
     p_tables.add_argument("--measures", type=_parse_measures, default=("incstr", "incpar"),
                           help=f"comma-separated subset of {','.join(MEASURES)}")
     p_tables.add_argument("--format", choices=FORMATS, default="markdown")
     p_tables.add_argument("--out", default=None, help="write output to this file")
-    _add_quadrature_flags(p_tables)
     p_tables.set_defaults(func=_cmd_tables)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep against a fixed distribution")
+    p_sweep = sub.add_parser("sweep", parents=[quadrature], help="grid sweep against a fixed distribution")
     p_sweep.add_argument("--fixed", required=True, metavar="SPEC")
     p_sweep.add_argument("--mu2", type=_parse_range, required=True, metavar="LO:HI:STEP")
     p_sweep.add_argument("--sigma2", type=_parse_range, required=True, metavar="LO:HI:STEP")
     p_sweep.add_argument("--measure", choices=MEASURES, default="incpar")
     p_sweep.add_argument("--direction", choices=DIRECTIONS, default="1in2")
     p_sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    _add_quadrature_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_disc = sub.add_parser("discrete", help="discrete mass function tools")

@@ -235,5 +235,5 @@ def parse_bba(text: str, frame: Iterable[str] | None = None) -> DiscreteMassFunc
 
 def load_bba(path) -> DiscreteMassFunction:
     """Read a mass assignment file (see ``parse_bba`` for the format)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_bba(fh.read())

@@ -15,8 +15,8 @@ Focal endpoints are relative to each operand's location and only the offset
 enters the degree, so translating both operands reproduces results exactly.
 Densities and tails are unit-scale shapes stretched by each operand's scale,
 so scaling both operands changes no measure beyond rounding, and a measure
-of an operand with itself is taken once per (shape, truncation in scales) at
-unit scale (``_self``): within 2.5e-16 of the rule at its own scale.
+of two equal operands is taken once per (shape, truncation in scales) at
+unit scale (``_self``): within 2.5e-16 of the rule at their own scale.
 
 Each pair is validated once (the constructors and ``_offset``), so the hot
 loops run unchecked unit-scale kernels.  The Monte Carlo and generic paths
@@ -104,11 +104,12 @@ def _offset(f1: ConsonantBBD, f2: ConsonantBBD) -> float:
 
 @lru_cache(maxsize=64)
 def _self(shape, k: float, measure: str) -> float:
-    """``measure`` ("strict", "partial" or "scalar") of one object with itself,
-    which depends on its shape and truncation k in scales alone: the rule runs
-    once per key on two distinct unit-scale operands, built directly because
-    k = support_bound / scale may round past the constructors' largest k."""
-    f, g = (ConsonantBBD(shape, 0.0, 1.0, k, "unit") for _ in range(2))
+    """``measure`` ("strict", "partial" or "scalar") of two equal operands,
+    which depends on their shape and truncation k in scales alone: the rule
+    runs once per key on two unit-scale operands, labelled apart so that they
+    are not equal, built directly because k = support_bound / scale may round
+    past the constructors' largest k."""
+    f, g = (ConsonantBBD(shape, 0.0, 1.0, k, label) for label in ("unit1", "unit2"))
     return scalar_product(f, g) if measure == "scalar" else _inclusion(f, g, measure)
 
 
@@ -134,7 +135,7 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
     uniform signature.
     """
     off, labels = _offset(f1, f2), (f1.label, f2.label)
-    if f1 is f2:
+    if f1 is f2 or not off and f1 == f2:  # identity first: a table's diagonal skips comparing fields
         return _self(f1.shape, f1.support_bound / f1.scale, "scalar")
     if _order(f2) > _order(f1):
         f1, f2, off = f2, f1, -off
@@ -180,11 +181,9 @@ def gram_distance(n1, n2, s):
 
 def distance(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | None = None) -> float:
     """Jousselme distance between f1 and f2: the self products come from
-    ``_self``'s cache, so a warm call runs one pair rule, not three.  Equal
-    operands are at distance 0, where the rule and the cache may differ in
-    the last bit."""
-    products = (scalar_product(f1, f1, cfg), scalar_product(f2, f2, cfg), scalar_product(f1, f2, cfg))
-    return 0.0 if f1 == f2 else float(gram_distance(*products))
+    ``_self``'s cache, so a warm call runs one pair rule, not three, and
+    equal operands read all three products there, at distance 0."""
+    return float(gram_distance(scalar_product(f1, f1, cfg), scalar_product(f2, f2, cfg), scalar_product(f1, f2, cfg)))
 
 
 # The rule of every consonant measure: _NODES Gauss-Legendre nodes on each
@@ -278,7 +277,7 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     where Bel1 is constant strict inclusion adds a float term per run.
     """
     off = _offset(f1, f2)
-    if f1 is f2:
+    if f1 is f2 or not off and f1 == f2:  # as in scalar_product
         return _self(f1.shape, f1.support_bound / f1.scale, kind)
     s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
     z1, k1, pieces = _pieces(f1, f2, off)
@@ -342,9 +341,9 @@ def _jaccard(f1: ConsonantBBD, a, b, k1: float, x, w, n: int):
     straddling b / (t - a) where a < 0; the first ``n`` rows are the parts
     that straddle (|a| < K1 for a normal f1).  The nested pieces are moments
     of g1 in closed form.  The normal's straddling piece takes the rule on
-    parts at most _WIDTH wide, over which its hull varies by at most 2x; the
-    exponential's is b [e^-t + a e^-a E1(t - a)] between its ends, with E1
-    the exponential integral.
+    one span [|a|, min(b, K1)], at most 10 wide as K1 is at most the shape's
+    reach; the exponential's is b [e^-t + a e^-a E1(t - a)] between its
+    ends, with E1 the exponential integral.
     """
     if f1.shape.lo_slope:  # g1 = sqrt(2 / pi) t^2 e^(-t^2 / 2)
         hi, inner = np.minimum(b, k1), np.minimum(np.maximum(-a, 0.0), k1)
@@ -352,9 +351,6 @@ def _jaccard(f1: ConsonantBBD, a, b, k1: float, x, w, n: int):
         value = 2.0 * _SQRT_2_OVER_PI * (2.0 * _special.gammainc(2.0, 0.5 * inner * inner) / np.maximum(b - a, _TINY)
                                          + 0.25 * (b - a) * (np.exp(-0.5 * hi * hi) - math.exp(-0.5 * k1 * k1)))
         if n:  # where t + b >= b > 0
-            parts = math.ceil(k1 / _WIDTH)
-            if parts > 1:
-                x, w = ((x + np.arange(parts)[:, None]) / parts).ravel(), np.tile(w, parts) / parts
             a, b, lo = a[:n].reshape(-1, 1), b[:n].reshape(-1, 1), np.abs(a[:n]).ravel()
             t = lo[:, None] + (span := hi[:n].ravel() - lo)[:, None] * x
             tt = t * t

@@ -102,13 +102,6 @@ def nodes_and_weights(n: int, lo: float, hi: float):
     return lo + width * x, width * w
 
 
-def _check_finite(vals, where: str):
-    if np.all(np.isfinite(vals)):
-        return
-    idx = np.unravel_index(int(np.argmin(np.isfinite(vals))), np.shape(vals))
-    raise ValueError(f"integrand returned a non-finite value at grid index {idx} ({where})")
-
-
 def mc_estimate(sampler, integrand_ratio, n: int, seed: int = 0):
     """Seeded Monte Carlo mean of ``integrand_ratio`` under ``sampler``.
 
@@ -121,7 +114,9 @@ def mc_estimate(sampler, integrand_ratio, n: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     draws = sampler(rng, n)
     vals = np.asarray(integrand_ratio(*draws), dtype=float)
-    _check_finite(vals, "mc integrand")
+    if not np.all(finite := np.isfinite(vals)):
+        idx = np.unravel_index(int(np.argmin(finite)), vals.shape)
+        raise ValueError(f"integrand returned a non-finite value at grid index {idx} (mc integrand)")
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     return mean, stderr

@@ -26,6 +26,7 @@ from cbf.discrete import (
     conflict,
     d_inc,
     jousselme_distance,
+    load_bba,
     parse_bba,
     sigma_inc,
 )
@@ -404,6 +405,17 @@ class TestParseBba:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             parse_bba("a:0.4\nb:0.4")
+
+    def test_file_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        # the mark is no part of the first label
+        text = "a:0.5\na|b:0.3\na|b|c:0.2\n"
+        plain, marked = tmp_path / "plain.bba", tmp_path / "marked.bba"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        m1, m2 = load_bba(plain), load_bba(marked)
+        assert m1.frame == m2.frame == ("a", "b", "c")
+        assert dict(m1.items()) == dict(m2.items())
+        assert jousselme_distance(m1, m2) == conflict(m1, m2) == 0.0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

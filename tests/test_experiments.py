@@ -24,7 +24,7 @@ from cbf.experiments import (
     run_tables,
     sweep_csv,
 )
-from cbf.measures import inc_strict
+from cbf.measures import distance, inc_strict
 from cbf.quadrature import QuadratureConfig
 
 LIGHT = QuadratureConfig(points_per_axis=16, refine_max_doublings=0)
@@ -167,6 +167,15 @@ class TestRunTables:
             assert mat.shape == (2, 2)
             np.testing.assert_allclose(mat, mat.T, atol=1e-12)
         assert t.matrices["incstr"][0, 1] == pytest.approx(0.5, abs=1e-3)
+
+    def test_spec_listed_twice_is_at_distance_zero_from_itself(self):
+        # the off-diagonal product of two equal operands is read from the same
+        # cache as the diagonal's
+        spec = "normal:-3.0082,3.26365"
+        t = run_tables(Scenario(distributions=(spec, spec), measures=("distance",),
+                                quadrature=QuadratureConfig(truncation_k=40.0)))
+        f, g = (consonant_from_normal(-3.0082, 3.26365, 40.0) for _ in range(2))
+        assert t.matrices["distance"][0, 1] == t.matrices["distance"][1, 0] == distance(f, g) == 0.0
 
     def test_full_reference_set(self):
         s = Scenario(distributions=TABLE_DISTS, measures=("incstr", "incpar"),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -44,20 +45,21 @@ HALF_PLUS_INV_PI = 0.5 + 1.0 / math.pi
 
 
 def assert_same_at_extreme_scales(measure, anchor):
-    """Pairs of equal operands far from scale 1 give ``anchor`` (normal) and
-    the exp:2 value.
+    """Pairs of operands equal but for their labels, far from scale 1, give
+    ``anchor`` (normal) and the exp:2 value.
 
     The consonant shapes are unit-scale, so no scale power can under- or
-    overflow there.  The operands are distinct objects, so the rule runs at
-    their own scale rather than reading the self-pair cache.
+    overflow there.  The operands are not equal, so the rule runs at their
+    own scale rather than reading the cache of equal operands.
     """
+    def twins(f):
+        return f, dataclasses.replace(f, label="twin")
+
     for sigma in (1e-120, 1e110, 1e300):
-        f, g = consonant_from_normal(0.0, sigma), consonant_from_normal(0.0, sigma)
-        assert measure(f, g) == pytest.approx(anchor, abs=1e-12)
-    e2 = consonant_from_exponential(2.0), consonant_from_exponential(2.0)
+        assert measure(*twins(consonant_from_normal(0.0, sigma))) == pytest.approx(anchor, abs=1e-12)
+    e2 = twins(consonant_from_exponential(2.0))
     for rate in (1e-200, 1e200):
-        e, e_ = consonant_from_exponential(rate), consonant_from_exponential(rate)
-        assert measure(e, e_) == pytest.approx(measure(*e2), abs=1e-12)
+        assert measure(*twins(consonant_from_exponential(rate))) == pytest.approx(measure(*e2), abs=1e-12)
 
 
 norm_params = st.tuples(
@@ -225,6 +227,18 @@ class TestInclusionProperties:
         assert 0.0 <= p <= 1.0
         assert s <= p + 1e-3
 
+    @given(st.booleans(), st.booleans(), st.floats(min_value=-3.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=10.0), st.sampled_from([0.5, 8.0, 40.0, 1000.0]),
+           st.sampled_from([0.5, 8.0, 40.0, 1000.0]))
+    @settings(max_examples=200)
+    def test_reversed_is_partial_inclusion_of_the_swapped_pair(self, normal1, normal2, log_ratio, t, k1, k2):
+        # both families in both roles, scale ratios 1e-3 to 1e3, offsets up
+        # to 10 of the larger scale: the same float, with the swapped direction
+        s2 = 10.0 ** log_ratio
+        f1 = consonant_from_normal(0.0, 1.0, k1) if normal1 else consonant_from_exponential(1.0, k1)
+        f2 = consonant_from_normal(t * max(1.0, s2), s2, k2) if normal2 else consonant_from_exponential(1.0 / s2, k2)
+        assert inc_partial_reversed(f1, f2, CFG)[:3] == inc_partial(f2, f1, CFG)[:3]  # value, direction, kind
+
     @given(norm_params, st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-10.0, max_value=10.0),
            st.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=200)
@@ -312,7 +326,7 @@ class TestSelfPairCache:
             for scale in scales:
                 f, g = self._twins(normal, rng.uniform(-10.0, 10.0) * scale, scale, k)
                 for name, measure in MEASURES.items():
-                    assert abs(measure(f, f) - measure(f, g)) <= 2.5e-16, (name, f.label, k)
+                    assert measure(f, f) == measure(f, g), (name, f.label, k)
 
     @pytest.mark.filterwarnings("error")
     def test_truncation_that_rounds_past_the_largest(self):
@@ -337,9 +351,9 @@ class TestSelfPairCache:
         assert cache.cache_info().currsize == 3
 
     def test_equal_operands_are_at_distance_zero(self):
-        # the cached self products are taken at unit scale and the pair's
-        # product at the operands' own: without a check for equal operands
-        # their last bits left distances up to 1e-8 at some scales
+        # the cached self products are taken at unit scale, and so is the
+        # pair's product of equal operands: the rule at their own scale would
+        # leave distances up to 1e-8 at some scales
         rng = np.random.default_rng(3)
         for scale in 10.0 ** rng.uniform(-6.0, 6.0, 200):
             for normal in (True, False):

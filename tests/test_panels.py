@@ -7,6 +7,7 @@ quadrature with hand-placed breakpoints or over the endpoint crossings of
 other order).
 """
 
+import dataclasses
 import functools
 import importlib.util
 import itertools
@@ -96,8 +97,9 @@ DEEP_TOL = 4.4e-16
 ], ids=["partial-N01", "partial-N4h", "scalar-N01", "scalar-N4h",
         "partial-exp2", "scalar-exp2", "strict-exp2", "partial-N01-k40", "scalar-N01-k40", "strict-N01-k40"])
 def test_self_anchor(measure, make, exact, tol):
-    # two equal operands, not one object twice, so that the rule runs on them
-    assert abs(measure(make(), make()) - exact) < tol
+    # two operands equal but for their labels, so that the rule runs on them
+    # rather than reading the cache of equal operands
+    assert abs(measure(make(), dataclasses.replace(make(), label="twin")) - exact) < tol
 
 
 def test_scalar_product_symmetric_on_reference_family():
@@ -244,7 +246,7 @@ def test_scalar_product_rule_runs_in_bounded_memory():
     # no setting sizes the rule: its pieces and the normal's straddling part
     # are bounded by the shapes' reach, so the widest point set, a normal
     # against an exponential graded over 40 units at k = 40, peaks near
-    # 1.1 MB; the first pass loads scipy.special, outside the trace
+    # 0.6 MB; the first pass loads scipy.special, outside the trace
     pairs = [(f1, f2) for k in (8.0, 40.0)
              for f1, f2 in itertools.product([parse_distribution(spec, k) for spec in
                                               ("exp:1", "normal:0.3,0.6", "normal:0.5,1", "normal:0,0.001")], repeat=2)]
@@ -260,6 +262,41 @@ def test_scalar_product_rule_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+# the peak of one call of each measure, in bytes: the test's 200 pairs peak at
+# 36 kB (strict), 56 kB (partial) and 471 kB (scalar, distance), 10,000 more
+# such pairs at 696 kB (distance)
+MEMORY_CEILING = {"strict": 100_000, "partial": 100_000, "scalar": 1_000_000, "distance": 1_000_000}
+
+
+def test_every_measure_call_stays_under_its_memory_ceiling():
+    # both families in both roles, scale ratios 10^U(-3, 3), offsets 0 to 10
+    # of the larger scale and k in {0.5, 8, 40, 1000} per operand; the first
+    # pair loads scipy.special outside the trace
+    rng = np.random.default_rng(9)
+
+    def make(normal, location, scale, k):
+        return consonant_from_normal(location, scale, k) if normal else consonant_from_exponential(1.0 / scale, k)
+
+    pairs = []
+    for _ in range(200):
+        (n1, n2), s2, ks = rng.random(2) < 0.5, 10.0 ** rng.uniform(-3.0, 3.0), rng.choice([0.5, 8.0, 40.0, 1000.0], 2)
+        pairs.append((make(n1, 0.0, 1.0, ks[0]), make(n2, rng.uniform(0.0, 10.0) * max(1.0, s2), s2, ks[1])))
+    measures = {"strict": _strict, "partial": _partial, "scalar": _scalar, "distance": distance}
+    for measure in measures.values():
+        measure(*pairs[0])
+    peaks = dict.fromkeys(measures, 0)
+    tracemalloc.start()
+    try:
+        for f1, f2 in pairs:
+            for name, measure in measures.items():
+                tracemalloc.reset_peak()
+                measure(f1, f2)
+                peaks[name] = max(peaks[name], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert all(peaks[name] < ceiling for name, ceiling in MEMORY_CEILING.items()), peaks
 
 
 def test_scalar_product_blocks_bound_memory_at_the_default_size():
