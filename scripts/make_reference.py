@@ -32,7 +32,9 @@ on [0, 1], to 30 digits.  No value comes from ``cbf`` or numpy:
   points as strict inclusion (there also sit the log singularities of the
   inner mean), and over z1 split where an end of I1 crosses an end of I2.
   A self product depends only on the family and k (substitute z = scale u),
-  so it is taken once per (family, k), on the unit-scale operand.
+  so it is taken once per (family, k), on the unit-scale operand.  Where
+  mp.quad's error estimate of the outer integral is above 1e-27, the pair
+  is taken again 10 digits finer, up to 60 digits, before it is refused.
 * The nodes are the roots of the Legendre polynomial P_32 by Newton's
   method from the asymptotic guesses cos(pi (i - 1/4) / (n + 1/2)), the
   weights 2 / ((1 - x^2) P_32'(x)^2); both are mapped to [0, 1].
@@ -59,6 +61,7 @@ import mpmath as mp
 ROOT = Path(__file__).resolve().parents[1]
 DIGITS = 30
 SCALAR_DIGITS = 25  # nested quadrature at 30 digits agrees with 20 to 1e-21
+MAX_DPS = 60  # the finest precision at which ``scalar`` retries a quadrature
 
 
 def operand(spec: str, k: float):
@@ -144,7 +147,23 @@ def jaccard(a1, b1, a2, b2):
 
 
 def scalar(f1, f2):
-    """The mean Jaccard degree of f1's and f2's focals."""
+    """The mean Jaccard degree of f1's and f2's focals.  Where mp.quad's error
+    estimate misses the target, the quadrature runs again 10 digits finer, up
+    to MAX_DPS; the operands' parameters are binary doubles, which every
+    precision holds exactly."""
+    dps = mp.mp.dps
+    while True:
+        with mp.workdps(dps):
+            value, error = _scalar(f1, f2)
+        if error <= mp.mpf(10) ** -(SCALAR_DIGITS + 2):
+            return value
+        if dps >= MAX_DPS:
+            raise RuntimeError(f"quadrature error {error} above the target at mp.dps = {dps}")
+        dps = min(dps + 10, MAX_DPS)
+
+
+def _scalar(f1, f2):
+    """The nested quadrature of ``scalar``: its value and mp.quad's error estimate of the outer integral."""
     family1, loc1, _, z1 = f1
 
     def integrand(z):
@@ -154,10 +173,7 @@ def scalar(f1, f2):
                         [0, *sorted({c for c in cuts if 0 < c < z1}), z1])
         return density(f2, z) * inner
 
-    value, error = mp.quad(integrand, [0, *kinks(f1, f2, True), f2[3]], error=True)
-    if error > mp.mpf(10) ** -(SCALAR_DIGITS + 2):
-        raise RuntimeError(f"quadrature error {error} above the target")
-    return value
+    return mp.quad(integrand, [0, *kinks(f1, f2, True), f2[3]], error=True)
 
 
 def gauss_legendre(n: int):

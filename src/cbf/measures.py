@@ -145,11 +145,13 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
     s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
     # the parts where Jac1 straddles or I2 holds f1's end come first; f1 is the wider, so I2's ends are finite
     first, rest = [], []
-    for u0, u1, lo, hi in pieces:
+    for u0, u1, ((c0, d0, a), (c1, d1, b)) in pieces:
+        if lo1 and a != -b:  # Jac1 takes b >= |a|: _pieces' I2 reflected about mu1, unless centred there
+            c0, d0, a, c1, d1, b = -c1, -d1, -b, -c0, -d0, -a
         m = math.ceil((u1 - u0) * max(1.0, s2 / s1) / _WIDTH)
         edges = {u0 + j * (u1 - u0) / m for j in range(m)} | {u1}
         if not (lo1 and lo2):  # p, the singularity, is a cut or 0 (inf if there is none): never inside
-            p = 0.0 if lo < 0.0 < hi else math.inf if not off else (1.0 - lo1) * (-off / s2)
+            p = 0.0 if a < 0.0 < b else math.inf if not off else (1.0 - lo1) * (-off / s2)
             d, far = max(u0 - p, p - u1, (u1 - u0) * _GRADE ** -_DEPTH), max(u1 - p, p - u0)
             while 0.0 < d < far:
                 q = p + d if p <= u0 else p - d
@@ -157,8 +159,6 @@ def scalar_product(f1: ConsonantBBD, f2: ConsonantBBD, cfg: QuadratureConfig | N
                     edges.add(q)
                 d *= _GRADE
         edges = sorted(edges)
-        (c0, d0, a), (c1, d1, b) = ((-off, -s2, -hi), (-off, -lo2 * s2, -lo)) if lo1 and lo + hi < 0.0 else (
-            (off, lo2 * s2, lo), (off, s2, hi))
         rows = first if (abs(a) < min(b, z1) if lo1 else a < 0.0) else rest
         for e0, e1 in zip(edges, edges[1:]):
             rows.extend((1.0, e0, e1 - e0, *_affine(c0, d0, e0, e1, s1), *_affine(c1, d1, e0, e1, s1), 0.0, 0.0))
@@ -209,15 +209,16 @@ _TINY = 1e-300  # a floor for denominators whose numerators vanish with them
 
 
 def _pieces(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
-    """f1's support Z1 and K1 in its unit, and the pieces (u0, u1, lo, hi) of
+    """f1's support Z1 and K1 in its unit, and the pieces (u0, u1, ends) of
     every consonant measure's rule over u = z2 / s2 on which I2 meets f1's
-    support, with lo and hi I2's ends from mu1 at the piece's midpoint.
-
-    u is cut at the kinks of Bel1, BetP1 and Jac1 of I2: where an end of I2,
-    off + lo2 s2 u or off + s2 u, crosses 0 or +-Z1 and, for a normal f1,
-    where lo + hi = 0, so on a piece its clips and mirror are constant.  All
-    is in absolute units, before any division by s1, which may overflow; K1
-    is min(k, reach), not Z1 / s1, one ulp past it where f1 ends at reach.
+    support.  ``ends`` are I2's ends as lines (c, d, y), c + d u from mu1 and
+    y at the piece's midpoint, in the one reading of I2 that all three rules
+    take: off + lo2 s2 u and off + s2 u, mirrored about mu1 where f1 is normal
+    (even) and lo + hi > 0, so that y_lo + y_hi <= 0.  u is cut at the kinks
+    of Bel1, BetP1 and Jac1 of I2, where an end crosses 0 or +-Z1 and, for a
+    normal f1, where lo + hi = 0: on a piece its clips and mirror are constant.
+    All is in absolute units, before any division by s1, which may overflow;
+    K1 is min(k, reach), not Z1 / s1, one ulp past it where f1 ends at reach.
     """
     s2, lo1, lo2 = f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
     z1, u_max = min(f1.support_bound, f1.shape.reach * f1.scale), min(f2.support_bound / s2, f2.shape.reach)
@@ -229,7 +230,8 @@ def _pieces(f1: ConsonantBBD, f2: ConsonantBBD, off: float):
         mid = 0.5 * (u0 + u1)
         lo, hi = off + lo2 * s2 * mid, off + s2 * mid
         if lo < z1 and hi > lo1 * z1:  # I2 meets f1's support
-            pieces.append((u0, u1, lo, hi))
+            pieces.append((u0, u1, ((-off, -s2, -hi), (-off, -lo2 * s2, -lo)) if lo1 and lo + hi > 0.0 else (
+                (off, lo2 * s2, lo), (off, s2, hi))))
     return z1, min(f1.support_bound / f1.scale, f1.shape.reach), pieces
 
 
@@ -266,29 +268,26 @@ def _inclusion(f1: ConsonantBBD, f2: ConsonantBBD, kind: str) -> float:
     the mass of f1's focals inside I2(z2), or of BetP1(I2), f1's pignistic
     probability of I2, which absorbs the degree's 1 / |I1| (Fubini).
 
-    In u = z2 / s2 the ends of I2 lie off + lo2 s2 u and off + s2 u from
-    mu1, y_lo and y_hi in f1's unit once clipped to its support.  A normal
-    f1 has Bel1 = P(3/2, r^2 / 2), r = min(-y_lo, y_hi), and BetP1 =
-    Phi(y_hi) - Phi(y_lo) - (y_hi - y_lo) phi(K1) on I2 mirrored to y_lo +
-    y_hi <= 0; an exponential one Bel1 = P(2, y_hi) where y_lo <= 0 and
-    BetP1 = e^-y_lo - e^-y_hi - (y_hi - y_lo) e^-K1.  The ends are clipped,
-    before any division by s1, and are affine on each part (``_affine``), so
-    ``_table`` builds every point at once for one pass of each function;
-    where Bel1 is constant strict inclusion adds a float term per run.
+    I2's ends are ``_pieces``' lines as they are, y_lo and y_hi in f1's unit
+    once clipped to its support.  A normal f1 has Bel1 = P(3/2, r^2 / 2), r =
+    min(-y_lo, y_hi) = y_hi, and BetP1 = Phi(y_hi) - Phi(y_lo) - (y_hi -
+    y_lo) phi(K1), its Phi differences in the left tail as y_lo + y_hi <= 0;
+    an exponential one Bel1 = P(2, y_hi) where y_lo <= 0 and BetP1 = e^-y_lo
+    - e^-y_hi - (y_hi - y_lo) e^-K1.  The ends are clipped, before any
+    division by s1, and are affine on each part (``_affine``), so ``_table``
+    builds every point at once for one pass of each function; where Bel1 is
+    constant strict inclusion adds a float term per run.
     """
     off = _offset(f1, f2)
     if f1 is f2 or not off and f1 == f2:  # as in scalar_product
         return _self(f1.shape, f1.support_bound / f1.scale, kind)
-    s1, s2, lo1, lo2 = f1.scale, f2.scale, f1.shape.lo_slope, f2.shape.lo_slope
+    s1, lo1, lo2 = f1.scale, f1.shape.lo_slope, f2.shape.lo_slope
     z1, k1, pieces = _pieces(f1, f2, off)
     strict, tail, bottom = kind == "strict", _TAIL[lo2], lo1 * z1
     # float terms where Bel1 > 0 is constant, rule parts where it moves first, then partial's; g: f1's kernel at K1
     runs, moving, parts, value, g = {}, [], [], 0.0, math.exp(-0.5 * k1 * k1) / _SQRT_2PI if lo1 else math.exp(-k1)
-    for u0, u1, lo, hi in pieces:
-        # I2's ends c + d u, mirrored for a normal f1 so that r = min(hi, -lo) is the upper, clipped to f1's support
-        ends = ((-off, -s2, -hi), (-off, -lo2 * s2, -lo)) if lo1 and lo + hi > 0.0 else (
-            (off, lo2 * s2, lo), (off, s2, hi))
-        r = ends[1][2] if lo1 or lo <= 0.0 else 0.0  # Bel1 > 0 where r is past f1's centre or I2 holds its start
+    for u0, u1, ends in pieces:  # for a normal f1, r = min(hi, -lo) is the upper end, clipped to f1's support
+        r = ends[1][2] if lo1 or ends[0][2] <= 0.0 else 0.0  # Bel1 > 0 past f1's centre or where I2 holds its start
         if strict and r <= 0.0:  # Bel1 is 0 on the piece
             continue
         # strict reads only the upper end, so the lower end's floats stay 0
@@ -333,8 +332,8 @@ def _jaccard(f1: ConsonantBBD, a, b, k1: float, x, w, n: int):
     over [0, K1], at each node of the parts (rows) of a and b; ``x``, ``w``
     are the rule's unit nodes.
 
-    A normal f1, focal [-t, t], takes [a, b] mirrored where a + b < 0, so
-    that b >= |a|.  Its degree is 2 t / (b - a) on [0, -a] (I1 inside I2),
+    A normal f1, focal [-t, t], takes [a, b] reflected by ``scalar_product``
+    so that b >= |a|.  Its degree is 2 t / (b - a) on [0, -a] (I1 inside I2),
     the straddling (t - a) / (t + b) on [|a|, b] and (b - a) / (2 t) on [b,
     K1] (I2 inside I1).  An exponential f1, focal [0, t], has (t - a) / b on
     [a, b] then (b - a) / t where a >= 0, and t / (b - a) on [0, b] then the

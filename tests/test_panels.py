@@ -18,7 +18,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -196,10 +196,11 @@ def test_pair_rule_integrates_the_product_density(monkeypatch, f1, f2):
 def test_jaccard_matches_the_degree_on_every_piece(family):
     # at random points of every piece of every pair, Jac1 of the ends of I2
     # agrees with the Jaccard degree integrated over f1's focals by scipy,
-    # split at the kinks |a| and |b|.  As the scalar product does, a normal
-    # f1 takes I2 mirrored where a + b < 0, and a piece's points are one row,
-    # a first row where Jac1 straddles (normal f1) or I2 holds f1's end;
-    # every point of a piece agrees on which
+    # split at the kinks |a| and |b|.  The ends are the piece's lines, which
+    # a normal f1 reflects about mu1 as the scalar product does, and they
+    # are I2's ends or their mirror image; a piece's points are one row, a
+    # first row where Jac1 straddles (normal f1) or I2 holds f1's end; every
+    # point of a piece agrees on which
     rng = np.random.default_rng(5)
     x, w = np.polynomial.legendre.leggauss(32)
     x, w = 0.5 * (x + 1.0), 0.5 * w
@@ -209,11 +210,13 @@ def test_jaccard_matches_the_degree_on_every_piece(family):
         off, lo1 = f2.location - f1.location, f1.shape.lo_slope
         _, k1, pieces = _pieces(f1, f2, off)
         assert k1 == min(f1.support_bound / f1.scale, f1.shape.reach)
-        for u0, u1, lo, hi in pieces:
+        for u0, u1, ((c0, d0, ya), (c1, d1, yb)) in pieces:
             u = rng.uniform(u0, u1, 3)
-            a, b = (off + f2.shape.lo_slope * f2.scale * u) / f1.scale, (off + f2.scale * u) / f1.scale
-            if lo1 and lo + hi < 0.0:
-                a, b = -b, -a
+            if lo1 and ya != -yb:
+                (c0, d0), (c1, d1) = (-c1, -d1), (-c0, -d0)
+            a, b = (c0 + d0 * u) / f1.scale, (c1 + d1 * u) / f1.scale
+            lo, hi = (off + f2.shape.lo_slope * f2.scale * u) / f1.scale, (off + f2.scale * u) / f1.scale
+            assert np.array_equal(a, lo) and np.array_equal(b, hi) or np.array_equal(a, -hi) and np.array_equal(b, -lo)
             first = np.abs(a) < np.minimum(b, k1) if lo1 else a < 0.0
             assert first.all() or not first.any(), (f1.label, f2.label, u0, u1)
             jac = _jaccard(f1, a[None], b[None], k1, x, w, int(first[0])).ravel()
@@ -237,9 +240,13 @@ def test_kinks_of_normal_in_exponential_are_vertical():
     # I2 = [0, z2] has a fixed lower end, 6 of f1's scales below its centre:
     # the kink of Jac1 at t = |A| stays put, and u is cut only where B
     # crosses 0 (u = 3) and K1 (u = 7) and where I2 is reflected, A + B = 0
-    # (u = 6); I2's ends at each piece's midpoint are -3 and u - 3
+    # (u = 6); I2's ends are the lines -3 and u - 3, read mirrored about mu1,
+    # 3 - u and 3, past u = 6, with their values at each piece's midpoint
     _, _, pieces = _pieces(consonant_from_normal(3.0, 0.5), consonant_from_exponential(1.0), -3.0)
-    assert pieces == [(0.0, 3.0, -3.0, -1.5), (3.0, 6.0, -3.0, 1.5), (6.0, 7.0, -3.0, 3.5), (7.0, 8.0, -3.0, 4.5)]
+    assert pieces == [(0.0, 3.0, ((-3.0, 0.0, -3.0), (-3.0, 1.0, -1.5))),
+                      (3.0, 6.0, ((-3.0, 0.0, -3.0), (-3.0, 1.0, 1.5))),
+                      (6.0, 7.0, ((3.0, -1.0, -3.5), (3.0, 0.0, 3.0))),
+                      (7.0, 8.0, ((3.0, -1.0, -4.5), (3.0, 0.0, 3.0)))]
 
 
 def test_scalar_product_rule_runs_in_bounded_memory():
@@ -388,19 +395,30 @@ def test_tiny_partial_inclusions_hold_an_absolute_floor(k, exact):
 # 18-digit values (mpmath, dps=20: a nested mp.quad split at the inner kinks
 # +-a, +-b and at the outer cuts) of the scalar products of offset pairs,
 # which the concentric forms of tests/test_reference.py do not reach.  The
-# last two, 20-digit values of scripts/make_reference.py's scalar() at
+# next two, 20-digit values of scripts/make_reference.py's scalar() at
 # dps=30, pin the mesh graded toward Jac1's log singularity: on even parts
-# alone they read 2.0e-11 and 7.3e-14 off
-@pytest.mark.parametrize("spec1, spec2, exact", [
-    ("exp:2", "normal:0,1", 0.264119561359298136),
-    ("normal:0,1", "normal:0.5,0.7", 0.526840003027276427),
-    ("normal:0,1", "normal:4,0.5", 0.00100991161732234966),
-    ("normal:0.5,1", "normal:0,0.001", 0.00112362789800366995),
-    ("exp:0.5", "normal:0,1", 0.27770100576661634766),
-    ("exp:0.00116", "normal:-5.37,545", 0.29363651559432566537),
-])
-def test_scalar_product_of_offset_pairs_against_mpmath(spec1, spec2, exact):
-    f1, f2 = parse_distribution(spec1), parse_distribution(spec2)
+# alone they read 2.0e-11 and 7.3e-14 off.  The last two, by scalar() from
+# dps=30 (it retries 10 digits finer while mp.quad's error estimate is above
+# 1e-27), take k per operand: a normal at k = 1000 beside an exponential at
+# k = 8, and an exponential at k = 8 beside a normal 100 times wider at k = 40
+OFFSET_SCALARS = [
+    ("exp:2", 8.0, "normal:0,1", 8.0, 0.264119561359298136),
+    ("normal:0,1", 8.0, "normal:0.5,0.7", 8.0, 0.526840003027276427),
+    ("normal:0,1", 8.0, "normal:4,0.5", 8.0, 0.00100991161732234966),
+    ("normal:0.5,1", 8.0, "normal:0,0.001", 8.0, 0.00112362789800366995),
+    ("exp:0.5", 8.0, "normal:0,1", 8.0, 0.27770100576661634766),
+    ("exp:0.00116", 8.0, "normal:-5.37,545", 8.0, 0.29363651559432566537),
+    ("normal:0,1.96587", 1000.0, "exp:0.875223", 8.0, 0.28012134714962628700),
+    ("exp:0.00326538", 8.0, "normal:0,348.099", 40.0, 0.30714541776683771647),
+]
+
+
+# ids name k only where it is not the default 8
+@pytest.mark.parametrize("spec1, k1, spec2, k2, exact", OFFSET_SCALARS, ids=[
+    "-".join([spec1] + [f"k{k1:g}"] * (k1 != 8.0) + [spec2] + [f"k{k2:g}"] * (k2 != 8.0) + [str(exact)])
+    for spec1, k1, spec2, k2, exact in OFFSET_SCALARS])
+def test_scalar_product_of_offset_pairs_against_mpmath(spec1, k1, spec2, k2, exact):
+    f1, f2 = parse_distribution(spec1, k1), parse_distribution(spec2, k2)
     assert abs(scalar_product(f1, f2) - exact) <= 1e-15
     assert abs(scalar_product(f2, f1) - exact) <= 1e-15
 
@@ -512,9 +530,33 @@ PAIRS = st.builds(lambda normal1, normal2, s1, ratio, shift, k: _pair(normal1, n
 
 @settings(max_examples=200)
 @given(PAIRS)
+# normals some 1e-17 of f1's scale wide: partial inclusion's own sum rounds
+# to 0 and strict inclusion's is about 1e-52, so partial inclusion has to
+# take strict's sum, which it computes only where its own sum is at most a
+# bound of it; without the bound's slack of 1e-14 of f2's mass that bound
+# rounds below 0 here, and partial read 0.0 under strict
+@example((consonant_from_normal(0.0, 1.0, 0.5),
+          consonant_from_normal(1.4313270298280882e-18, 2.5284372986222942e-18, 1000.0)))
+@example((consonant_from_normal(0.0, 1.0, 40.0),
+          consonant_from_normal(2.6780820452779027e-19, 7.017662581867557e-17, 0.5)))
+@example((consonant_from_normal(0.0, 1.0, 40.0),
+          consonant_from_normal(1.9910892024148744e-18, 5.2594085058532574e-18, 40.0)))
 def test_strict_never_exceeds_partial(pair):
     f1, f2 = pair
     assert inc_strict(f1, f2).value <= inc_partial(f1, f2).value
+
+
+# a narrow operand deep inside a wide one at k = 40 or 1000, where BetP1 and
+# f2's mass under the rule both round to 1: partial inclusion's sum reads
+# 1.0000000000000002 before the clamp to [0, 1]
+@pytest.mark.parametrize("f1, f2", [
+    (consonant_from_normal(1.044641878378116e-09, 1.792685588396143e-07, 1000.0),
+     consonant_from_normal(0.0, 1.0, 40.0)),
+    (consonant_from_exponential(178717476837.95236, 1000.0), consonant_from_normal(0.0, 1.0, 1000.0)),
+    (consonant_from_exponential(1700361185.6501546, 1000.0), consonant_from_exponential(0.1148517262421105, 1000.0)),
+], ids=["normal-in-normal", "exp-in-normal", "exp-in-exp"])
+def test_inclusions_of_a_narrow_operand_deep_inside_stay_in_the_unit_interval(f1, f2):
+    assert 0.0 <= inc_strict(f1, f2).value <= inc_partial(f1, f2).value <= 1.0
 
 
 def _operand(normal, s, location, k=8.0):
@@ -524,6 +566,13 @@ def _operand(normal, s, location, k=8.0):
 @settings(max_examples=200)
 @given(st.booleans(), st.booleans(), st.floats(0.1, 10.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
        st.floats(-10.0, 10.0), st.sampled_from([8.0, 40.0]))
+# a normal just inside an exponential's start, where f2's mass beyond u <= 1
+# must be read as 1 less the mass below u: the direct forms there fall by an
+# ulp as f2 widens (found by a widening search over 60,000 cases)
+@example(True, False, 1.9634196395492307, -2.946445990810309, -1.1978827411697517, 6.521013425759959e-17, 40.0)
+@example(True, False, 0.4042300689064084, 0.9460527817700171, 2.2665678803739304, 2.225427423881803e-09, 40.0)
+@example(True, False, 0.1082892975124324, -0.006615574080224285, 0.9999239586740711, 5.544847194747197e-16, 8.0)
+@example(True, False, 1.944060266487156, -0.9885545062767078, 0.1900871582348156, 9.67837827045667e-15, 8.0)
 def test_strict_inclusion_grows_with_the_including_operands_scale(normal1, normal2, s1, e, f, shift, k):
     # f2's focals scale about its fixed location, so each one holds the one
     # it grew from; f2 sits shift of f1's scales from a normal f1, or a normal
@@ -555,7 +604,8 @@ def test_pieces_meet_f1_and_hold_no_kink(pair):
     # each end of I2 lies on the same side of 0 and +-Z1 (0 and Z1 for an
     # exponential f1), as does lo + hi for a normal f1: no kink of Bel1,
     # BetP1 or Jac1 lies inside a piece.  A side within rounding of its
-    # level is not compared
+    # level is not compared.  A piece's lines are I2's ends, mirrored about
+    # mu1 where f1 is normal and lo + hi > 0, and their values at its midpoint
     for f1, f2 in (pair, pair[::-1]):
         off, lo1, lo2, s2 = f2.location - f1.location, f1.shape.lo_slope, f2.shape.lo_slope, f2.scale
         z1, _, pieces = _pieces(f1, f2, off)
@@ -567,9 +617,12 @@ def test_pieces_meet_f1_and_hold_no_kink(pair):
             tol = 1e-9 * (abs(off) + s2 * u + z1)
             return [gap > 0.0 if abs(gap) > tol else None for gap in gaps]
 
-        for u0, u1, lo, hi in pieces:
+        for u0, u1, ((c0, d0, ya), (c1, d1, yb)) in pieces:
             mid = 0.5 * (u0 + u1)
-            assert (lo, hi) == (off + lo2 * s2 * mid, off + s2 * mid)
+            lo, hi = off + lo2 * s2 * mid, off + s2 * mid
+            assert (ya, yb) == (c0 + d0 * mid, c1 + d1 * mid)
+            assert (c0, d0, ya, c1, d1, yb) == ((-off, -s2, -hi, -off, -lo2 * s2, -lo) if lo1 and lo + hi > 0.0
+                                                else (off, lo2 * s2, lo, off, s2, hi))
             assert lo < z1 and hi > lo1 * z1, (f1.label, f2.label, u0, u1)
             first, last = sides(u0 + 1e-6 * (u1 - u0)), sides(u1 - 1e-6 * (u1 - u0))
             assert all(a is None or b is None or a == b for a, b in zip(first, last)), (f1.label, f2.label, u0, u1)
